@@ -59,6 +59,7 @@ from .perf import (
     PerfReport,
     ber_curve,
     bsc_capacity,
+    error_curves,
     error_probs,
     evaluate,
     link_rate,
@@ -68,7 +69,6 @@ from .perf import (
     sweep,
 )
 from .specfun import (
-    LogWeightedValue,
     erf,
     log_sum_exp,
     regularized_gamma_p,
@@ -89,7 +89,6 @@ __all__ = [
     "GridKind",
     "GridLayout",
     "IuiSpectrum",
-    "LogWeightedValue",
     "McResult",
     "ParameterError",
     "PbsConfig",
@@ -112,6 +111,7 @@ __all__ = [
     "dump_config",
     "enumerate_sites",
     "erf",
+    "error_curves",
     "error_probs",
     "evaluate",
     "hex_distance",

@@ -24,7 +24,7 @@ from .errors import ParameterError, SearchError
 from .gridgeom import to_cartesian
 from .montecarlo import run as mc_run
 from .pbs import PbsConfig, simulate_cir
-from .perf import evaluate, optimize_radius, poisson_decision_curves, sweep
+from .perf import error_curves, evaluate, optimize_radius, sweep
 
 # flag name, config field, help text (units are SI, stated per key)
 CONFIG_FLAGS = (
@@ -176,13 +176,7 @@ def cmd_detect(cfg: SystemConfig, args) -> tuple:
 
 def cmd_ber_sweep(cfg: SystemConfig, args) -> tuple:
     summary, spectrum = _summary_and_spectrum(cfg)
-    q_curve, p_curve = poisson_decision_curves(
-        cfg.mc_theta_max,
-        summary.mu_s,
-        spectrum.values,
-        spectrum.log_weights,
-        summary.mu_n,
-    )
+    p_curve, q_curve = error_curves(cfg.mc_theta_max, summary.mu_s, spectrum, summary.mu_n)
     rows = [
         [theta, float(p_curve[theta]), float(q_curve[theta]), 0.5 * float(p_curve[theta] + q_curve[theta])]
         for theta in range(cfg.mc_theta_max + 1)
@@ -247,7 +241,6 @@ def cmd_optimize_radius(cfg: SystemConfig, args) -> tuple:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value file; flags override it")
     parser.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-    parser.add_argument("--format", choices=("csv",), default="csv", help="output format")
     for flag, field, text in CONFIG_FLAGS:
         parser.add_argument(flag, dest=field, metavar="V", help=text)
 

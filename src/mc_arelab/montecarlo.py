@@ -18,15 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSummary
-from .config import worker_count
+from .config import MC_MODES, worker_count
 from .errors import ParameterError
 from .perf import poisson_decision_curves
 
 __all__ = ["BestThreshold", "McResult", "ThresholdBer", "poisson_sample", "run"]
 
 CHUNK = 100_000
-
-MODES = ("stochastic", "semi-analytic")
 
 
 class ThresholdBer(NamedTuple):
@@ -105,8 +103,8 @@ def run(
         raise ParameterError(f"samples must be a positive integer, got {samples!r}")
     if not isinstance(theta_max, int) or isinstance(theta_max, bool) or theta_max < 1:
         raise ParameterError(f"theta_max must be a positive integer, got {theta_max!r}")
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode not in MC_MODES:
+        raise ParameterError(f"mode must be one of {MC_MODES}, got {mode!r}")
     mu_s = float(summary.mu_s)
     mu_n = float(summary.mu_n)
     if mu_s < 0 or mu_n < 0:

@@ -4,6 +4,8 @@ The detection-side inputs (signal mean, interference spectrum, noise
 mean) come from channel.summarize and detection.collapse_iui; this
 module turns them into error probabilities, mutual information, and
 area rate efficiency, and drives parameter sweeps over those numbers.
+The error probabilities of the threshold rule are cumulative sums of
+the exact count distribution.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ import numpy as np
 
 from .channel import PhysicalParams, ReceiverGeometry, cir, summarize
 from .config import SystemConfig, worker_count
-from .detection import IuiSpectrum, collapse_iui, optimal_threshold, sinr_worst, suboptimal_threshold
+from .detection import (
+    IuiSpectrum,
+    _count_pmfs,
+    collapse_iui,
+    optimal_threshold,
+    sinr_worst,
+    suboptimal_threshold,
+)
 from .errors import ParameterError
 from .gridgeom import GridLayout
 
@@ -27,6 +36,7 @@ __all__ = [
     "SWEEP_AXES",
     "ber_curve",
     "bsc_capacity",
+    "error_curves",
     "error_probs",
     "evaluate",
     "link_rate",
@@ -95,7 +105,9 @@ def poisson_decision_curves(
     q_curve[t] = sum_w P[Poisson(mu_s + a + mu_n) <= t-1] and
     p_curve[t] = 1 - sum_w P[Poisson(a + mu_n) <= t-1]. The count
     probability mass is accumulated in log space atom by atom so that a
-    single pass covers every threshold at once.
+    single pass covers every threshold at once. The weighted sums are
+    NumPy reductions, not BLAS dot products, so their rounding does not
+    depend on the BLAS thread count.
     """
     w = np.exp(log_weights)
     lam_on = mu_s + values + mu_n
@@ -111,14 +123,26 @@ def poisson_decision_curves(
     logp_on = -lam_on
     logp_off = -lam_off
     for theta in range(theta_max + 1):
-        q_curve[theta] = float(w @ acc_on)
-        p_curve[theta] = 1.0 - float(w @ acc_off)
+        q_curve[theta] = float(np.sum(w * acc_on))
+        p_curve[theta] = 1.0 - float(np.sum(w * acc_off))
         acc_on += np.exp(logp_on)
         acc_off += np.exp(logp_off)
         step = math.log(theta + 1)
         logp_on += log_on - step
         logp_off += log_off - step
     return np.clip(q_curve, 0.0, 1.0), np.clip(p_curve, 0.0, 1.0)
+
+
+def error_curves(theta_max: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float):
+    """Error probabilities of the rule [r >= theta] for theta = 0..theta_max.
+
+    Returns (p_curve, q_curve): p_curve[t] = P(r >= t | bit 0) and
+    q_curve[t] = P(r < t | bit 1), cumulative sums of the count pmfs.
+    """
+    off, on = _count_pmfs(mu_s, spectrum.ring_basis, mu_n, max(theta_max, 1))
+    below_off = np.concatenate(([0.0], np.cumsum(off)))[: theta_max + 1]
+    below_on = np.concatenate(([0.0], np.cumsum(on)))[: theta_max + 1]
+    return np.clip(1.0 - below_off, 0.0, 1.0), np.clip(below_on, 0.0, 1.0)
 
 
 def error_probs(theta: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -> ErrorPair:
@@ -130,9 +154,7 @@ def error_probs(theta: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -> 
         raise ParameterError(f"theta must be a nonnegative integer, got {theta!r}")
     if theta == 0:
         return ErrorPair(p=1.0, q=0.0)
-    q_curve, p_curve = poisson_decision_curves(
-        theta, mu_s, spectrum.values, spectrum.log_weights, mu_n
-    )
+    p_curve, q_curve = error_curves(theta, mu_s, spectrum, mu_n)
     return ErrorPair(p=float(p_curve[theta]), q=float(q_curve[theta]))
 
 
@@ -140,9 +162,7 @@ def ber_curve(theta_max: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -
     """Analytic BER at every threshold 0..theta_max in one pass."""
     if theta_max < 0:
         raise ParameterError(f"theta_max must be nonnegative, got {theta_max}")
-    q_curve, p_curve = poisson_decision_curves(
-        theta_max, mu_s, spectrum.values, spectrum.log_weights, mu_n
-    )
+    p_curve, q_curve = error_curves(theta_max, mu_s, spectrum, mu_n)
     return 0.5 * (q_curve + p_curve)
 
 

@@ -9,7 +9,6 @@ orders around 10^3 and means around 10^3 stay representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,31 +16,11 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "LogWeightedValue",
     "erf",
     "log_sum_exp",
     "regularized_gamma_p",
     "regularized_gamma_q",
 ]
-
-
-@dataclass(frozen=True)
-class LogWeightedValue:
-    """One candidate interference mean together with its log probability."""
-
-    value: float
-    log_weight: float
-
-    def __post_init__(self) -> None:
-        if not (self.value >= 0.0):
-            raise ParameterError(f"value must be nonnegative, got {self.value}")
-        if self.log_weight > 1e-12:
-            raise ParameterError(
-                f"log_weight must be nonpositive, got {self.log_weight}"
-            )
-        if self.log_weight > 0.0:
-            # rounding residue from summing weights in log space
-            object.__setattr__(self, "log_weight", 0.0)
 
 
 def erf(x: float) -> float:

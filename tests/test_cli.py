@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mc_arelab
 from mc_arelab import perf
 from mc_arelab.channel import summarize
 from mc_arelab.cli import main
@@ -235,6 +239,30 @@ class TestValidationCommands:
         )
         assert code == 0
         assert len(data_lines(out)) == 1 + 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mc-validate", "--mode", "semi-analytic", "--samples", "200000", "--seed", "3"),
+            ("ber-sweep", "--theta-max", "200"),
+        ],
+    )
+    def test_blas_threads_do_not_change_bytes(self, argv):
+        # both commands reduce over more interference atoms (~1e4) than
+        # OpenBLAS needs before it splits a dot product across threads
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mc_arelab.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-m", "mc_arelab.cli", *argv],
+                env=env,
+                capture_output=True,
+                timeout=300,
+                check=True,
+            )
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_threads_do_not_change_bytes(self, capsys, monkeypatch):
         args = ("are-sweep", "--c-from", "0.2", "--c-to", "0.5", "--points", "4")

@@ -20,10 +20,15 @@ from mc_arelab.detection import (
     suboptimal_threshold,
     threshold_set,
 )
-from mc_arelab.errors import ParameterError
-from mc_arelab.specfun import LogWeightedValue
+from mc_arelab.errors import ParameterError, SearchError
+from mc_arelab.perf import ber_curve, error_curves
 
-from oracles import exhaustive_iui_spectrum
+from oracles import (
+    atom_decision_curves,
+    atom_optimal_threshold,
+    atom_threshold_set,
+    exhaustive_iui_spectrum,
+)
 
 
 def induced_distribution(spectrum: IuiSpectrum) -> list[tuple[float, float]]:
@@ -124,18 +129,11 @@ class TestCollapse:
 
 
 class TestSpectrumType:
-    def test_atoms_view(self):
-        sp = collapse_iui([(1.5, 2)])
-        atoms = sp.atoms
-        assert all(isinstance(a, LogWeightedValue) for a in atoms)
-        assert atoms[0].value == 0.0
-        assert sp.max_value == pytest.approx(3.0)
-        # cached view is stable
-        assert sp.atoms is atoms
-
     def test_cbar_sum_from_basis(self):
         sp = collapse_iui([(0.5, 3), (2.0, 2)])
         assert sp.cbar_sum == pytest.approx(5.5)
+        # the largest atom is every interferer active at once
+        assert sp.max_value == pytest.approx(5.5)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ParameterError, match="sum"):
@@ -173,7 +171,7 @@ def random_detection_setup(rng):
         (float(rng.uniform(0.05, 3.0)), int(rng.integers(1, 7)))
         for _ in range(n_rings)
     ]
-    mu_s = float(rng.uniform(2.0, 40.0))
+    mu_s = float(rng.uniform(0.5, 40.0))
     mu_n = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
     return mu_s, collapse_iui(basis), mu_n
 
@@ -217,8 +215,6 @@ class TestOptimalThreshold:
         assert optimal_threshold(100.0, collapse_iui([]), 0.0) == 1
 
     def test_cap_too_small(self):
-        from mc_arelab.errors import SearchError
-
         # a threshold exists for this config but not below the forced cap
         sp = collapse_iui([(30.0, 3)])
         with pytest.raises(SearchError, match="theta_cap"):
@@ -342,3 +338,75 @@ class TestCharacterize:
         assert spec.theta_sub == suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n).theta
         assert spec.threshold_set_size >= 1
         assert spec.sinr_worst == pytest.approx(summary.mu_s / summary.cbar_sum)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """Random ring bases plus the default hex and square configurations."""
+    rng = np.random.default_rng(2024)
+    cases = [random_detection_setup(rng) for _ in range(12)]
+    for grid in ("hex", "square"):
+        config = SystemConfig(grid=grid)
+        summary = summarize(config.params(), config.geometry(), config.layout())
+        cases.append((summary.mu_s, collapse_iui(summary.cbar), summary.mu_n))
+    return cases
+
+
+class TestAgainstAtomOracles:
+    """The count-distribution and ladder paths against log-sum-exp over atoms."""
+
+    def test_optimal_threshold_identical(self, oracle_cases):
+        for mu_s, sp, mu_n in oracle_cases:
+            assert optimal_threshold(mu_s, sp, mu_n) == atom_optimal_threshold(mu_s, sp, mu_n)
+
+    def test_threshold_set_identical(self, oracle_cases):
+        for mu_s, sp, mu_n in oracle_cases:
+            assert threshold_set(mu_s, sp, mu_n) == atom_threshold_set(mu_s, sp, mu_n)
+
+    def test_error_curves_agree(self, oracle_cases):
+        for mu_s, sp, mu_n in oracle_cases:
+            p, q = error_curves(120, mu_s, sp, mu_n)
+            q_ref, p_ref = atom_decision_curves(120, mu_s, sp, mu_n)
+            np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                ber_curve(120, mu_s, sp, mu_n), 0.5 * (p_ref + q_ref), rtol=0.0, atol=1e-12
+            )
+
+    def test_terms_beyond_the_double_range(self):
+        # at phi = 0 the all-active atom's term is e^-900 relative to the
+        # largest; it dominates the balance from phi ~ 900 on
+        sp = collapse_iui([(150.0, 6), (0.01, 3)])
+        got = threshold_set(100.0, sp, 0.0, phi_max=1500.3)
+        assert got == atom_threshold_set(100.0, sp, 0.0, phi_max=1500.3)
+        assert len(got) > 1
+
+    @pytest.mark.parametrize("mu_n,want", [(1.5414940825367975, [2]), (2.5277264731571285, [3, 4])])
+    def test_balance_near_zero_on_the_scan_grid(self, mu_n, want):
+        # one atom: the balance phi ln(1 + 1/mu_n) - 1 is within rounding of
+        # zero at a scan point, where the ladder's last bits decide the sign
+        sp = collapse_iui([])
+        assert threshold_set(1.0, sp, mu_n, phi_max=20.0) == want
+        assert atom_threshold_set(1.0, sp, mu_n, phi_max=20.0) == want
+
+    def test_empty_spectrum(self):
+        for mu_s in (100.0, 1000.0):
+            sp = collapse_iui([])
+            assert threshold_set(mu_s, sp, 0.0) == atom_threshold_set(mu_s, sp, 0.0) == [1]
+            # P(1 | 0) is exactly 0 here, so an underflowed P(1 | 1) still flips
+            assert optimal_threshold(mu_s, sp, 0.0) == atom_optimal_threshold(mu_s, sp, 0.0) == 1
+
+    def test_cap_error_as_before(self):
+        sp = collapse_iui([(30.0, 3)])
+        for search in (optimal_threshold, atom_optimal_threshold):
+            with pytest.raises(SearchError, match="theta_cap"):
+                search(100.0, sp, 0.0, theta_cap=2)
+
+    def test_underflow_before_the_flip_is_not_a_threshold(self):
+        # the ratio flips at r = 38, where both count pmfs are far below
+        # 1e-308; a later r where only P(r | 1) is representable must not
+        # be returned in its place
+        sp = collapse_iui([(1e-10, 36)])
+        assert atom_optimal_threshold(1000.0, sp, 0.0) == 38
+        with pytest.raises(SearchError, match="underflows"):
+            optimal_threshold(1000.0, sp, 0.0)

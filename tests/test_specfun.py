@@ -8,7 +8,6 @@ from scipy import integrate, special
 
 from mc_arelab.errors import ParameterError
 from mc_arelab.specfun import (
-    LogWeightedValue,
     erf,
     log_sum_exp,
     regularized_gamma_p,
@@ -154,21 +153,3 @@ class TestLogSumExp:
         shifted = log_sum_exp([t + shift for t in terms])
         assert shifted == pytest.approx(base + shift, rel=1e-12, abs=1e-9)
 
-
-class TestLogWeightedValue:
-    def test_holds_fields(self):
-        atom = LogWeightedValue(value=2.5, log_weight=-0.7)
-        assert atom.value == 2.5
-        assert atom.log_weight == -0.7
-
-    def test_rejects_negative_value(self):
-        with pytest.raises(ParameterError):
-            LogWeightedValue(value=-1.0, log_weight=0.0)
-
-    def test_rejects_positive_log_weight(self):
-        with pytest.raises(ParameterError):
-            LogWeightedValue(value=1.0, log_weight=0.5)
-
-    def test_clamps_rounding_residue(self):
-        atom = LogWeightedValue(value=0.0, log_weight=5e-13)
-        assert atom.log_weight == 0.0
