@@ -16,7 +16,6 @@ from .channel import (
     PhysicalParams,
     ReceiverGeometry,
     cir,
-    cir_at,
     cir_uca,
     peak_time,
     summarize,
@@ -105,7 +104,6 @@ __all__ = [
     "cell_area",
     "characterize",
     "cir",
-    "cir_at",
     "cir_uca",
     "collapse_iui",
     "dump_config",

@@ -13,22 +13,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, SearchError
+import numpy as np
+
+from .errors import ParameterError, SearchError, is_finite_real, is_integer
 from .gridgeom import GridLayout
-from .specfun import erf
+from .specfun import _log_poisson_pmf, _poisson_ladder, erf
 
 __all__ = [
     "ChannelSummary",
     "PhysicalParams",
     "ReceiverGeometry",
     "cir",
-    "cir_at",
     "cir_uca",
     "peak_time",
     "summarize",
 ]
 
 GAMMA_FORMS = ("lower", "regularized")
+
+# Relative bound on the radial-series mass dropped past the chosen order.
+SERIES_RTOL = 1e-16
+# Most elements (points x series orders) in one radial-series temporary.
+_CHUNK = 1 << 15
+# exp(-_FAR^2) is below half the smallest double.
+_FAR = math.sqrt(746.0)
 
 
 @dataclass(frozen=True)
@@ -50,14 +58,14 @@ class PhysicalParams:
     def __post_init__(self) -> None:
         positive = {"D": self.D, "d": self.d, "s_rx": self.s_rx, "l_rx": self.l_rx}
         for name, value in positive.items():
-            if not value > 0:
-                raise ParameterError(f"{name} must be positive, got {value}")
-        if self.v < 0:
-            raise ParameterError(f"v must be nonnegative, got {self.v}")
-        if self.n_mol < 1:
-            raise ParameterError(f"n_mol must be >= 1, got {self.n_mol}")
-        if self.c_noise < 0:
-            raise ParameterError(f"c_noise must be nonnegative, got {self.c_noise}")
+            if not (is_finite_real(value) and value > 0):
+                raise ParameterError(f"{name} must be positive and finite, got {value!r}")
+        if not (is_finite_real(self.v) and self.v >= 0):
+            raise ParameterError(f"v must be nonnegative and finite, got {self.v!r}")
+        if not (is_integer(self.n_mol) and self.n_mol >= 1):
+            raise ParameterError(f"n_mol must be an integer >= 1, got {self.n_mol!r}")
+        if not (is_finite_real(self.c_noise) and self.c_noise >= 0):
+            raise ParameterError(f"c_noise must be nonnegative and finite, got {self.c_noise!r}")
 
 
 @dataclass(frozen=True)
@@ -107,105 +115,89 @@ class ChannelSummary:
         return sum(count for _, count in self.cbar)
 
 
-def _check_gamma_form(gamma_form: str) -> None:
-    if gamma_form not in GAMMA_FORMS:
-        raise ParameterError(f"gamma_form must be one of {GAMMA_FORMS}, got {gamma_form!r}")
+def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.ndarray:
+    """sum_k w_k P(k+1, sigma), w_k = e^-rho rho^k / k!^extra, on 1-D arrays.
 
-
-def _p_ladder(k_max: int, sigma: float) -> list[float]:
-    """P(j+1, sigma) for j = 0..k_max.
-
-    Single upward Poisson-CDF pass; once the complement becomes poorly
-    conditioned the value is recomputed from the tail sum, which keeps
-    full relative precision for the fast-decaying high orders.
+    Term k + 1 is at most q_k = rho sigma / ((k+1)^extra (k+2)) times term
+    k, and q_k falls with k. An element stops at its first order K >= k_min
+    with q_K <= 1/2 and term_K <= SERIES_RTOL times the partial sum, so the
+    dropped terms add at most term_K. K is at most ``top``: q_k <= 1/2 from
+    the first h with (h+1)^(extra+1) >= 2 rho sigma on, and m more orders
+    shrink a term by q_h^m <= SERIES_RTOL. Running sums keep each element
+    independent of the others; blocks of elements keep each ladder (at most
+    2 top + 64 orders) within _CHUNK elements.
     """
-    out = []
-    pmf = math.exp(-sigma)
-    cdf = 0.0
-    for j in range(k_max + 1):
-        cdf += pmf
-        pmf *= sigma / (j + 1)
-        complement = 1.0 - cdf
-        if complement > 1e-3:
-            out.append(complement)
-        else:
-            tail = 0.0
-            term = pmf  # Poisson mass at j+1
-            m = j + 1
-            while term > 0.0:
-                tail += term
-                m += 1
-                term *= sigma / m
-                if term < tail * 1e-18:
-                    tail += term
-                    break
-            out.append(tail)
+    rs = rho * sigma
+    half = np.ceil((2.0 * rs) ** (1.0 / (extra + 1.0)))
+    with np.errstate(divide="ignore"):
+        fall = np.ceil(math.log(SERIES_RTOL) / np.log(rs / ((half + 1.0) ** extra * (half + 2.0))))
+    top = np.maximum(k_min, half + np.maximum(fall, 1.0)).astype(np.int64)
+    out = np.empty_like(rs)
+    rows = _CHUNK // (2 * int(top.max(initial=0)) + 64) or 1
+    for i in range(0, rs.size, rows):
+        b = slice(i, i + rows)
+        k = np.arange(int(top[b].max()) + 1)
+        _, log_tail = _poisson_ladder(sigma[b], top[b])
+        terms = np.exp(_log_poisson_pmf(rho[b], k[-1], power=extra) + log_tail)
+        partial = np.cumsum(terms, axis=-1)
+        q = rs[b, None] / ((k + 1.0) ** extra * (k + 2.0))
+        stop = ((k >= k_min) & (q <= 0.5) & (terms <= SERIES_RTOL * partial)) | (k == top[b, None])
+        out[b] = partial[np.arange(len(partial)), stop.argmax(axis=-1)]
     return out
 
 
 def cir(
-    t: float,
-    r_i: float,
+    t,
+    r_i,
     params: PhysicalParams,
     geom: ReceiverGeometry,
     k_max: int = 20,
     gamma_form: str = "lower",
-) -> float:
+):
     """Probability that a molecule released at t = 0 occupies the receiver at t.
 
-    The radial factor is the series sum_k (rho^k / k!) P(k+1, sigma) with
-    rho = r_i^2/4Dt and sigma = S_RX^2/4Dt, evaluated in log space; for
-    r_i = 0 it collapses to the single k = 0 term. ``gamma_form`` selects
-    the series variant: "lower" (default) keeps the lower incomplete gamma
-    exactly as the cylinder integral dictates and agrees with adaptive
-    quadrature of the point-source concentration; "regularized" divides
-    each term by an extra k!, which is identical at r_i = 0 but decays
-    faster with distance and reproduces the tabulated reference constants
-    used by the acceptance suite.
+    ``t`` and ``r_i`` are floats (giving a float) or broadcastable arrays
+    (giving an array equal to the float calls bit for bit). The value is an
+    axial erf difference times the radial series sum_k (rho^k / k!)
+    P(k+1, sigma), rho = r_i^2/4Dt, sigma = S_RX^2/4Dt, in log space, up to
+    an order chosen per element so that the dropped terms are at most
+    SERIES_RTOL of the sum; ``k_max`` is a minimum order. Points whose value
+    is provably 0 (a zero axial factor, or r_i more than 27.3 sqrt(4Dt)
+    beyond S_RX) skip the series. ``gamma_form`` selects the series variant:
+    "lower" (default) keeps the lower incomplete gamma exactly as the
+    cylinder integral dictates and agrees with adaptive quadrature of the
+    point-source concentration; "regularized" divides each term by an extra
+    k!, which is identical at r_i = 0 but decays faster with distance and
+    reproduces the tabulated reference constants used by the acceptance
+    suite.
     """
-    if t <= 0:
-        raise ParameterError(f"t must be positive, got {t}")
-    if r_i < 0:
-        raise ParameterError(f"r_i must be nonnegative, got {r_i}")
-    if k_max < 0:
-        raise ParameterError(f"k_max must be nonnegative, got {k_max}")
-    _check_gamma_form(gamma_form)
+    t_arr, r_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r_i, dtype=float))
+    if not (np.isfinite(t_arr) & (t_arr > 0)).all():
+        raise ParameterError(f"t must be positive and finite, got {t}")
+    if not (np.isfinite(r_arr) & (r_arr >= 0)).all():
+        raise ParameterError(f"r_i must be nonnegative and finite, got {r_i}")
+    if not is_integer(k_max) or k_max < 0:
+        raise ParameterError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    if gamma_form not in GAMMA_FORMS:
+        raise ParameterError(f"gamma_form must be one of {GAMMA_FORMS}, got {gamma_form!r}")
+    extra = 2.0 if gamma_form == "regularized" else 1.0
 
-    four_dt = 4.0 * params.D * t
-    root = math.sqrt(four_dt)
-    axial = 0.5 * (erf((params.v * t - geom.z_s) / root) - erf((params.v * t - geom.z_e) / root))
-    sigma = params.s_rx * params.s_rx / four_dt
-
-    if r_i == 0.0:
-        radial = 1.0 - math.exp(-sigma)
-    else:
-        p_vals = _p_ladder(k_max, sigma)
-        rho = r_i * r_i / four_dt
-        log_rho = math.log(rho)
-        extra = 2.0 if gamma_form == "regularized" else 1.0
-        terms = []
-        for k in range(k_max + 1):
-            if p_vals[k] == 0.0:
-                continue
-            log_term = -rho + k * log_rho - extra * math.lgamma(k + 1)
-            terms.append(math.exp(log_term) * p_vals[k])
-        radial = math.fsum(terms)
-
-    return min(1.0, max(0.0, axial * radial))
-
-
-def cir_at(
-    t: float,
-    r_i: float,
-    params: PhysicalParams,
-    geom: ReceiverGeometry,
-    k_max: int = 20,
-    gamma_form: str = "lower",
-) -> float:
-    """Like :func:`cir` but defined at t = 0, where the limit value is 0."""
-    if t == 0.0:
-        return 0.0
-    return cir(t, r_i, params, geom, k_max=k_max, gamma_form=gamma_form)
+    value = np.zeros(t_arr.shape)
+    flat = value.reshape(-1)
+    for start in range(0, flat.size, _CHUNK // 64):
+        window = slice(start, start + _CHUNK // 64)
+        t_w, r_w = t_arr.flat[window], r_arr.flat[window]
+        four_dt = 4.0 * params.D * t_w
+        root = np.sqrt(four_dt)
+        axial = 0.5 * (erf((params.v * t_w - geom.z_s) / root) - erf((params.v * t_w - geom.z_e) / root))
+        # the radial factor is at most exp(-(r_i - S_RX)^2 / 4Dt), which
+        # rounds to 0 past _FAR diffusion lengths, as do all its terms
+        live = np.flatnonzero((axial != 0.0) & (r_w - params.s_rx <= _FAR * root))
+        sigma = params.s_rx * params.s_rx / four_dt[live]
+        rho = r_w[live] * r_w[live] / four_dt[live]
+        flat[start + live] = axial[live] * _radial(rho, sigma, k_max, extra)
+    np.clip(value, 0.0, 1.0, out=value)
+    return float(value) if value.ndim == 0 else value
 
 
 def cir_uca(t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry) -> float:
@@ -241,7 +233,7 @@ def peak_time(
 
     n = 1000
     grid = [search_horizon * i / n for i in range(1, n + 1)]
-    vals = [cir(t, 0.0, params, geom) for t in grid]
+    vals = cir(np.array(grid), 0.0, params, geom).tolist()
     peak = max(vals)
     if peak <= 0.0:
         raise SearchError(f"response vanishes everywhere on (0, {search_horizon}]; widen the horizon")
@@ -310,10 +302,8 @@ def summarize(
     """Expected signal, per-ring interference, and noise counts at the peak time."""
     if t_m is None:
         t_m = peak_time(params, geom, search_horizon=search_horizon)
-    mu_s = params.n_mol * cir(t_m, 0.0, params, geom, k_max=k_max, gamma_form=gamma_form)
-    cbar = tuple(
-        (params.n_mol * cir(t_m, dist, params, geom, k_max=k_max, gamma_form=gamma_form), count)
-        for dist, count in layout.ring_sizes
-    )
+    distances = np.array([0.0] + [dist for dist, _ in layout.ring_sizes])
+    means = (params.n_mol * cir(t_m, distances, params, geom, k_max=k_max, gamma_form=gamma_form)).tolist()
+    cbar = tuple((mean, count) for mean, (_, count) in zip(means[1:], layout.ring_sizes))
     mu_n = params.c_noise * geom.volume
-    return ChannelSummary(t_m=t_m, mu_s=mu_s, cbar=cbar, mu_n=mu_n)
+    return ChannelSummary(t_m=t_m, mu_s=means[0], cbar=cbar, mu_n=mu_n)

@@ -38,7 +38,7 @@ CONFIG_FLAGS = (
     ("--nmol", "n_mol", "molecules released per 1-bit"),
     ("--noise", "c_noise", "background molecule concentration in 1/m^3"),
     ("--interferers", "n_interferers", "interferer count (default: 36 hex, 24 square)"),
-    ("--kmax", "k_max", "radial series truncation order"),
+    ("--kmax", "k_max", "minimum radial series order"),
     ("--gamma-form", "gamma_form", "radial weight form: lower or regularized"),
     ("--threshold-mode", "threshold_mode", "detector: optimal or suboptimal"),
     ("--theta-cap", "theta_cap", "threshold search cap (0 = automatic)"),
@@ -131,17 +131,10 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
     n_rec = int(math.floor(cfg.horizon / step + 1e-9))
     if n_rec < 1:
         raise ParameterError("horizon shorter than one record step")
-    distances = [layout.sites[i].radial_distance for i in indices]
-    rows = []
-    for k in range(1, n_rec + 1):
-        t = step * k
-        rows.append(
-            [t]
-            + [
-                cir(t, r_i, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
-                for r_i in distances
-            ]
-        )
+    distances = np.array([layout.sites[i].radial_distance for i in indices])
+    times = step * np.arange(1, n_rec + 1)
+    values = cir(times[:, None], distances, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
+    rows = np.column_stack([times, values]).tolist()
     columns = ["t_s"] + [f"cir_tx{i}" for i in indices]
     return tuple(columns), [(None, rows)]
 

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .channel import GAMMA_FORMS, PhysicalParams, ReceiverGeometry
-from .errors import ConfigError
+from .errors import ConfigError, is_finite_real, is_integer
 from .gridgeom import GridKind, GridLayout, cell_area, enumerate_sites, square_side_for_equal_area
 
 __all__ = ["SystemConfig", "dump_config", "load_config", "parse_config_text", "worker_count"]
@@ -63,6 +63,11 @@ class SystemConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value, kind = getattr(self, field.name), field.type
+            if kind != "str" and not (value is None and kind.endswith("| None")):
+                if not (is_integer(value) if kind.startswith("int") else is_finite_real(value)):
+                    raise ConfigError(field.name, f"must be a finite {kind.split()[0]}, got {value!r}")
         if self.grid not in GRID_NAMES:
             raise ConfigError("grid", f"must be one of {sorted(GRID_NAMES)}, got {self.grid!r}")
         for key in ("c", "d", "diff", "l_rx", "horizon", "pbs_dt", "pbs_t_sim"):

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, SearchError
-from .specfun import log_sum_exp
+from .specfun import _log_poisson_pmf, log_sum_exp
 
 __all__ = [
     "DetectorSpec",
@@ -146,12 +146,10 @@ def _half_binomial_log_pmf(count: int) -> np.ndarray:
     return lgamma[-1] - lgamma - lgamma[::-1] - count * math.log(2.0)
 
 
-def _poisson_mixture_pmf(lams: np.ndarray, log_weights: np.ndarray, lgamma_r: np.ndarray) -> np.ndarray:
+def _poisson_mixture_pmf(lams: np.ndarray, log_weights: np.ndarray, n: int) -> np.ndarray:
     """sum_a w_a Poisson(r; lam_a) at r = 0..n-1, trailing zeros trimmed."""
     pos = lams > 0
-    lam, log_w = lams[pos, None], log_weights[pos, None]
-    r = np.arange(lgamma_r.size)
-    out = np.exp(r * np.log(lam) - lam - lgamma_r + log_w).sum(axis=0)
+    out = np.exp(_log_poisson_pmf(lams[pos], n - 1) + log_weights[pos, None]).sum(axis=0)
     out[0] += np.exp(log_weights[~pos]).sum()
     return _trim(out)
 
@@ -187,12 +185,11 @@ def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarra
     terms are independent, so the pmf is the convolution of one short
     pmf per term. Entries beyond a pmf's double-precision support are 0.
     """
-    lgamma_r = np.array([math.lgamma(r + 1.0) for r in range(n)])
-    off = _poisson_mixture_pmf(np.array([mu_n]), np.zeros(1), lgamma_r)
+    off = _poisson_mixture_pmf(np.array([mu_n]), np.zeros(1), n)
     for cbar, count in ring_basis:
-        ring = _poisson_mixture_pmf(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), lgamma_r)
+        ring = _poisson_mixture_pmf(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), n)
         off = _convolve(off, ring, n)
-    on = _convolve(off, _poisson_mixture_pmf(np.array([mu_s]), np.zeros(1), lgamma_r), n)
+    on = _convolve(off, _poisson_mixture_pmf(np.array([mu_s]), np.zeros(1), n), n)
     return np.pad(off, (0, n - off.size)), np.pad(on, (0, n - on.size))
 
 

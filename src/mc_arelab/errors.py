@@ -1,6 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type tests behind them."""
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+
+
+def is_finite_real(value) -> bool:
+    """A finite int or float; bools are not numbers here."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_integer(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class ParameterError(ValueError):

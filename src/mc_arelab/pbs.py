@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PhysicalParams, ReceiverGeometry
-from .errors import ParameterError
+from .errors import ParameterError, is_finite_real, is_integer
 
 __all__ = ["CirTrace", "PbsConfig", "simulate_cir"]
 
@@ -36,18 +36,16 @@ class PbsConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
-        if self.dt >= self.t_sim:
-            raise ParameterError(
-                f"dt must be smaller than t_sim, got dt={self.dt}, t_sim={self.t_sim}"
-            )
+        if not (is_finite_real(self.dt) and self.dt > 0):
+            raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (is_finite_real(self.t_sim) and self.dt < self.t_sim):
+            raise ParameterError(f"dt must be below a finite t_sim, got dt={self.dt}, t_sim={self.t_sim!r}")
         for name in ("realizations", "particles", "record_every"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Independent reference computations used only by the test suite.
 
 These deliberately take different routes than the library: the response
-oracle integrates the free-space Gaussian concentration over the receiver
+oracles integrate the free-space Gaussian concentration over the receiver
 cylinder by adaptive quadrature (with the Bessel kernel the library never
-evaluates), the error-probability oracles expand small sums by hand, and
-the detection oracles evaluate every likelihood as a log-sum-exp over the
+evaluates), take the radial factor from SciPy's noncentral chi-square cdf
+or sum its series exactly with SciPy's incomplete gamma; the
+error-probability oracles expand small sums by hand, and the detection
+oracles evaluate every likelihood as a log-sum-exp over the
 atoms of the collapsed interference spectrum, where the library works
 from the convolved count distribution.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from mc_arelab.channel import PhysicalParams, ReceiverGeometry
 from mc_arelab.errors import SearchError
@@ -41,6 +43,36 @@ def cir_quadrature(t: float, r_i: float, params: PhysicalParams, geom: ReceiverG
         integrand, 0.0, params.s_rx, geom.z_s, geom.z_e, epsabs=1e-14, epsrel=1e-11
     )
     return value
+
+
+def _axial_sigma_rho(t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry):
+    four_dt = 4.0 * params.D * t
+    root = math.sqrt(four_dt)
+    axial = 0.5 * (math.erf((params.v * t - geom.z_s) / root) - math.erf((params.v * t - geom.z_e) / root))
+    return axial, params.s_rx**2 / four_dt, r_i * r_i / four_dt
+
+
+def cir_ncx2(t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry) -> float:
+    """Response in the lower gamma form from the noncentral chi-square cdf.
+
+    The radial factor sum_k Poisson(rho; k) P(k+1, sigma) is the cdf at
+    2 sigma of a noncentral chi-square with 2 degrees of freedom and
+    noncentrality 2 rho.
+    """
+    axial, sigma, rho = _axial_sigma_rho(t, r_i, params, geom)
+    return axial * float(stats.ncx2.cdf(2.0 * sigma, 2, 2.0 * rho))
+
+
+def cir_regularized_fsum(
+    t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry, orders: int
+) -> float:
+    """Response in the regularized gamma form as an exactly rounded sum of ``orders`` terms."""
+    axial, sigma, rho = _axial_sigma_rho(t, r_i, params, geom)
+    terms = (
+        math.exp(k * math.log(rho) - rho - 2.0 * math.lgamma(k + 1.0)) * float(special.gammainc(k + 1, sigma))
+        for k in range(orders)
+    )
+    return axial * math.fsum(terms)
 
 
 def exhaustive_iui_spectrum(ring_basis: list[tuple[float, int]]) -> list[tuple[float, float]]:

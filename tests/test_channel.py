@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mc_arelab.channel import (
@@ -8,7 +10,6 @@ from mc_arelab.channel import (
     PhysicalParams,
     ReceiverGeometry,
     cir,
-    cir_at,
     cir_uca,
     peak_time,
     summarize,
@@ -16,7 +17,7 @@ from mc_arelab.channel import (
 from mc_arelab.errors import ParameterError, SearchError
 from mc_arelab.gridgeom import GridKind, enumerate_sites
 
-from oracles import cir_quadrature
+from oracles import cir_ncx2, cir_quadrature, cir_regularized_fsum
 
 DEFAULTS = PhysicalParams()
 GEOM = ReceiverGeometry.centered(DEFAULTS)
@@ -37,6 +38,14 @@ class TestTypes:
             PhysicalParams(n_mol=0)
         with pytest.raises(ParameterError, match="c_noise"):
             PhysicalParams(c_noise=-1.0)
+        with pytest.raises(ParameterError, match="v"):
+            PhysicalParams(v=math.nan)
+        with pytest.raises(ParameterError, match="D"):
+            PhysicalParams(D=math.inf)
+        with pytest.raises(ParameterError, match="n_mol"):
+            PhysicalParams(n_mol=2.5)
+        with pytest.raises(ParameterError, match="s_rx"):
+            PhysicalParams(s_rx=True)
 
     def test_geometry_validation(self):
         with pytest.raises(ParameterError):
@@ -51,10 +60,6 @@ class TestCir:
             cir(0.0, 0.0, DEFAULTS, GEOM)
         with pytest.raises(ParameterError):
             cir(-1.0, 0.0, DEFAULTS, GEOM)
-
-    def test_wrapper_defines_origin(self):
-        assert cir_at(0.0, 0.0, DEFAULTS, GEOM) == 0.0
-        assert cir_at(2.0, 0.0, DEFAULTS, GEOM) == cir(2.0, 0.0, DEFAULTS, GEOM)
 
     def test_vanishes_as_t_to_zero(self):
         assert cir(1e-9, 0.0, DEFAULTS, GEOM) <= 1e-12
@@ -116,6 +121,67 @@ class TestCir:
             cir(1.0, 0.1, DEFAULTS, GEOM, k_max=-1)
         with pytest.raises(ParameterError):
             cir(1.0, 0.1, DEFAULTS, GEOM, gamma_form="upper")
+
+
+class TestCirSeries:
+    @staticmethod
+    def _touching(c: float, diff: float):
+        params = replace(DEFAULTS, D=diff, s_rx=0.5 * c)
+        geom = ReceiverGeometry.centered(params)
+        return params, geom, peak_time(params, geom)
+
+    def test_matches_ncx2_oracle(self):
+        # rings 1-3 of the hex grid at the peak time; c = 1.52, D = 0.005 is
+        # where a fixed order of 20 gave a first-ring mean 4.3x too small
+        for diff in (0.005, 0.01, 0.02):
+            for c in (0.1, 0.2, 0.35, 0.6, 1.0, 1.52, 2.0):
+                params, geom, t_m = self._touching(c, diff)
+                for r_i in (c, math.sqrt(3.0) * c, 2.0 * c):
+                    value = cir(t_m, r_i, params, geom)
+                    ref = cir_ncx2(t_m, r_i, params, geom)
+                    assert abs(value - ref) <= 1e-10 * ref, (diff, c, r_i, value, ref)
+
+    def test_regularized_matches_exact_sum_past_the_order(self):
+        for diff, c in ((0.005, 1.52), (0.01, 0.2), (0.02, 2.0)):
+            params, geom, t_m = self._touching(c, diff)
+            for r_i in (c, 2.0 * c, 3.0 * c):
+                value = cir(t_m, r_i, params, geom, gamma_form="regularized")
+                ref = cir_regularized_fsum(t_m, r_i, params, geom, orders=300)
+                assert abs(value - ref) <= 1e-10 * ref, (diff, c, r_i, value, ref)
+
+    def test_array_call_equals_scalar_calls_bit_for_bit(self):
+        # 1200 points: several passes of the radial series, each mixing orders
+        params, geom, _ = self._touching(1.52, 0.005)
+        t = np.geomspace(0.05, 15.0, 200)
+        r = np.array([0.0, 0.3, 1.52, 2.6, 4.56, 9.0])
+        for gamma_form in ("lower", "regularized"):
+            grid = cir(t[:, None], r, params, geom, k_max=3, gamma_form=gamma_form)
+            assert grid.shape == (200, 6)
+            for i, t_i in enumerate(t.tolist()):
+                for j, r_j in enumerate(r.tolist()):
+                    assert grid[i, j] == cir(t_i, r_j, params, geom, k_max=3, gamma_form=gamma_form)
+
+    def test_scalar_call_returns_float(self):
+        assert type(cir(2.0, 0.2, DEFAULTS, GEOM)) is float
+
+    def test_extremes_stay_small_in_memory(self):
+        tracemalloc.start()
+        try:
+            assert cir(2.5, 1e3, DEFAULTS, GEOM) < 1e-300
+            assert cir(1e-9, 0.2, DEFAULTS, GEOM) <= 1e-12
+            # near-pure advection: an order of about 3e6 if the series ran
+            assert cir(2.5, 0.2, replace(DEFAULTS, D=1e-9), GEOM) == 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_k_max_is_only_a_minimum(self):
+        # k_max is a minimum: more orders than the certified ones change nothing beyond rounding
+        t_m = peak_time(DEFAULTS, GEOM)
+        a = cir(t_m, 0.4, DEFAULTS, GEOM, k_max=0)
+        b = cir(t_m, 0.4, DEFAULTS, GEOM, k_max=200)
+        assert abs(a - b) <= 1e-15 * b
 
 
 class TestCirUca:

@@ -1,6 +1,9 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mc_arelab.config import (
     SystemConfig,
@@ -11,6 +14,23 @@ from mc_arelab.config import (
 )
 from mc_arelab.errors import ConfigError
 from mc_arelab.gridgeom import GridKind, cell_area
+
+NUMERIC_FIELDS = [f for f in dataclasses.fields(SystemConfig) if f.type != "str"]
+DRAW_KINDS = ("valid", "zero", "negative", "nan", "inf", "-inf", "float-for-int", "bool")
+
+
+def _draw_value(kind: str, field):
+    default = getattr(SystemConfig(), field.name)
+    base = 1 if default is None else default
+    return {
+        "zero": 0 if field.type.startswith("int") else 0.0,
+        "negative": -base,
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "float-for-int": float(base) + 0.5,
+        "bool": True,
+    }[kind]
 
 
 class TestDefaults:
@@ -78,12 +98,45 @@ class TestValidation:
             ({"pbs_particles": 0}, "pbs_particles"),
             ({"pbs_record_every": 0}, "pbs_record_every"),
             ({"seed": -1}, "seed"),
+            ({"v": math.nan}, "v"),
+            ({"c_noise": math.nan}, "c_noise"),
+            ({"c": math.inf}, "c"),
+            ({"s_rx": -math.inf}, "s_rx"),
+            ({"horizon": True}, "horizon"),
+            ({"n_mol": 2.5}, "n_mol"),
+            ({"n_mol": 100.0}, "n_mol"),
+            ({"n_mol": True}, "n_mol"),
+            ({"seed": 1.5}, "seed"),
+            ({"k_max": 2.5}, "k_max"),
+            ({"n_interferers": 6.0}, "n_interferers"),
+            ({"c": None}, "c"),
         ],
     )
     def test_bad_values_name_the_key(self, kwargs, key):
         with pytest.raises(ConfigError) as err:
             SystemConfig(**kwargs)
         assert err.value.key == key
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_construction_is_valid_or_names_a_field(self, data):
+        drawn = {}
+        for field in NUMERIC_FIELDS:
+            kind = data.draw(st.sampled_from(DRAW_KINDS), label=field.name)
+            if kind != "valid":
+                drawn[field.name] = _draw_value(kind, field)
+        try:
+            cfg = SystemConfig(**drawn)
+        except ConfigError as err:
+            assert err.key in drawn
+            return
+        for field in NUMERIC_FIELDS:
+            value = getattr(cfg, field.name)
+            if value is None:
+                continue
+            assert not isinstance(value, bool) and math.isfinite(value)
+            if field.type.startswith("int"):
+                assert isinstance(value, int)
 
     def test_receiver_step_must_fit_horizon(self):
         with pytest.raises(ConfigError):

@@ -32,6 +32,16 @@ class TestConfig:
         with pytest.raises(ParameterError):
             PbsConfig(record_every=0)
 
+    def test_non_finite_and_non_integer_rejected(self):
+        with pytest.raises(ParameterError, match="dt"):
+            PbsConfig(dt=math.nan)
+        with pytest.raises(ParameterError, match="t_sim"):
+            PbsConfig(t_sim=math.inf)
+        with pytest.raises(ParameterError, match="seed"):
+            PbsConfig(seed=1.5)
+        with pytest.raises(ParameterError, match="seed"):
+            PbsConfig(seed=True)
+
     def test_trace_validation(self):
         with pytest.raises(ParameterError):
             CirTrace(times=(1.0,), mean_fraction=(0.5, 0.6), stderr=(0.0,))

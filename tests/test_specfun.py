@@ -55,6 +55,15 @@ class TestErf:
             erf(math.inf)
         with pytest.raises(ParameterError):
             erf(math.nan)
+        with pytest.raises(ParameterError):
+            erf(np.array([0.5, math.nan]))
+
+    def test_arrays_elementwise(self):
+        xs = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+        values = erf(xs)
+        assert values.shape == (3, 4)
+        assert values.tolist() == [[math.erf(x) for x in row] for row in xs.tolist()]
+        assert type(erf(0.3)) is float
 
 
 class TestRegularizedGamma:
