@@ -37,6 +37,8 @@ SERIES_RTOL = 1e-16
 _CHUNK = 1 << 15
 # exp(-_FAR^2) is below half the smallest double.
 _FAR = math.sqrt(746.0)
+# Points evaluated inside each edge bracket per zoom of peak_time.
+_ZOOM = 32
 
 
 @dataclass(frozen=True)
@@ -219,75 +221,50 @@ def peak_time(
     search_horizon: float = 15.0,
     tol: float = 1e-6,
 ) -> float:
-    """Time at which the zero-offset response peaks.
+    """Sampling time t_m: the center of the peak of the zero-offset response.
 
-    A 1000-point scan of (0, horizon] brackets the maximum, refined by
-    golden-section search. In the advection-dominated limit the response
-    is flat at its maximum over a finite window; the center of that
-    plateau is returned, located by bisecting both plateau edges.
+    The peak is the set of times at which the response lies within a
+    relative 1e-12 of its maximum, and t_m is its center, found to ``tol``.
+    A smooth maximum and the flat plateau of the advection limit, where the
+    response is clipped to 1, are the same case. A 1000-point scan of
+    (0, horizon] brackets the first and the last time at the peak. Each
+    zoom evaluates _ZOOM points in both brackets in one array call, raises
+    the running maximum, and narrows each bracket to the neighbors of the
+    first and the last point at the peak, until both are narrower than
+    ``tol``.
     """
-    if search_horizon <= 0:
-        raise ParameterError(f"search_horizon must be positive, got {search_horizon}")
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    if not (is_finite_real(search_horizon) and search_horizon > 0):
+        raise ParameterError(f"search_horizon must be positive and finite, got {search_horizon!r}")
+    if not (is_finite_real(tol) and tol > 0):
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
 
     n = 1000
-    grid = [search_horizon * i / n for i in range(1, n + 1)]
-    vals = cir(np.array(grid), 0.0, params, geom).tolist()
-    peak = max(vals)
+    grid = search_horizon * np.arange(1, n + 1) / n
+    vals = cir(grid, 0.0, params, geom)
+    peak = vals.max()
     if peak <= 0.0:
         raise SearchError(f"response vanishes everywhere on (0, {search_horizon}]; widen the horizon")
-    i_max = vals.index(peak)
-    if i_max == n - 1:
+    if vals.argmax() == n - 1:
         raise SearchError(f"response still rising at t = {search_horizon}; widen the horizon")
-
-    thresh = peak * (1.0 - 1e-12)
-    lo = i_max
-    while lo > 0 and vals[lo - 1] >= thresh:
-        lo -= 1
-    hi = i_max
-    while hi < n - 1 and vals[hi + 1] >= thresh:
-        hi += 1
+    near = np.flatnonzero(vals >= peak * (1.0 - 1e-12))
+    lo, hi = near[0], near[-1]
     if hi == n - 1:
         raise SearchError(f"response still at its peak at t = {search_horizon}; widen the horizon")
 
-    def f(t: float) -> float:
-        return cir(t, 0.0, params, geom)
-
-    if hi > lo:
-        # flat plateau: bisect the rising and falling crossings of thresh
-        def edge(a: float, b: float, rising: bool) -> float:
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                above = f(mid) >= thresh
-                if above == rising:
-                    b = mid
-                else:
-                    a = mid
-                if b - a < tol:
-                    break
-            return 0.5 * (a + b)
-
-        left = edge(grid[lo - 1] if lo > 0 else grid[0] * 1e-3, grid[lo], rising=True)
-        right = edge(grid[hi], grid[hi + 1], rising=False)
-        return 0.5 * (left + right)
-
-    a = grid[i_max - 1] if i_max > 0 else grid[0] * 1e-3
-    b = grid[i_max + 1]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d_ = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d_)
-    while b - a > tol:
-        if fc > fd:
-            b, d_, fd = d_, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + inv_phi * (b - a)
-            fd = f(d_)
-    return 0.5 * (a + b)
+    # The outer end of each bracket stays below the running maximum's
+    # level, which never drops, so both edges stay inside the brackets.
+    edges = np.array([[grid[lo - 1] if lo > 0 else grid[0] * 1e-3, grid[lo]], [grid[hi], grid[hi + 1]]])
+    while (edges[:, 1] - edges[:, 0]).max() >= tol:
+        t = np.linspace(edges[:, 0], edges[:, 1], _ZOOM + 2, axis=-1).ravel()
+        vals = cir(t, 0.0, params, geom)
+        peak = max(peak, vals.max())
+        near = np.flatnonzero(vals >= peak * (1.0 - 1e-12))
+        first, last = near[0], near[-1]
+        narrowed = np.array([[t[max(first - 1, 0)], t[first]], [t[last], t[last + 1]]])
+        if (narrowed == edges).all():
+            break  # tol is below the float spacing at the edges
+        edges = narrowed
+    return float(edges.mean())
 
 
 def summarize(

@@ -84,8 +84,8 @@ def _report_cells(report) -> list:
     ]
 
 
-def _summary_and_spectrum(cfg: SystemConfig):
-    summary = summarize(
+def _summary(cfg: SystemConfig):
+    return summarize(
         cfg.params(),
         cfg.geometry(),
         cfg.layout(),
@@ -93,7 +93,6 @@ def _summary_and_spectrum(cfg: SystemConfig):
         gamma_form=cfg.gamma_form,
         search_horizon=cfg.horizon,
     )
-    return summary, collapse_iui(summary.cbar, atom_cap=cfg.atom_cap)
 
 
 def _check_site_index(index: int, n_sites: int) -> None:
@@ -140,7 +139,8 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
 
 
 def cmd_detect(cfg: SystemConfig, args) -> tuple:
-    summary, spectrum = _summary_and_spectrum(cfg)
+    summary = _summary(cfg)
+    spectrum = collapse_iui(summary.cbar, atom_cap=cfg.atom_cap)
     spec = characterize(
         summary.mu_s, spectrum, summary.mu_n, theta_cap=cfg.theta_cap or None
     )
@@ -168,7 +168,8 @@ def cmd_detect(cfg: SystemConfig, args) -> tuple:
 
 
 def cmd_ber_sweep(cfg: SystemConfig, args) -> tuple:
-    summary, spectrum = _summary_and_spectrum(cfg)
+    summary = _summary(cfg)
+    spectrum = collapse_iui(summary.cbar, atom_cap=cfg.atom_cap)
     p_curve, q_curve = error_curves(cfg.mc_theta_max, summary.mu_s, spectrum, summary.mu_n)
     rows = [
         [theta, float(p_curve[theta]), float(q_curve[theta]), 0.5 * float(p_curve[theta] + q_curve[theta])]
@@ -194,7 +195,7 @@ def cmd_grid_compare(cfg: SystemConfig, args) -> tuple:
 
 
 def cmd_mc_validate(cfg: SystemConfig, args) -> tuple:
-    summary, _ = _summary_and_spectrum(cfg)
+    summary = _summary(cfg)
     result = mc_run(
         summary,
         samples=cfg.mc_samples,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelSummary
 from .config import MC_MODES, worker_count
-from .errors import ParameterError
+from .errors import ParameterError, is_finite_real, is_integer
 from .perf import poisson_decision_curves
 
 __all__ = ["BestThreshold", "McResult", "ThresholdBer", "poisson_sample", "run"]
@@ -105,10 +105,16 @@ def run(
         raise ParameterError(f"theta_max must be a positive integer, got {theta_max!r}")
     if mode not in MC_MODES:
         raise ParameterError(f"mode must be one of {MC_MODES}, got {mode!r}")
+    means = {"mu_s": summary.mu_s, "mu_n": summary.mu_n}
+    means.update((f"ring {i} mean", cbar) for i, (cbar, _) in enumerate(summary.cbar))
+    for name, value in means.items():
+        if not (is_finite_real(value) and value >= 0):
+            raise ParameterError(f"summary {name} must be finite and nonnegative, got {value!r}")
+    for i, (_, count) in enumerate(summary.cbar):
+        if not (is_integer(count) and count >= 1):
+            raise ParameterError(f"summary ring {i} count must be a positive integer, got {count!r}")
     mu_s = float(summary.mu_s)
     mu_n = float(summary.mu_n)
-    if mu_s < 0 or mu_n < 0:
-        raise ParameterError("summary means must be nonnegative")
     rings = [(float(cbar), int(count)) for cbar, count in summary.cbar]
 
     sizes = _chunk_sizes(samples)

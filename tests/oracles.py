@@ -4,8 +4,10 @@ These deliberately take different routes than the library: the response
 oracles integrate the free-space Gaussian concentration over the receiver
 cylinder by adaptive quadrature (with the Bessel kernel the library never
 evaluates), take the radial factor from SciPy's noncentral chi-square cdf
-or sum its series exactly with SciPy's incomplete gamma; the
-error-probability oracles expand small sums by hand, and the detection
+or sum its series exactly with SciPy's incomplete gamma; the peak-time
+oracle refines its scan by golden-section search and plateau bisection
+with one scalar response call per step, where the library zooms on both
+edges of the peak with array calls; the error-probability oracles expand small sums by hand, and the detection
 oracles evaluate every likelihood as a log-sum-exp over the
 atoms of the collapsed interference spectrum, where the library works
 from the convolved count distribution.
@@ -18,8 +20,8 @@ import math
 import numpy as np
 from scipy import integrate, special, stats
 
-from mc_arelab.channel import PhysicalParams, ReceiverGeometry
-from mc_arelab.errors import SearchError
+from mc_arelab.channel import PhysicalParams, ReceiverGeometry, cir
+from mc_arelab.errors import ParameterError, SearchError
 from mc_arelab.specfun import log_sum_exp
 
 
@@ -73,6 +75,83 @@ def cir_regularized_fsum(
         for k in range(orders)
     )
     return axial * math.fsum(terms)
+
+
+def oracle_peak_time(
+    params: PhysicalParams,
+    geom: ReceiverGeometry,
+    search_horizon: float = 15.0,
+    tol: float = 1e-6,
+) -> float:
+    """Time at which the zero-offset response peaks, refined by scalar calls.
+
+    A 1000-point scan of (0, horizon] brackets the maximum, refined by
+    golden-section search. In the advection-dominated limit the response
+    is flat at its maximum over a finite window; the center of that
+    plateau is returned, located by bisecting both plateau edges.
+    """
+    if search_horizon <= 0:
+        raise ParameterError(f"search_horizon must be positive, got {search_horizon}")
+    if tol <= 0:
+        raise ParameterError(f"tol must be positive, got {tol}")
+
+    n = 1000
+    grid = [search_horizon * i / n for i in range(1, n + 1)]
+    vals = cir(np.array(grid), 0.0, params, geom).tolist()
+    peak = max(vals)
+    if peak <= 0.0:
+        raise SearchError(f"response vanishes everywhere on (0, {search_horizon}]; widen the horizon")
+    i_max = vals.index(peak)
+    if i_max == n - 1:
+        raise SearchError(f"response still rising at t = {search_horizon}; widen the horizon")
+
+    thresh = peak * (1.0 - 1e-12)
+    lo = i_max
+    while lo > 0 and vals[lo - 1] >= thresh:
+        lo -= 1
+    hi = i_max
+    while hi < n - 1 and vals[hi + 1] >= thresh:
+        hi += 1
+    if hi == n - 1:
+        raise SearchError(f"response still at its peak at t = {search_horizon}; widen the horizon")
+
+    def f(t: float) -> float:
+        return cir(t, 0.0, params, geom)
+
+    if hi > lo:
+        # flat plateau: bisect the rising and falling crossings of thresh
+        def edge(a: float, b: float, rising: bool) -> float:
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                above = f(mid) >= thresh
+                if above == rising:
+                    b = mid
+                else:
+                    a = mid
+                if b - a < tol:
+                    break
+            return 0.5 * (a + b)
+
+        left = edge(grid[lo - 1] if lo > 0 else grid[0] * 1e-3, grid[lo], rising=True)
+        right = edge(grid[hi], grid[hi + 1], rising=False)
+        return 0.5 * (left + right)
+
+    a = grid[i_max - 1] if i_max > 0 else grid[0] * 1e-3
+    b = grid[i_max + 1]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d_ = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d_)
+    while b - a > tol:
+        if fc > fd:
+            b, d_, fd = d_, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d_, fd
+            d_ = a + inv_phi * (b - a)
+            fd = f(d_)
+    return 0.5 * (a + b)
 
 
 def exhaustive_iui_spectrum(ring_basis: list[tuple[float, int]]) -> list[tuple[float, float]]:

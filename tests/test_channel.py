@@ -17,7 +17,7 @@ from mc_arelab.channel import (
 from mc_arelab.errors import ParameterError, SearchError
 from mc_arelab.gridgeom import GridKind, enumerate_sites
 
-from oracles import cir_ncx2, cir_quadrature, cir_regularized_fsum
+from oracles import cir_ncx2, cir_quadrature, cir_regularized_fsum, oracle_peak_time
 
 DEFAULTS = PhysicalParams()
 GEOM = ReceiverGeometry.centered(DEFAULTS)
@@ -233,11 +233,60 @@ class TestPeakTime:
         with pytest.raises(SearchError):
             peak_time(DEFAULTS, GEOM, search_horizon=1.0)
 
+    def test_plateau_narrower_than_the_scan_step(self):
+        # at v = 1 the plateau spans 0.406..0.592 s, between two points of the 0.1 s scan
+        fast = replace(DEFAULTS, D=1e-6, v=1.0)
+        geom = ReceiverGeometry.centered(fast)
+        assert peak_time(fast, geom, search_horizon=100.0) == pytest.approx(0.499342, abs=1e-6)
+
+    def test_plateau_from_the_first_scan_point(self):
+        # the transmitter sits inside the receiver, so the response starts at its peak
+        inside = replace(DEFAULTS, l_rx=2.0)
+        geom = ReceiverGeometry.centered(inside)
+        t_m = peak_time(inside, geom)
+        assert cir(t_m, 0.0, inside, geom) == 1.0
+        assert t_m == pytest.approx(0.5 * (0.015e-3 + 0.009048), abs=1e-6)
+
+    def test_tolerance_below_float_spacing_terminates(self):
+        assert peak_time(DEFAULTS, GEOM, tol=1e-300) == pytest.approx(peak_time(DEFAULTS, GEOM), abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{}, {"D": 1e-6}, {"D": 1e-4}, {"D": 0.005}, {"D": 0.05}, {"v": 0.0}, {"v": 0.4}, {"D": 1e-6, "v": 0.1}],
+        ids=lambda change: ",".join(f"{k}={v}" for k, v in change.items()) or "defaults",
+    )
+    def test_matches_scalar_oracle(self, change):
+        params = replace(DEFAULTS, **change)
+        geom = ReceiverGeometry.centered(params)
+        expected = oracle_peak_time(params, geom)
+        assert peak_time(params, geom) == pytest.approx(expected, abs=1e-6)
+        for search in (oracle_peak_time, peak_time):
+            with pytest.raises(SearchError):
+                search(params, geom, search_horizon=0.5 * expected)
+
+    def test_refines_with_few_array_calls(self, monkeypatch):
+        times = []
+
+        def counting(t, *args, **kwargs):
+            times.append(t)
+            return cir(t, *args, **kwargs)
+
+        monkeypatch.setattr("mc_arelab.channel.cir", counting)
+        peak_time(DEFAULTS, GEOM)
+        assert len(times) <= 5
+        assert all(np.ndim(t) == 1 for t in times)
+
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ParameterError):
-            peak_time(DEFAULTS, GEOM, search_horizon=-1.0)
-        with pytest.raises(ParameterError):
-            peak_time(DEFAULTS, GEOM, tol=0.0)
+        for name, value in [
+            ("search_horizon", -1.0),
+            ("search_horizon", math.nan),
+            ("search_horizon", math.inf),
+            ("tol", 0.0),
+            ("tol", math.nan),
+            ("tol", math.inf),
+        ]:
+            with pytest.raises(ParameterError, match=name):
+                peak_time(DEFAULTS, GEOM, **{name: value})
 
 
 class TestSummarize:

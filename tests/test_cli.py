@@ -216,6 +216,12 @@ class TestValidationCommands:
         best_ber = min(float(cells[1]) for cells in curve)
         assert float(best[1]) == best_ber
 
+    def test_mc_validate_needs_no_atom_spectrum(self, capsys):
+        # 200 interferers would collapse to about 1e22 atoms; sampling reads only the rings
+        code, out, err = run_cli(capsys, "mc-validate", "--interferers", "200", "--samples", "1000")
+        assert code == 0, err
+        assert len(data_lines(out)) == 1 + 101 + 1
+
     def test_pbs_validate_trace(self, capsys):
         _, out, _ = run_cli(
             capsys,

@@ -1,5 +1,6 @@
 """Sampling-based validation machinery and its statistical contracts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,26 @@ class TestRun:
             run(default_summary, 100, theta_max=0)
         with pytest.raises(ParameterError):
             run(default_summary, 100, mode="exact")
+
+    @pytest.mark.parametrize("mode", ["stochastic", "semi-analytic"])
+    @pytest.mark.parametrize(
+        "change, name",
+        [
+            ({"mu_s": math.nan}, "mu_s"),
+            ({"mu_s": -1.0}, "mu_s"),
+            ({"mu_n": math.nan}, "mu_n"),
+            ({"mu_n": math.inf}, "mu_n"),
+            ({"cbar": ((1.0, 6), (math.inf, 6))}, "ring 1 mean"),
+            ({"cbar": ((-1.0, 6),)}, "ring 0 mean"),
+            ({"cbar": ((math.nan, 6),)}, "ring 0 mean"),
+            ({"cbar": ((1.0, 0),)}, "ring 0 count"),
+            ({"cbar": ((1.0, 2.5),)}, "ring 0 count"),
+        ],
+    )
+    def test_rejects_bad_summary(self, default_summary, mode, change, name):
+        bad = dataclasses.replace(default_summary, **change)
+        with pytest.raises(ParameterError, match=name):
+            run(bad, 100, theta_max=5, mode=mode)
 
 
 class TestPoissonSample:
