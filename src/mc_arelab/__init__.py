@@ -63,7 +63,6 @@ from .perf import (
     evaluate,
     link_rate,
     optimize_radius,
-    poisson_decision_curves,
     spatial_rate,
     sweep,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "optimize_radius",
     "parse_config_text",
     "peak_time",
-    "poisson_decision_curves",
     "poisson_sample",
     "simulate_cir",
     "sinr_worst",

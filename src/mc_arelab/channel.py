@@ -204,10 +204,10 @@ def cir(
 
 def cir_uca(t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry) -> float:
     """Uniform-concentration approximation: center concentration times volume."""
-    if t <= 0:
-        raise ParameterError(f"t must be positive, got {t}")
-    if r_i < 0:
-        raise ParameterError(f"r_i must be nonnegative, got {r_i}")
+    if not (is_finite_real(t) and t > 0):
+        raise ParameterError(f"t must be positive and finite, got {t!r}")
+    if not (is_finite_real(r_i) and r_i >= 0):
+        raise ParameterError(f"r_i must be nonnegative and finite, got {r_i!r}")
     four_dt = 4.0 * params.D * t
     z_mid = 0.5 * (geom.z_s + geom.z_e)
     dz = z_mid - params.v * t

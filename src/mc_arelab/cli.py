@@ -169,8 +169,7 @@ def cmd_detect(cfg: SystemConfig, args) -> tuple:
 
 def cmd_ber_sweep(cfg: SystemConfig, args) -> tuple:
     summary = _summary(cfg)
-    spectrum = collapse_iui(summary.cbar, atom_cap=cfg.atom_cap)
-    p_curve, q_curve = error_curves(cfg.mc_theta_max, summary.mu_s, spectrum, summary.mu_n)
+    p_curve, q_curve = error_curves(cfg.mc_theta_max, summary.mu_s, summary.cbar, summary.mu_n)
     rows = [
         [theta, float(p_curve[theta]), float(q_curve[theta]), 0.5 * float(p_curve[theta] + q_curve[theta])]
         for theta in range(cfg.mc_theta_max + 1)

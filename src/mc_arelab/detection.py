@@ -6,8 +6,9 @@ Interferers at equal distance are statistically identical, so the
 2^(N-1) interference patterns collapse to one atom per multiplicity
 tuple across rings. The integer-count statistics (the optimal threshold
 and, in perf, the error curves) come from the exact count distribution,
-a convolution of one short pmf per ring; the real-exponent threshold set
-and the ML decision are likelihood sums over the atoms in log space.
+a convolution of one short pmf per ring, so they take the ring basis
+itself; only the real-exponent threshold set and the ML decision need the
+atoms, as likelihood sums in log space.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, SearchError
+from .errors import ParameterError, SearchError, is_finite_real
 from .specfun import _log_poisson_pmf, log_sum_exp
 
 __all__ = [
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 RING_MERGE_REL = 1e-9
+
+# Largest temporary, in elements, of a Poisson-mixture pmf.
+_CHUNK = 1 << 15
 
 # Scan points of the threshold-set balance within this distance of zero
 # are recomputed exactly, so the ladder's rounding cannot flip a sign.
@@ -98,9 +102,9 @@ class DetectorSpec:
 def _merge_rings(ring_basis) -> list[tuple[float, int]]:
     merged: list[list[float | int]] = []
     for cbar, count in ring_basis:
+        if not (is_finite_real(cbar) and cbar >= 0):
+            raise ParameterError(f"ring mean must be nonnegative and finite, got {cbar!r}")
         cbar = float(cbar)
-        if not cbar >= 0.0:
-            raise ParameterError(f"ring mean must be nonnegative, got {cbar}")
         if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
             raise ParameterError(f"ring multiplicity must be a positive integer, got {count!r}")
         for entry in merged:
@@ -147,9 +151,20 @@ def _half_binomial_log_pmf(count: int) -> np.ndarray:
 
 
 def _poisson_mixture_pmf(lams: np.ndarray, log_weights: np.ndarray, n: int) -> np.ndarray:
-    """sum_a w_a Poisson(r; lam_a) at r = 0..n-1, trailing zeros trimmed."""
+    """sum_a w_a Poisson(r; lam_a) at r = 0..n-1, trailing zeros trimmed.
+
+    The atoms are taken in blocks, so no temporary exceeds _CHUNK elements;
+    each block's terms are added to the running sum one atom after the
+    other, the order of a single sum over all atoms.
+    """
     pos = lams > 0
-    out = np.exp(_log_poisson_pmf(lams[pos], n - 1) + log_weights[pos, None]).sum(axis=0)
+    pos_lams, pos_weights = lams[pos], log_weights[pos]
+    out = np.zeros(n)
+    block = max(1, _CHUNK // n)
+    for start in range(0, pos_lams.size, block):
+        part = slice(start, start + block)
+        terms = np.exp(_log_poisson_pmf(pos_lams[part], n - 1) + pos_weights[part, None])
+        out = np.add.reduce(np.concatenate((out[None], terms)), axis=0)
     out[0] += np.exp(log_weights[~pos]).sum()
     return _trim(out)
 
@@ -186,7 +201,7 @@ def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarra
     pmf per term. Entries beyond a pmf's double-precision support are 0.
     """
     off = _poisson_mixture_pmf(np.array([mu_n]), np.zeros(1), n)
-    for cbar, count in ring_basis:
+    for cbar, count in _merge_rings(ring_basis):
         ring = _poisson_mixture_pmf(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), n)
         off = _convolve(off, ring, n)
     on = _convolve(off, _poisson_mixture_pmf(np.array([mu_s]), np.zeros(1), n), n)
@@ -204,10 +219,10 @@ def _log_poisson_score(phi: float, lam: np.ndarray) -> np.ndarray:
 
 
 def _check_means(mu_s: float, mu_n: float) -> None:
-    if not mu_s > 0:
-        raise ParameterError(f"mu_s must be positive, got {mu_s}")
-    if mu_n < 0:
-        raise ParameterError(f"mu_n must be nonnegative, got {mu_n}")
+    if not (is_finite_real(mu_s) and mu_s > 0):
+        raise ParameterError(f"mu_s must be positive and finite, got {mu_s!r}")
+    if not (is_finite_real(mu_n) and mu_n >= 0):
+        raise ParameterError(f"mu_n must be nonnegative and finite, got {mu_n!r}")
 
 
 def ml_decide(r: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -> int:
@@ -223,28 +238,31 @@ def ml_decide(r: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -> int:
 
 def optimal_threshold(
     mu_s: float,
-    spectrum: IuiSpectrum,
+    ring_basis,
     mu_n: float,
     theta_cap: int | None = None,
 ) -> int:
     """Smallest integer count at which deciding 1 becomes maximum likelihood.
 
     That is the first r <= theta_cap with P(r | 1) >= P(r | 0) in the
-    exact count distribution. Where the bit-0 count has mass at every r, a
-    count at which both probabilities are below the smallest normal double
-    decides nothing: below the bulk of the distribution it is skipped, and
-    above it the ratio is lost, so a SearchError names that count rather
-    than a later r being returned.
+    exact count distribution of the (cbar, count) ring basis; the default
+    cap follows from the all-interferers-active mean. Where the bit-0 count
+    has mass at every r, a count at which both probabilities are below the
+    smallest normal double decides nothing: below the bulk of the
+    distribution it is skipped, and above it the ratio is lost, so a
+    SearchError names that count rather than a later r being returned.
     """
     _check_means(mu_s, mu_n)
+    merged = _merge_rings(ring_basis)
+    all_active = sum(cbar * count for cbar, count in merged)
     if theta_cap is None:
-        theta_cap = 10 * math.ceil(mu_s + spectrum.max_value + mu_n) + 50
+        theta_cap = 10 * math.ceil(mu_s + all_active + mu_n) + 50
     if theta_cap < 1:
         raise ParameterError(f"theta_cap must be >= 1, got {theta_cap}")
-    off, on = _count_pmfs(mu_s, spectrum.ring_basis, mu_n, theta_cap + 1)
+    off, on = _count_pmfs(mu_s, merged, mu_n, theta_cap + 1)
     flips = on >= off
     lost = np.zeros_like(flips)
-    if mu_n > 0 or spectrum.cbar_sum > 0:
+    if mu_n > 0 or all_active > 0:
         tiny = np.finfo(float).tiny
         underflow = (on < tiny) & (off < tiny)
         flips &= ~underflow
@@ -396,7 +414,7 @@ def characterize(
     phi_max: float | None = None,
 ) -> DetectorSpec:
     """Bundle the per-configuration detector quantities the CLI reports."""
-    theta_opt = optimal_threshold(mu_s, spectrum, mu_n, theta_cap=theta_cap)
+    theta_opt = optimal_threshold(mu_s, spectrum.ring_basis, mu_n, theta_cap=theta_cap)
     sub = suboptimal_threshold(mu_s, spectrum.cbar_sum, mu_n)
     thresholds = threshold_set(mu_s, spectrum, mu_n, phi_max=phi_max)
     return DetectorSpec(

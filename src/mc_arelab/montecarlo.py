@@ -19,8 +19,9 @@ import numpy as np
 
 from .channel import ChannelSummary
 from .config import MC_MODES, worker_count
+from .detection import _poisson_mixture_pmf
 from .errors import ParameterError, is_finite_real, is_integer
-from .perf import poisson_decision_curves
+from .perf import _threshold_curves
 
 __all__ = ["BestThreshold", "McResult", "ThresholdBer", "poisson_sample", "run"]
 
@@ -192,10 +193,10 @@ def _run_semi_analytic(rings, mu_s, mu_n, sizes, streams, theta_max, samples):
 
     items = sorted(counts.items())
     values = np.array([value for value, _ in items])
-    weights = np.array([tally for _, tally in items]) / samples
-    q_curve, p_curve = poisson_decision_curves(
-        theta_max, mu_s, values, np.log(weights), mu_n
-    )
+    log_weights = np.log(np.array([tally for _, tally in items]) / samples)
+    off = _poisson_mixture_pmf(values + mu_n, log_weights, theta_max)
+    on = _poisson_mixture_pmf(mu_s + values + mu_n, log_weights, theta_max)
+    p_curve, q_curve = _threshold_curves(theta_max, off, on)
     rows = []
     for theta in range(theta_max + 1):
         p, q = float(p_curve[theta]), float(q_curve[theta])

@@ -1,11 +1,11 @@
 """Link and area performance: error probabilities, rates, sweeps.
 
-The detection-side inputs (signal mean, interference spectrum, noise
-mean) come from channel.summarize and detection.collapse_iui; this
-module turns them into error probabilities, mutual information, and
-area rate efficiency, and drives parameter sweeps over those numbers.
-The error probabilities of the threshold rule are cumulative sums of
-the exact count distribution.
+The detection-side inputs (signal mean, per-ring interference means,
+noise mean) come from channel.summarize; this module turns them into
+error probabilities, mutual information, and area rate efficiency, and
+drives parameter sweeps over those numbers. The error probabilities of
+the threshold rule are cumulative sums of the exact count distribution,
+built from the ring basis without enumerating interference atoms.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import numpy as np
 from .channel import PhysicalParams, ReceiverGeometry, cir, summarize
 from .config import SystemConfig, worker_count
 from .detection import (
-    IuiSpectrum,
+    _check_means,
     _count_pmfs,
-    collapse_iui,
     optimal_threshold,
     sinr_worst,
     suboptimal_threshold,
@@ -41,7 +40,6 @@ __all__ = [
     "evaluate",
     "link_rate",
     "optimize_radius",
-    "poisson_decision_curves",
     "spatial_rate",
     "sweep",
 ]
@@ -91,78 +89,48 @@ class PerfReport:
     cell_area: float
 
 
-def poisson_decision_curves(
-    theta_max: int,
-    mu_s: float,
-    values: np.ndarray,
-    log_weights: np.ndarray,
-    mu_n: float,
-):
-    """Error probabilities of the rule [r >= theta] for theta = 0..theta_max.
+def _threshold_curves(theta_max: int, off: np.ndarray, on: np.ndarray):
+    """(p_curve, q_curve) of the rule [r >= theta] for theta = 0..theta_max.
 
-    ``values``/``log_weights`` describe the interference-mean mixture.
-    Returns (q_curve, p_curve) arrays of length theta_max + 1, where
-    q_curve[t] = sum_w P[Poisson(mu_s + a + mu_n) <= t-1] and
-    p_curve[t] = 1 - sum_w P[Poisson(a + mu_n) <= t-1]. The count
-    probability mass is accumulated in log space atom by atom so that a
-    single pass covers every threshold at once. The weighted sums are
-    NumPy reductions, not BLAS dot products, so their rounding does not
-    depend on the BLAS thread count.
+    ``off`` and ``on`` hold P(r | bit 0) and P(r | bit 1) from r = 0 up to
+    where they end (zero beyond); the mass below theta is their running sum.
     """
-    w = np.exp(log_weights)
-    lam_on = mu_s + values + mu_n
-    lam_off = values + mu_n
-    with np.errstate(divide="ignore"):
-        log_on = np.log(lam_on)
-        log_off = np.log(lam_off)
 
-    q_curve = np.empty(theta_max + 1)
-    p_curve = np.empty(theta_max + 1)
-    acc_on = np.zeros_like(lam_on)
-    acc_off = np.zeros_like(lam_off)
-    logp_on = -lam_on
-    logp_off = -lam_off
-    for theta in range(theta_max + 1):
-        q_curve[theta] = float(np.sum(w * acc_on))
-        p_curve[theta] = 1.0 - float(np.sum(w * acc_off))
-        acc_on += np.exp(logp_on)
-        acc_off += np.exp(logp_off)
-        step = math.log(theta + 1)
-        logp_on += log_on - step
-        logp_off += log_off - step
-    return np.clip(q_curve, 0.0, 1.0), np.clip(p_curve, 0.0, 1.0)
+    def below(pmf: np.ndarray) -> np.ndarray:
+        pmf = pmf[:theta_max]
+        return np.concatenate(([0.0], np.cumsum(np.pad(pmf, (0, theta_max - pmf.size)))))
+
+    return np.clip(1.0 - below(off), 0.0, 1.0), np.clip(below(on), 0.0, 1.0)
 
 
-def error_curves(theta_max: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float):
+def error_curves(theta_max: int, mu_s: float, ring_basis, mu_n: float):
     """Error probabilities of the rule [r >= theta] for theta = 0..theta_max.
 
     Returns (p_curve, q_curve): p_curve[t] = P(r >= t | bit 0) and
-    q_curve[t] = P(r < t | bit 1), cumulative sums of the count pmfs.
+    q_curve[t] = P(r < t | bit 1), cumulative sums of the count pmfs of
+    the (cbar, count) ring basis.
     """
-    off, on = _count_pmfs(mu_s, spectrum.ring_basis, mu_n, max(theta_max, 1))
-    below_off = np.concatenate(([0.0], np.cumsum(off)))[: theta_max + 1]
-    below_on = np.concatenate(([0.0], np.cumsum(on)))[: theta_max + 1]
-    return np.clip(1.0 - below_off, 0.0, 1.0), np.clip(below_on, 0.0, 1.0)
+    _check_means(mu_s, mu_n)
+    off, on = _count_pmfs(mu_s, ring_basis, mu_n, max(theta_max, 1))
+    return _threshold_curves(theta_max, off, on)
 
 
-def error_probs(theta: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -> ErrorPair:
+def error_probs(theta: int, mu_s: float, ring_basis, mu_n: float) -> ErrorPair:
     """Miss and false-alarm probabilities of the threshold detector.
 
     theta = 0 always decides 1, so (p, q) = (1, 0).
     """
     if not isinstance(theta, int) or isinstance(theta, bool) or theta < 0:
         raise ParameterError(f"theta must be a nonnegative integer, got {theta!r}")
-    if theta == 0:
-        return ErrorPair(p=1.0, q=0.0)
-    p_curve, q_curve = error_curves(theta, mu_s, spectrum, mu_n)
+    p_curve, q_curve = error_curves(theta, mu_s, ring_basis, mu_n)
     return ErrorPair(p=float(p_curve[theta]), q=float(q_curve[theta]))
 
 
-def ber_curve(theta_max: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -> np.ndarray:
+def ber_curve(theta_max: int, mu_s: float, ring_basis, mu_n: float) -> np.ndarray:
     """Analytic BER at every threshold 0..theta_max in one pass."""
     if theta_max < 0:
         raise ParameterError(f"theta_max must be nonnegative, got {theta_max}")
-    p_curve, q_curve = error_curves(theta_max, mu_s, spectrum, mu_n)
+    p_curve, q_curve = error_curves(theta_max, mu_s, ring_basis, mu_n)
     return 0.5 * (q_curve + p_curve)
 
 
@@ -238,13 +206,12 @@ def evaluate(config: SystemConfig) -> PerfReport:
         gamma_form=config.gamma_form,
         search_horizon=config.horizon,
     )
-    spectrum = collapse_iui(summary.cbar, atom_cap=config.atom_cap)
     theta_cap = config.theta_cap if config.theta_cap > 0 else None
-    theta_opt = optimal_threshold(summary.mu_s, spectrum, summary.mu_n, theta_cap=theta_cap)
+    theta_opt = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n, theta_cap=theta_cap)
     sub = suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n)
     theta_used = theta_opt if config.threshold_mode == "optimal" else sub.theta
 
-    errors = error_probs(theta_used, summary.mu_s, spectrum, summary.mu_n)
+    errors = error_probs(theta_used, summary.mu_s, summary.cbar, summary.mu_n)
     ber = 0.5 * (errors.p + errors.q)
     rate = link_rate(errors)
     area = config.cell_area

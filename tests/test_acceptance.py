@@ -100,14 +100,14 @@ def test_criterion_4_threshold_behaviors():
     start = time.perf_counter()
     failures = []
 
-    if optimal_threshold(4.07, collapse_iui(()), 0.0) != 1:
+    if optimal_threshold(4.07, (), 0.0) != 1:
         failures.append("interference-free noiseless threshold is not 1")
 
     transition = {}
     for c in (0.58, 0.66):
         cfg = SystemConfig(c=c, n_mol=10, gamma_form="regularized")
         summary = _summary_for(cfg)
-        transition[c] = optimal_threshold(summary.mu_s, collapse_iui(summary.cbar), summary.mu_n)
+        transition[c] = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
     if not (transition[0.58] == 2 and transition[0.66] == 1):
         failures.append(f"2-to-1 transition missing: {transition}")
 
@@ -119,9 +119,8 @@ def test_criterion_4_threshold_behaviors():
         )
         mu_s = float(rng.uniform(2.0, 40.0))
         mu_n = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
-        sp = collapse_iui(basis)
-        theta = optimal_threshold(mu_s, sp, mu_n)
-        curve = perf.ber_curve(100, mu_s, sp, mu_n)
+        theta = optimal_threshold(mu_s, basis, mu_n)
+        curve = perf.ber_curve(100, mu_s, basis, mu_n)
         if theta != int(np.argmin(curve)):
             failures.append(f"setup {i}: threshold {theta} != argmin {int(np.argmin(curve))}")
     _report(4, "threshold selection behaviors", failures, time.perf_counter() - start, 60.0)

@@ -208,6 +208,12 @@ class TestCirUca:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ParameterError):
             cir_uca(0.0, 0.0, DEFAULTS, GEOM)
+        for t in (math.nan, math.inf, -1.0):
+            with pytest.raises(ParameterError, match="t must"):
+                cir_uca(t, 0.0, DEFAULTS, GEOM)
+        for r_i in (math.nan, math.inf, -0.1):
+            with pytest.raises(ParameterError, match="r_i must"):
+                cir_uca(2.0, r_i, DEFAULTS, GEOM)
 
 
 class TestPeakTime:

@@ -156,10 +156,9 @@ class TestAnalysisCommands:
         assert len(rows) == 1 + 13
         cfg = SystemConfig(n_interferers=6)
         summary = summarize(cfg.params(), cfg.geometry(), cfg.layout())
-        spectrum = collapse_iui(summary.cbar)
         for row in (rows[1], rows[8]):
             theta, p, q, ber = row.split(",")
-            pair = perf.error_probs(int(theta), summary.mu_s, spectrum, summary.mu_n)
+            pair = perf.error_probs(int(theta), summary.mu_s, summary.cbar, summary.mu_n)
             assert float(p) == pytest.approx(pair.p, abs=1e-12)
             assert float(q) == pytest.approx(pair.q, abs=1e-12)
             assert float(ber) == pytest.approx(0.5 * (pair.p + pair.q), abs=1e-12)
@@ -193,6 +192,22 @@ class TestAnalysisCommands:
         hex_area = float(rows[1].split(",")[1])
         square_area = float(rows[3].split(",")[1])
         assert hex_area == square_area
+
+    def test_many_interferers_need_no_atom_spectrum(self, capsys):
+        # 200 interferers would collapse to about 1e22 atoms; the count
+        # distribution reads only the rings
+        for argv, n_rows in (
+            (("are-sweep", "--points", "3"), 3),
+            (("grid-compare", "--points", "3"), 6),
+            (("ber-sweep",), 101),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--interferers", "200")
+            assert code == 0, err
+            assert len(data_lines(out)) == 1 + n_rows
+        # the threshold set still sums over the atoms
+        code, _, err = run_cli(capsys, "detect", "--interferers", "200")
+        assert code == 2
+        assert "would produce 9618578117517254114047 atoms" in err
 
     def test_optimize_radius_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, "optimize-radius", "--w-max", "3", "--interferers", "6")
@@ -254,8 +269,9 @@ class TestValidationCommands:
         ],
     )
     def test_blas_threads_do_not_change_bytes(self, argv):
-        # both commands reduce over more interference atoms (~1e4) than
-        # OpenBLAS needs before it splits a dot product across threads
+        # both commands sum more terms (~1e4 sampled interference values,
+        # or a few hundred count probabilities per output) than OpenBLAS
+        # needs before it splits a dot product across threads
         src = os.path.dirname(os.path.dirname(os.path.abspath(mc_arelab.__file__)))
         outputs = []
         for threads in ("1", "2"):

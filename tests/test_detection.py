@@ -126,6 +126,9 @@ class TestCollapse:
             collapse_iui([(0.1, 0)])
         with pytest.raises(ParameterError):
             collapse_iui([(0.1, 2.5)])
+        for cbar in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="ring mean"):
+                collapse_iui([(cbar, 2)])
 
 
 class TestSpectrumType:
@@ -196,7 +199,7 @@ class TestMlDecide:
         config = SystemConfig()
         summary = summarize(config.params(), config.geometry(), config.layout())
         sp = collapse_iui(summary.cbar)
-        theta = optimal_threshold(summary.mu_s, sp, summary.mu_n)
+        theta = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         for r in range(201):
             assert ml_decide(r, summary.mu_s, sp, summary.mu_n) == int(r >= theta)
 
@@ -205,20 +208,39 @@ class TestMlDecide:
         summary = summarize(config.params(), config.geometry(), config.layout())
         sp = collapse_iui(summary.cbar)
         assert sinr_worst(summary.mu_s, summary.cbar_sum) > 1.0
-        theta = optimal_threshold(summary.mu_s, sp, summary.mu_n)
+        theta = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         for r in range(3 * theta + 1):
             assert ml_decide(r, summary.mu_s, sp, summary.mu_n) == int(r >= theta)
 
 
 class TestOptimalThreshold:
     def test_no_interference_noiseless(self):
-        assert optimal_threshold(100.0, collapse_iui([]), 0.0) == 1
+        assert optimal_threshold(100.0, [], 0.0) == 1
 
     def test_cap_too_small(self):
         # a threshold exists for this config but not below the forced cap
-        sp = collapse_iui([(30.0, 3)])
         with pytest.raises(SearchError, match="theta_cap"):
-            optimal_threshold(100.0, sp, 0.0, theta_cap=2)
+            optimal_threshold(100.0, [(30.0, 3)], 0.0, theta_cap=2)
+
+    @pytest.mark.parametrize(
+        "mu_s,mu_n,name",
+        [
+            (math.inf, 0.0, "mu_s"),
+            (math.nan, 0.0, "mu_s"),
+            (0.0, 0.0, "mu_s"),
+            (5.0, math.nan, "mu_n"),
+            (5.0, math.inf, "mu_n"),
+            (5.0, -1.0, "mu_n"),
+        ],
+    )
+    def test_rejects_bad_means(self, mu_s, mu_n, name):
+        sp = collapse_iui([(0.5, 2)])
+        with pytest.raises(ParameterError, match=name):
+            optimal_threshold(mu_s, sp.ring_basis, mu_n)
+        with pytest.raises(ParameterError, match=name):
+            threshold_set(mu_s, sp, mu_n)
+        with pytest.raises(ParameterError, match=name):
+            ml_decide(3, mu_s, sp, mu_n)
 
     def test_matches_brute_force_ber_argmin(self):
         from mc_arelab.perf import ber_curve
@@ -226,8 +248,8 @@ class TestOptimalThreshold:
         rng = np.random.default_rng(42)
         for _ in range(10):
             mu_s, sp, mu_n = random_detection_setup(rng)
-            theta = optimal_threshold(mu_s, sp, mu_n)
-            curve = ber_curve(100, mu_s, sp, mu_n)
+            theta = optimal_threshold(mu_s, sp.ring_basis, mu_n)
+            curve = ber_curve(100, mu_s, sp.ring_basis, mu_n)
             assert theta == int(np.argmin(curve))
 
     def test_threshold_step_down_with_growing_pitch(self):
@@ -241,8 +263,7 @@ class TestOptimalThreshold:
                 config.layout(),
                 gamma_form=config.gamma_form,
             )
-            sp = collapse_iui(summary.cbar)
-            thetas.append(optimal_threshold(summary.mu_s, sp, summary.mu_n))
+            thetas.append(optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n))
         assert thetas == [2, 1]
 
     def test_monotone_in_interferer_truncation(self):
@@ -250,8 +271,7 @@ class TestOptimalThreshold:
         for n in (6, 18, 36):
             config = SystemConfig(n_interferers=n)
             summary = summarize(config.params(), config.geometry(), config.layout())
-            sp = collapse_iui(summary.cbar)
-            thetas.append(optimal_threshold(summary.mu_s, sp, summary.mu_n))
+            thetas.append(optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n))
         assert thetas == sorted(thetas)
 
 
@@ -262,7 +282,7 @@ class TestThresholdSet:
         sp = collapse_iui(summary.cbar)
         ts = threshold_set(summary.mu_s, sp, summary.mu_n)
         assert len(ts) == 1
-        assert ts[0] == optimal_threshold(summary.mu_s, sp, summary.mu_n)
+        assert ts[0] == optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
 
     def test_no_interference_noiseless(self):
         assert threshold_set(100.0, collapse_iui([]), 0.0) == [1]
@@ -271,7 +291,7 @@ class TestThresholdSet:
         rng = np.random.default_rng(7)
         for _ in range(10):
             mu_s, sp, mu_n = random_detection_setup(rng)
-            theta = optimal_threshold(mu_s, sp, mu_n)
+            theta = optimal_threshold(mu_s, sp.ring_basis, mu_n)
             assert theta in threshold_set(mu_s, sp, mu_n)
 
 
@@ -334,7 +354,7 @@ class TestCharacterize:
         sp = collapse_iui(summary.cbar)
         spec = characterize(summary.mu_s, sp, summary.mu_n)
         assert isinstance(spec, DetectorSpec)
-        assert spec.theta_opt == optimal_threshold(summary.mu_s, sp, summary.mu_n)
+        assert spec.theta_opt == optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         assert spec.theta_sub == suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n).theta
         assert spec.threshold_set_size >= 1
         assert spec.sinr_worst == pytest.approx(summary.mu_s / summary.cbar_sum)
@@ -357,7 +377,7 @@ class TestAgainstAtomOracles:
 
     def test_optimal_threshold_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
-            assert optimal_threshold(mu_s, sp, mu_n) == atom_optimal_threshold(mu_s, sp, mu_n)
+            assert optimal_threshold(mu_s, sp.ring_basis, mu_n) == atom_optimal_threshold(mu_s, sp, mu_n)
 
     def test_threshold_set_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
@@ -365,12 +385,12 @@ class TestAgainstAtomOracles:
 
     def test_error_curves_agree(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
-            p, q = error_curves(120, mu_s, sp, mu_n)
+            p, q = error_curves(120, mu_s, sp.ring_basis, mu_n)
             q_ref, p_ref = atom_decision_curves(120, mu_s, sp, mu_n)
             np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(
-                ber_curve(120, mu_s, sp, mu_n), 0.5 * (p_ref + q_ref), rtol=0.0, atol=1e-12
+                ber_curve(120, mu_s, sp.ring_basis, mu_n), 0.5 * (p_ref + q_ref), rtol=0.0, atol=1e-12
             )
 
     def test_terms_beyond_the_double_range(self):
@@ -394,13 +414,13 @@ class TestAgainstAtomOracles:
             sp = collapse_iui([])
             assert threshold_set(mu_s, sp, 0.0) == atom_threshold_set(mu_s, sp, 0.0) == [1]
             # P(1 | 0) is exactly 0 here, so an underflowed P(1 | 1) still flips
-            assert optimal_threshold(mu_s, sp, 0.0) == atom_optimal_threshold(mu_s, sp, 0.0) == 1
+            assert optimal_threshold(mu_s, [], 0.0) == atom_optimal_threshold(mu_s, sp, 0.0) == 1
 
     def test_cap_error_as_before(self):
         sp = collapse_iui([(30.0, 3)])
-        for search in (optimal_threshold, atom_optimal_threshold):
+        for search, interference in ((optimal_threshold, sp.ring_basis), (atom_optimal_threshold, sp)):
             with pytest.raises(SearchError, match="theta_cap"):
-                search(100.0, sp, 0.0, theta_cap=2)
+                search(100.0, interference, 0.0, theta_cap=2)
 
     def test_underflow_before_the_flip_is_not_a_threshold(self):
         # the ratio flips at r = 38, where both count pmfs are far below
@@ -409,4 +429,4 @@ class TestAgainstAtomOracles:
         sp = collapse_iui([(1e-10, 36)])
         assert atom_optimal_threshold(1000.0, sp, 0.0) == 38
         with pytest.raises(SearchError, match="underflows"):
-            optimal_threshold(1000.0, sp, 0.0)
+            optimal_threshold(1000.0, sp.ring_basis, 0.0)

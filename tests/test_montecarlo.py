@@ -9,11 +9,13 @@ from scipy import stats
 
 from mc_arelab.channel import ChannelSummary, summarize
 from mc_arelab.config import SystemConfig
-from mc_arelab.detection import collapse_iui, optimal_threshold
+from mc_arelab.detection import IuiSpectrum, optimal_threshold
 from mc_arelab.errors import ParameterError
-from mc_arelab.montecarlo import _draw_iui, poisson_sample, run
+from mc_arelab.montecarlo import _chunk_sizes, _draw_iui, poisson_sample, run
 from mc_arelab.perf import error_probs
 from mc_arelab.specfun import regularized_gamma_q
+
+from oracles import atom_decision_curves
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +52,9 @@ class TestRun:
             assert row.ber == pytest.approx(0.5, abs=0.02)
 
     def test_consistent_with_analytic_error_rates(self, default_summary, default_run):
-        sp = collapse_iui(default_summary.cbar)
-        theta_opt = optimal_threshold(default_summary.mu_s, sp, default_summary.mu_n)
-        pair = error_probs(theta_opt, default_summary.mu_s, sp, default_summary.mu_n)
+        basis = default_summary.cbar
+        theta_opt = optimal_threshold(default_summary.mu_s, basis, default_summary.mu_n)
+        pair = error_probs(theta_opt, default_summary.mu_s, basis, default_summary.mu_n)
         analytic_ber = 0.5 * (pair.p + pair.q)
         row = default_run.per_threshold_ber[theta_opt]
         assert abs(row.ber - analytic_ber) <= 3.0 * row.stderr
@@ -69,8 +71,7 @@ class TestRun:
         assert row.stderr == pytest.approx(want, rel=1e-12)
 
     def test_curve_is_u_shaped_around_the_optimum(self, default_summary, default_run):
-        sp = collapse_iui(default_summary.cbar)
-        theta_opt = optimal_threshold(default_summary.mu_s, sp, default_summary.mu_n)
+        theta_opt = optimal_threshold(default_summary.mu_s, default_summary.cbar, default_summary.mu_n)
         bers = [row.ber for row in default_run.per_threshold_ber]
         assert abs(default_run.best.theta - theta_opt) <= 1
         for theta in range(5, theta_opt - 2):
@@ -93,8 +94,7 @@ class TestRun:
         for n in (6, 36):
             config = SystemConfig(n_interferers=n)
             summary = summarize(config.params(), config.geometry(), config.layout())
-            sp = collapse_iui(summary.cbar)
-            exact[n] = optimal_threshold(summary.mu_s, sp, summary.mu_n)
+            exact[n] = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         config = SystemConfig(n_interferers=1260)
         summary = summarize(config.params(), config.geometry(), config.layout())
         sampled = run(summary, 400_000, theta_max=60, seed=5).best.theta
@@ -102,13 +102,38 @@ class TestRun:
 
     def test_semi_analytic_mode_matches_analytic_curve(self, default_summary):
         result = run(default_summary, 200_000, seed=1, mode="semi-analytic")
-        sp = collapse_iui(default_summary.cbar)
-        theta_opt = optimal_threshold(default_summary.mu_s, sp, default_summary.mu_n)
-        pair = error_probs(theta_opt, default_summary.mu_s, sp, default_summary.mu_n)
+        basis = default_summary.cbar
+        theta_opt = optimal_threshold(default_summary.mu_s, basis, default_summary.mu_n)
+        pair = error_probs(theta_opt, default_summary.mu_s, basis, default_summary.mu_n)
         analytic_ber = 0.5 * (pair.p + pair.q)
         row = result.per_threshold_ber[theta_opt]
         assert abs(row.ber - analytic_ber) <= 3.0 * row.stderr
         assert result.best.theta == pytest.approx(theta_opt, abs=1)
+
+    def test_semi_analytic_curves_match_atom_oracle(self):
+        # 144 possible interference values, more than the 81 atoms of one
+        # pmf block at theta_max = 400; with mu_n = 0, the all-silent draw
+        # is a lam = 0 atom of the bit-0 mixture
+        summary = ChannelSummary(
+            t_m=1.0, mu_s=3.0, cbar=((0.31, 2), (0.17, 2), (0.053, 3), (0.0219, 3)), mu_n=0.0
+        )
+        samples, theta_max, seed = 30_000, 400, 4
+        result = run(summary, samples, theta_max=theta_max, seed=seed, mode="semi-analytic")
+
+        sizes = _chunk_sizes(samples)
+        streams = np.random.SeedSequence(seed).spawn(len(sizes))
+        draws = np.concatenate(
+            [_draw_iui(summary.cbar, size, np.random.default_rng(s)) for size, s in zip(sizes, streams)]
+        )
+        values, tallies = np.unique(draws, return_counts=True)
+        assert values.size > 2**15 // theta_max
+        assert values[0] == 0.0
+        mixture = IuiSpectrum(values=values, log_weights=np.log(tallies / samples), ring_basis=())
+        q_ref, p_ref = atom_decision_curves(theta_max, summary.mu_s, mixture, summary.mu_n)
+        p_hat = np.array([row.p_hat for row in result.per_threshold_ber])
+        q_hat = np.array([row.q_hat for row in result.per_threshold_ber])
+        np.testing.assert_allclose(p_hat, p_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(q_hat, q_ref, rtol=0.0, atol=1e-12)
 
     def test_rejects_bad_arguments(self, default_summary):
         with pytest.raises(ParameterError):

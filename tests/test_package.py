@@ -1,0 +1,34 @@
+"""Package-level contracts: the public name list and the runtime dependencies."""
+
+import os
+import subprocess
+import sys
+
+import mc_arelab
+
+
+def test_public_names_resolve_once():
+    names = mc_arelab.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(mc_arelab, name)]
+    assert missing == []
+
+
+def test_cli_runs_without_scipy():
+    # the runtime needs NumPy alone; SciPy is a test oracle only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mc_arelab.__file__)))
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from mc_arelab.cli import main\n"
+        "sys.exit(main(['detect']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "theta_opt" in done.stdout

@@ -14,6 +14,7 @@ from mc_arelab.perf import (
     ErrorPair,
     ber_curve,
     bsc_capacity,
+    error_curves,
     error_probs,
     evaluate,
     link_rate,
@@ -37,18 +38,16 @@ def oracle_error_probs(theta, mu_s, spectrum, mu_n):
 
 class TestErrorProbs:
     def test_theta_zero_always_decides_one(self):
-        sp = collapse_iui([(3.0, 4)])
-        pair = error_probs(0, 5.0, sp, 1.0)
+        pair = error_probs(0, 5.0, [(3.0, 4)], 1.0)
         assert (pair.p, pair.q) == (1.0, 0.0)
 
     def test_no_interference_z_channel(self):
-        pair = error_probs(1, 100.0, collapse_iui([]), 0.0)
+        pair = error_probs(1, 100.0, [], 0.0)
         assert pair.p == 0.0
         assert pair.q == pytest.approx(math.exp(-100.0), rel=1e-10)
 
     def test_single_interferer_hand_sums(self):
-        sp = collapse_iui([(4.0, 1)])
-        pair = error_probs(5, 6.0, sp, 1.0)
+        pair = error_probs(5, 6.0, [(4.0, 1)], 1.0)
         q_want = 0.5 * special.gammaincc(5, 7.0) + 0.5 * special.gammaincc(5, 11.0)
         p_want = 0.5 * (1.0 - special.gammaincc(5, 1.0)) + 0.5 * (1.0 - special.gammaincc(5, 5.0))
         assert pair.q == pytest.approx(q_want, rel=1e-12)
@@ -65,24 +64,42 @@ class TestErrorProbs:
             mu_s = float(rng.uniform(2.0, 30.0))
             mu_n = float(rng.uniform(0.0, 3.0))
             for theta in (1, 2, 5, 11, 30):
-                pair = error_probs(theta, mu_s, sp, mu_n)
+                pair = error_probs(theta, mu_s, basis, mu_n)
                 p_want, q_want = oracle_error_probs(theta, mu_s, sp, mu_n)
                 assert pair.p == pytest.approx(p_want, abs=1e-12)
                 assert pair.q == pytest.approx(q_want, abs=1e-12)
 
     def test_curve_agrees_with_single_calls(self):
-        sp = collapse_iui([(1.5, 3)])
-        curve = ber_curve(20, 8.0, sp, 0.5)
+        basis = [(1.5, 3)]
+        curve = ber_curve(20, 8.0, basis, 0.5)
         for theta in range(21):
-            pair = error_probs(theta, 8.0, sp, 0.5)
+            pair = error_probs(theta, 8.0, basis, 0.5)
             assert curve[theta] == pytest.approx(0.5 * (pair.p + pair.q), abs=1e-14)
 
     def test_rejects_bad_theta(self):
-        sp = collapse_iui([])
         with pytest.raises(ParameterError):
-            error_probs(-1, 5.0, sp, 0.0)
+            error_probs(-1, 5.0, [], 0.0)
         with pytest.raises(ParameterError):
-            error_probs(1.5, 5.0, sp, 0.0)
+            error_probs(1.5, 5.0, [], 0.0)
+
+    @pytest.mark.parametrize(
+        "mu_s,mu_n,basis,name",
+        [
+            (math.nan, 0.0, [], "mu_s"),
+            (math.inf, 0.0, [], "mu_s"),
+            (5.0, math.nan, [], "mu_n"),
+            (5.0, math.inf, [], "mu_n"),
+            (5.0, 0.0, [(math.nan, 2)], "ring mean"),
+            (5.0, 0.0, [(math.inf, 2)], "ring mean"),
+        ],
+    )
+    def test_rejects_bad_means(self, mu_s, mu_n, basis, name):
+        with pytest.raises(ParameterError, match=name):
+            error_curves(10, mu_s, basis, mu_n)
+        with pytest.raises(ParameterError, match=name):
+            error_probs(3, mu_s, basis, mu_n)
+        with pytest.raises(ParameterError, match=name):
+            ber_curve(10, mu_s, basis, mu_n)
 
     def test_error_pair_bounds(self):
         with pytest.raises(ParameterError):
@@ -157,8 +174,7 @@ class TestEvaluate:
 
     def test_no_interference_composition(self):
         # Z-channel composition: p = 0 and q = e^{-mu_s} at theta = 1
-        sp = collapse_iui([])
-        pair = error_probs(1, 20.0, sp, 0.0)
+        pair = error_probs(1, 20.0, [], 0.0)
         rate = link_rate(pair)
         q = math.exp(-20.0)
         p_one = 0.5 * (1.0 - q)
