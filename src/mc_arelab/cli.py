@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .channel import cir, summarize
 from .config import SystemConfig, dump_config, load_config, parse_config_text
-from .detection import characterize, collapse_iui
+from .detection import _merge_rings, characterize
 from .errors import ParameterError, SearchError
 from .gridgeom import to_cartesian
 from .montecarlo import run as mc_run
@@ -140,10 +140,7 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
 
 def cmd_detect(cfg: SystemConfig, args) -> tuple:
     summary = _summary(cfg)
-    spectrum = collapse_iui(summary.cbar, atom_cap=cfg.atom_cap)
-    spec = characterize(
-        summary.mu_s, spectrum, summary.mu_n, theta_cap=cfg.theta_cap or None
-    )
+    spec = characterize(summary.mu_s, summary.cbar, summary.mu_n, theta_cap=cfg.theta_cap or None)
     columns = (
         "t_m_s",
         "mu_s",
@@ -157,7 +154,7 @@ def cmd_detect(cfg: SystemConfig, args) -> tuple:
     row = [
         summary.t_m,
         summary.mu_s,
-        spectrum.cbar_sum,
+        math.fsum(cbar * count for cbar, count in _merge_rings(summary.cbar)),
         summary.mu_n,
         spec.theta_opt,
         spec.theta_sub,

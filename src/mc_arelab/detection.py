@@ -2,13 +2,16 @@
 
 The receiver observes a Poisson count whose mean depends on the desired
 bit, on which interferers happened to transmit, and on background noise.
-Interferers at equal distance are statistically identical, so the
-2^(N-1) interference patterns collapse to one atom per multiplicity
-tuple across rings. The integer-count statistics (the optimal threshold
-and, in perf, the error curves) come from the exact count distribution,
-a convolution of one short pmf per ring, so they take the ring basis
-itself; only the real-exponent threshold set and the ML decision need the
-atoms, as likelihood sums in log space.
+Interferers at equal distance are statistically identical, so every
+likelihood comes from the ring basis, one (mean, count) pair per ring:
+the exact count distribution is the convolution of Poisson noise, one
+Binomial(count, 1/2)-mixed Poisson pmf per ring and, for a 1-bit, the
+signal pmf, carried in log space. It gives the optimal threshold, the ML
+decision and, in perf, the error curves. The threshold set needs the
+likelihood balance at real exponents; it is read from the count
+distribution at integers and bracketed by convexity in between. Only a
+scan point those brackets cannot sign falls back to the atoms of
+collapse_iui, one per multiplicity tuple across rings.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, SearchError, is_finite_real
-from .specfun import _log_poisson_pmf, log_sum_exp
+from .errors import ParameterError, SearchError, is_finite_real, is_integer
+from .specfun import _log_factorials, _log_poisson_pmf, log_sum_exp
 
 __all__ = [
     "DetectorSpec",
@@ -37,16 +40,12 @@ __all__ = [
 
 RING_MERGE_REL = 1e-9
 
-# Largest temporary, in elements, of a Poisson-mixture pmf.
+# Largest temporary, in elements, of a Poisson mixture or a convolution.
 _CHUNK = 1 << 15
 
-# Scan points of the threshold-set balance within this distance of zero
-# are recomputed exactly, so the ladder's rounding cannot flip a sign.
+# Scan points of the threshold-set balance whose bounds do not clear zero
+# by this margin are summed over the atoms, so rounding cannot flip a sign.
 BALANCE_RECHECK = 1e-9
-# Largest drift, in nats, of any ladder term between two exact rebuilds.
-# A term within 40 nats of the largest then never left the normal double
-# range (e^-708) on its way there, so it kept full precision.
-LADDER_LOG_RANGE = 300.0
 
 
 @dataclass(frozen=True)
@@ -150,62 +149,72 @@ def _half_binomial_log_pmf(count: int) -> np.ndarray:
     return lgamma[-1] - lgamma - lgamma[::-1] - count * math.log(2.0)
 
 
-def _poisson_mixture_pmf(lams: np.ndarray, log_weights: np.ndarray, n: int) -> np.ndarray:
-    """sum_a w_a Poisson(r; lam_a) at r = 0..n-1, trailing zeros trimmed.
+def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
+    """ln sum exp along one axis, -inf where no term is finite; overwrites ``terms``."""
+    top = terms.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    terms -= top
+    np.exp(terms, out=terms)
+    with np.errstate(divide="ignore"):
+        return np.log(terms.sum(axis=axis)) + np.squeeze(top, axis)
+
+
+def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, n: int) -> np.ndarray:
+    """ln sum_a w_a Poisson(r; lam_a) at r = 0..n-1.
 
     The atoms are taken in blocks, so no temporary exceeds _CHUNK elements;
-    each block's terms are added to the running sum one atom after the
-    other, the order of a single sum over all atoms.
+    each block's log-sum-exp is folded into the running value.
     """
-    pos = lams > 0
-    pos_lams, pos_weights = lams[pos], log_weights[pos]
-    out = np.zeros(n)
+    out = np.full(n, -math.inf)
     block = max(1, _CHUNK // n)
-    for start in range(0, pos_lams.size, block):
+    for start in range(0, lams.size, block):
         part = slice(start, start + block)
-        terms = np.exp(_log_poisson_pmf(pos_lams[part], n - 1) + pos_weights[part, None])
-        out = np.add.reduce(np.concatenate((out[None], terms)), axis=0)
-    out[0] += np.exp(log_weights[~pos]).sum()
-    return _trim(out)
+        terms = _log_poisson_pmf(lams[part], n - 1)
+        terms += log_weights[part, None]
+        out = np.logaddexp(out, _log_sum_exp(terms, axis=0))
+    return out
 
 
-def _trim(pmf: np.ndarray) -> np.ndarray:
-    """pmf without its trailing zeros (entries that underflowed)."""
-    nonzero = np.flatnonzero(pmf)
-    return pmf[: nonzero[-1] + 1] if nonzero.size else pmf[:0]
+def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ln sum_j e^(a_j + b_(r-j)) for r = 0..a.size-1, from log pmfs a and b.
 
-
-def _convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the convolution of a and b, trailing zeros trimmed.
-
-    Each output term is a dot product of b with a window of a, summed by
-    einsum in a fixed order; np.convolve would hand the sums to BLAS.
+    Trailing -inf entries (no mass) are dropped first. Each output term is
+    a log-sum-exp over one sliding window, summed in a fixed order without
+    BLAS; the windows are taken in blocks of at most _CHUNK elements.
     """
-    if a.size == 0 or b.size == 0:
-        return np.zeros(0)
+    n = a.size
+    a, b = (x[: np.flatnonzero(x > -math.inf)[-1] + 1] for x in (a, b))
     if a.size < b.size:
         a, b = b, a
     size = min(n, a.size + b.size - 1)
-    padded = np.concatenate((np.zeros(b.size - 1), a, np.zeros(max(0, size - a.size))))
-    windows = sliding_window_view(padded, b.size)[:size]
-    return _trim(np.einsum("ij,j->i", windows, b[::-1]))
+    padded = np.concatenate((np.full(b.size - 1, -math.inf), a, np.full(size - a.size, -math.inf)))
+    windows = sliding_window_view(padded, b.size)
+    out = np.full(n, -math.inf)
+    rows = max(1, _CHUNK // b.size)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        out[start:stop] = _log_sum_exp(windows[start:stop] + b[::-1], axis=1)
+    return out
 
 
 def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(r | bit 0) and P(r | bit 1) for r = 0..n-1 (n >= 1).
+    """ln P(r | bit 0) and ln P(r | bit 1) for r = 0..n-1 (n >= 1).
 
     The received count is Poisson(mu_n) noise, plus per merged ring of
     ``count`` interferers with mean ``cbar`` a Poisson(k cbar) term with
     k ~ Binomial(count, 1/2), plus Poisson(mu_s) when the bit is 1. The
-    terms are independent, so the pmf is the convolution of one short
-    pmf per term. Entries beyond a pmf's double-precision support are 0.
+    terms are independent, so the pmf is the convolution of one pmf per
+    term, carried in log space: no entry underflows, and an entry is -inf
+    only where the count has no mass. The first n entries do not depend
+    on n, so any prefix is exact.
     """
-    off = _poisson_mixture_pmf(np.array([mu_n]), np.zeros(1), n)
+    point = np.zeros(1)
+    off = _log_mixture(np.array([mu_n]), point, n)
     for cbar, count in _merge_rings(ring_basis):
-        ring = _poisson_mixture_pmf(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), n)
-        off = _convolve(off, ring, n)
-    on = _convolve(off, _poisson_mixture_pmf(np.array([mu_s]), np.zeros(1), n), n)
-    return np.pad(off, (0, n - off.size)), np.pad(on, (0, n - on.size))
+        ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), n)
+        off = _log_convolve(off, ring)
+    on = _log_convolve(off, _log_mixture(np.array([mu_s]), point, n))
+    return off, on
 
 
 def _log_poisson_score(phi: float, lam: np.ndarray) -> np.ndarray:
@@ -225,15 +234,13 @@ def _check_means(mu_s: float, mu_n: float) -> None:
         raise ParameterError(f"mu_n must be nonnegative and finite, got {mu_n!r}")
 
 
-def ml_decide(r: int, mu_s: float, spectrum: IuiSpectrum, mu_n: float) -> int:
-    """Maximum-likelihood bit decision for an observed count r."""
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 0:
+def ml_decide(r: int, mu_s: float, ring_basis, mu_n: float) -> int:
+    """Maximum-likelihood bit decision for a count r: 1 where P(r | 1) >= P(r | 0)."""
+    if not is_integer(r) or r < 0:
         raise ParameterError(f"r must be a nonnegative integer, got {r!r}")
     _check_means(mu_s, mu_n)
-    r = int(r)
-    on = log_sum_exp(_log_poisson_score(r, mu_s + spectrum.values + mu_n) + spectrum.log_weights)
-    off = log_sum_exp(_log_poisson_score(r, spectrum.values + mu_n) + spectrum.log_weights)
-    return 1 if on >= off else 0
+    off, on = _count_pmfs(mu_s, ring_basis, mu_n, int(r) + 1)
+    return 1 if on[-1] >= off[-1] else 0
 
 
 def optimal_threshold(
@@ -246,141 +253,121 @@ def optimal_threshold(
 
     That is the first r <= theta_cap with P(r | 1) >= P(r | 0) in the
     exact count distribution of the (cbar, count) ring basis; the default
-    cap follows from the all-interferers-active mean. Where the bit-0 count
-    has mass at every r, a count at which both probabilities are below the
-    smallest normal double decides nothing: below the bulk of the
-    distribution it is skipped, and above it the ratio is lost, so a
-    SearchError names that count rather than a later r being returned.
+    cap follows from the all-interferers-active mean. The log pmfs are
+    computed on a prefix of 32 counts, doubled until the ratio flips or
+    the prefix reaches the cap.
     """
     _check_means(mu_s, mu_n)
     merged = _merge_rings(ring_basis)
-    all_active = sum(cbar * count for cbar, count in merged)
     if theta_cap is None:
-        theta_cap = 10 * math.ceil(mu_s + all_active + mu_n) + 50
-    if theta_cap < 1:
-        raise ParameterError(f"theta_cap must be >= 1, got {theta_cap}")
-    off, on = _count_pmfs(mu_s, merged, mu_n, theta_cap + 1)
-    flips = on >= off
-    lost = np.zeros_like(flips)
-    if mu_n > 0 or all_active > 0:
-        tiny = np.finfo(float).tiny
-        underflow = (on < tiny) & (off < tiny)
-        flips &= ~underflow
-        lost = underflow & np.maximum.accumulate(~underflow)
-    end = int(np.argmax(flips)) if flips.any() else theta_cap + 1
-    if lost[:end].any():
-        r = int(np.argmax(lost))
-        raise SearchError(
-            f"the count distribution underflows at r = {r} before the likelihood ratio flips"
-        )
-    if end > theta_cap:
-        raise SearchError(f"no threshold up to {theta_cap} flips the likelihood ratio; raise theta_cap")
-    return end
+        theta_cap = 10 * math.ceil(mu_s + sum(cbar * count for cbar, count in merged) + mu_n) + 50
+    if not (is_integer(theta_cap) and theta_cap >= 1):
+        raise ParameterError(f"theta_cap must be an integer >= 1, got {theta_cap!r}")
+    n = 32
+    while True:
+        n = min(n, theta_cap + 1)
+        off, on = _count_pmfs(mu_s, merged, mu_n, n)
+        flips = np.flatnonzero(on >= off)
+        if flips.size:
+            return int(flips[0])
+        if n > theta_cap:
+            raise SearchError(f"no threshold up to {theta_cap} flips the likelihood ratio; raise theta_cap")
+        n *= 2
+
+
+def _balance_bounds(mu_s: float, merged, mu_n: float, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the likelihood balance B at each phi >= 0.
+
+    B(phi) = ln M_1(phi) - ln M_0(phi), with M_b(phi) = E[lam^phi e^-lam]
+    over bit b's mixture of Poisson means. M_b(k) = k! P(k | b) at an
+    integer k, where both bounds are the count log-likelihood ratio. ln M_b
+    is convex for phi > 0, a log-sum-exp of affine functions, so at
+    phi = m + f the chord through m and m + 1 bounds it from above and the
+    larger secant extension of (m - 1, m) and (m + 1, m + 2) from below
+    (only the right one at m = 0). A lam = 0 atom (mu_n = 0) adds to
+    M_0(0) alone, which keeps the chord above. The bit-0 mixture needs an
+    atom with lam > 0, so that every ln M_b(k) is finite.
+    """
+    m = np.floor(phis).astype(np.int64)
+    f = phis - m
+    off, on = _count_pmfs(mu_s, merged, mu_n, int(m.max()) + 3)
+
+    def bounds(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        chord = (1 - f) * g[m] + f * g[m + 1]
+        right = g[m + 1] - (1 - f) * (g[m + 2] - g[m + 1])
+        left = g[m] + f * (g[m] - g[np.maximum(m - 1, 0)])
+        return np.where(m >= 1, np.maximum(left, right), right), chord
+
+    (lo_0, up_0), (lo_1, up_1) = (bounds(pmf + _log_factorials(pmf.size - 1)) for pmf in (off, on))
+    lo, hi = lo_1 - up_0, up_1 - lo_0
+    exact = f == 0
+    lo[exact] = hi[exact] = on[m[exact]] - off[m[exact]]
+    return lo, hi
 
 
 def threshold_set(
     mu_s: float,
-    spectrum: IuiSpectrum,
+    ring_basis,
     mu_n: float,
     phi_max: float | None = None,
 ) -> list[int]:
     """Integer ceilings of all real crossings of the likelihood balance.
 
-    The balance function compares both likelihood mixtures at a real
-    exponent, where the count distribution has no value, so it is summed
-    over the atoms. Its sign changes are bracketed on a 0.25-step scan and
-    bisected to 1e-9. A single crossing is the typical case. The scan
-    comes from one multiplicative ladder per mixture; scan points within
-    BALANCE_RECHECK of zero are recomputed exactly, as is every
-    bisection point.
+    The balance compares both likelihood mixtures at a real exponent phi,
+    on a 0.25-step scan. A crossing between two scan points has the
+    ceiling of the later one, as they lie in one unit interval, so k is in
+    the set iff the balance is zero at a scan point of (k - 1, k] or its
+    sign changes along that interval's points and the point before them
+    (phi = 0 joins k = 1). A single crossing is the typical case. The
+    signs come from the bounds of _balance_bounds. A point whose bounds do
+    not clear zero by BALANCE_RECHECK is summed over the interference
+    atoms, unless its intervals already show both signs; if the atoms do
+    not fit, a SearchError names the point.
     """
     _check_means(mu_s, mu_n)
+    merged = _merge_rings(ring_basis)
+    all_active = sum(cbar * count for cbar, count in merged)
     if phi_max is None:
-        phi_max = float(10 * math.ceil(mu_s + spectrum.max_value + mu_n) + 50)
-    if phi_max < 1:
-        raise ParameterError(f"phi_max must be >= 1, got {phi_max}")
+        phi_max = float(10 * math.ceil(mu_s + all_active + mu_n) + 50)
+    elif not (is_finite_real(phi_max) and phi_max >= 1):
+        raise ParameterError(f"phi_max must be finite and >= 1, got {phi_max!r}")
+    if mu_n == 0 and all_active == 0:
+        # the bit-0 count is surely 0: B(0) = -mu_s and B = +inf beyond
+        return [1]
 
-    lam_on = mu_s + spectrum.values + mu_n
-    lam_off = spectrum.values + mu_n
-    log_w = spectrum.log_weights
+    phis = np.minimum(0.25 * np.arange(math.ceil(phi_max / 0.25) + 1), phi_max)
+    lo, hi = _balance_bounds(mu_s, merged, mu_n, phis)
+    positive, negative = lo > BALANCE_RECHECK, hi < -BALANCE_RECHECK
+    zero = np.zeros_like(positive)
+    ceil = np.maximum(np.ceil(phis), 1).astype(np.int64)
+    starts = np.flatnonzero(np.diff(ceil, prepend=0))
 
-    def balance(phi: float) -> float:
-        lhs = log_sum_exp(_log_poisson_score(phi, lam_on) + log_w)
-        rhs = log_sum_exp(_log_poisson_score(phi, lam_off) + log_w)
-        if lhs == rhs:
-            return 0.0
-        if math.isinf(rhs) and rhs < 0:
-            return math.inf
-        return lhs - rhs
+    def in_interval(flags: np.ndarray) -> np.ndarray:
+        """Per unit interval: any flag at its points or at the point before them."""
+        hit = np.logical_or.reduceat(flags, starts)
+        hit[1:] |= flags[starts[1:] - 1]
+        return hit
 
-    roots: list[float] = []
-    step = 0.25
-    n_steps = int(math.ceil(phi_max / step))
-    scan = _log_mixture_ladder(lam_on, log_w, step, n_steps) - _log_mixture_ladder(
-        lam_off, log_w, step, n_steps
-    )
-    prev_phi = 0.0
-    prev_val = balance(0.0)
-    if prev_val == 0.0:
-        roots.append(0.0)
-    for i in range(1, n_steps + 1):
-        phi = min(i * step, phi_max)
-        val = float(scan[i - 1])
-        # an infinite scan value is exact: it means the bit-0 mixture has
-        # no atom with lam > 0, which balance() scores as -inf too
-        if phi != i * step or not abs(val) > BALANCE_RECHECK:
-            val = balance(phi)
-        if val == 0.0:
-            roots.append(phi)
-        elif (val > 0) != (prev_val > 0):
-            lo, hi = prev_phi, phi
-            lo_val = prev_val
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                mid_val = balance(mid)
-                if mid_val == 0.0:
-                    lo = hi = mid
-                    break
-                if (mid_val > 0) == (lo_val > 0):
-                    lo, lo_val = mid, mid_val
-                else:
-                    hi = mid
-                if hi - lo < 1e-9:
-                    break
-            roots.append(0.5 * (lo + hi))
-        prev_phi, prev_val = phi, val
-
-    out = sorted({max(1, math.ceil(root)) for root in roots})
-    return out
-
-
-def _log_mixture_ladder(lam: np.ndarray, log_w: np.ndarray, step: float, n_steps: int) -> np.ndarray:
-    """ln sum_a w_a lam_a^phi e^-lam_a at phi = i * step, for i = 1..n_steps.
-
-    From one phi to the next every term is multiplied by lam_a^step, so
-    the terms are carried as one vector: one multiply and one sum per
-    step. They are rebuilt from their exact log scores every ``block``
-    steps, so that no term drifts by more than LADDER_LOG_RANGE nats in
-    between. Atoms with lam = 0 add nothing at phi > 0 and are dropped.
-    """
-    out = np.full(n_steps, -math.inf)
-    pos = lam > 0
-    lam, log_w = lam[pos], log_w[pos]
-    if lam.size == 0:
-        return out
-    log_lam = np.log(lam)
-    ratio = np.exp(step * log_lam)
-    drift = step * float(np.abs(log_lam).max())
-    block = n_steps if drift == 0.0 else max(1, min(n_steps, int(LADDER_LOG_RANGE / drift)))
-    for start in range(0, n_steps, block):
-        score = (start + 1) * step * log_lam - lam + log_w
-        top = float(score.max())
-        terms = np.exp(score - top)
-        out[start] = top + math.log(float(terms.sum()))
-        for i in range(start + 1, min(start + block, n_steps)):
-            terms *= ratio
-            out[i] = top + math.log(float(terms.sum()))
-    return out
+    unsigned = ~(positive | negative)
+    open_ = in_interval(unsigned) & ~(in_interval(positive) & in_interval(negative))
+    needed = open_[ceil - 1]
+    needed[starts[1:] - 1] |= open_[1:]
+    points = np.flatnonzero(unsigned & needed)
+    if points.size:
+        try:
+            spectrum = collapse_iui(merged)
+        except ParameterError as exc:
+            raise SearchError(f"the likelihood balance at phi = {phis[points[0]]} needs the atoms: {exc}") from exc
+        lam_on = mu_s + spectrum.values + mu_n
+        lam_off = spectrum.values + mu_n
+        for i in points.tolist():
+            phi = float(phis[i])
+            lhs = log_sum_exp(_log_poisson_score(phi, lam_on) + spectrum.log_weights)
+            rhs = log_sum_exp(_log_poisson_score(phi, lam_off) + spectrum.log_weights)
+            # a zero balance counts as not positive, as in a sign change
+            positive[i], negative[i], zero[i] = lhs > rhs, not lhs > rhs, lhs == rhs
+    crossed = (in_interval(positive) & in_interval(negative)) | np.logical_or.reduceat(zero, starts)
+    return ceil[starts][crossed].tolist()
 
 
 def suboptimal_threshold(mu_s: float, cbar_sum: float, mu_n: float) -> SuboptimalThreshold:
@@ -408,18 +395,20 @@ def sinr_worst(mu_s: float, cbar_sum: float) -> float:
 
 def characterize(
     mu_s: float,
-    spectrum: IuiSpectrum,
+    ring_basis,
     mu_n: float,
     theta_cap: int | None = None,
     phi_max: float | None = None,
 ) -> DetectorSpec:
     """Bundle the per-configuration detector quantities the CLI reports."""
-    theta_opt = optimal_threshold(mu_s, spectrum.ring_basis, mu_n, theta_cap=theta_cap)
-    sub = suboptimal_threshold(mu_s, spectrum.cbar_sum, mu_n)
-    thresholds = threshold_set(mu_s, spectrum, mu_n, phi_max=phi_max)
+    merged = _merge_rings(ring_basis)
+    cbar_sum = math.fsum(cbar * count for cbar, count in merged)
+    theta_opt = optimal_threshold(mu_s, merged, mu_n, theta_cap=theta_cap)
+    sub = suboptimal_threshold(mu_s, cbar_sum, mu_n)
+    thresholds = threshold_set(mu_s, merged, mu_n, phi_max=phi_max)
     return DetectorSpec(
         theta_opt=theta_opt,
         theta_sub=sub.theta,
         threshold_set_size=len(thresholds),
-        sinr_worst=sinr_worst(mu_s, spectrum.cbar_sum),
+        sinr_worst=sinr_worst(mu_s, cbar_sum),
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import ChannelSummary
 from .config import MC_MODES, worker_count
-from .detection import _poisson_mixture_pmf
+from .detection import _log_mixture
 from .errors import ParameterError, is_finite_real, is_integer
 from .perf import _threshold_curves
 
@@ -104,6 +104,8 @@ def run(
         raise ParameterError(f"samples must be a positive integer, got {samples!r}")
     if not isinstance(theta_max, int) or isinstance(theta_max, bool) or theta_max < 1:
         raise ParameterError(f"theta_max must be a positive integer, got {theta_max!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     if mode not in MC_MODES:
         raise ParameterError(f"mode must be one of {MC_MODES}, got {mode!r}")
     means = {"mu_s": summary.mu_s, "mu_n": summary.mu_n}
@@ -194,8 +196,8 @@ def _run_semi_analytic(rings, mu_s, mu_n, sizes, streams, theta_max, samples):
     items = sorted(counts.items())
     values = np.array([value for value, _ in items])
     log_weights = np.log(np.array([tally for _, tally in items]) / samples)
-    off = _poisson_mixture_pmf(values + mu_n, log_weights, theta_max)
-    on = _poisson_mixture_pmf(mu_s + values + mu_n, log_weights, theta_max)
+    off = np.exp(_log_mixture(values + mu_n, log_weights, theta_max))
+    on = np.exp(_log_mixture(mu_s + values + mu_n, log_weights, theta_max))
     p_curve, q_curve = _threshold_curves(theta_max, off, on)
     rows = []
     for theta in range(theta_max + 1):

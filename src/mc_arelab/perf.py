@@ -26,7 +26,7 @@ from .detection import (
     sinr_worst,
     suboptimal_threshold,
 )
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 from .gridgeom import GridLayout
 
 __all__ = [
@@ -92,13 +92,12 @@ class PerfReport:
 def _threshold_curves(theta_max: int, off: np.ndarray, on: np.ndarray):
     """(p_curve, q_curve) of the rule [r >= theta] for theta = 0..theta_max.
 
-    ``off`` and ``on`` hold P(r | bit 0) and P(r | bit 1) from r = 0 up to
-    where they end (zero beyond); the mass below theta is their running sum.
+    ``off`` and ``on`` hold P(r | bit 0) and P(r | bit 1) for at least
+    r = 0..theta_max-1; the mass below theta is their running sum.
     """
 
     def below(pmf: np.ndarray) -> np.ndarray:
-        pmf = pmf[:theta_max]
-        return np.concatenate(([0.0], np.cumsum(np.pad(pmf, (0, theta_max - pmf.size)))))
+        return np.concatenate(([0.0], np.cumsum(pmf[:theta_max])))
 
     return np.clip(1.0 - below(off), 0.0, 1.0), np.clip(below(on), 0.0, 1.0)
 
@@ -110,9 +109,11 @@ def error_curves(theta_max: int, mu_s: float, ring_basis, mu_n: float):
     q_curve[t] = P(r < t | bit 1), cumulative sums of the count pmfs of
     the (cbar, count) ring basis.
     """
+    if not (is_integer(theta_max) and theta_max >= 0):
+        raise ParameterError(f"theta_max must be a nonnegative integer, got {theta_max!r}")
     _check_means(mu_s, mu_n)
-    off, on = _count_pmfs(mu_s, ring_basis, mu_n, max(theta_max, 1))
-    return _threshold_curves(theta_max, off, on)
+    off, on = _count_pmfs(mu_s, ring_basis, mu_n, max(int(theta_max), 1))
+    return _threshold_curves(int(theta_max), np.exp(off), np.exp(on))
 
 
 def error_probs(theta: int, mu_s: float, ring_basis, mu_n: float) -> ErrorPair:
@@ -120,7 +121,7 @@ def error_probs(theta: int, mu_s: float, ring_basis, mu_n: float) -> ErrorPair:
 
     theta = 0 always decides 1, so (p, q) = (1, 0).
     """
-    if not isinstance(theta, int) or isinstance(theta, bool) or theta < 0:
+    if not (is_integer(theta) and theta >= 0):
         raise ParameterError(f"theta must be a nonnegative integer, got {theta!r}")
     p_curve, q_curve = error_curves(theta, mu_s, ring_basis, mu_n)
     return ErrorPair(p=float(p_curve[theta]), q=float(q_curve[theta]))
@@ -128,8 +129,6 @@ def error_probs(theta: int, mu_s: float, ring_basis, mu_n: float) -> ErrorPair:
 
 def ber_curve(theta_max: int, mu_s: float, ring_basis, mu_n: float) -> np.ndarray:
     """Analytic BER at every threshold 0..theta_max in one pass."""
-    if theta_max < 0:
-        raise ParameterError(f"theta_max must be nonnegative, got {theta_max}")
     p_curve, q_curve = error_curves(theta_max, mu_s, ring_basis, mu_n)
     return 0.5 * (q_curve + p_curve)
 

@@ -52,15 +52,19 @@ def _check_point(x: float) -> float:
     return float(x)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """ln j! for j = 0..n."""
+    if n < len(_LOG_FACTORIALS):
+        return _LOG_FACTORIALS[: n + 1]
+    return np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+
+
 def _log_poisson_pmf(x: np.ndarray, n: int, power: float = 1.0) -> np.ndarray:
     """ln(x^j e^-x / j!^power), j = 0..n, on a new last axis (power 1: the Poisson pmf)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         j_log_x = np.arange(n + 1) * np.log(x)[..., None]
     j_log_x[..., 0] = 0.0
-    log_factorials = _LOG_FACTORIALS[: n + 1]
-    if n >= len(_LOG_FACTORIALS):
-        log_factorials = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-    return j_log_x - x[..., None] - power * log_factorials
+    return j_log_x - x[..., None] - power * _log_factorials(n)
 
 
 def _poisson_ladder(x: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:

@@ -234,22 +234,32 @@ def atom_decision_curves(theta_max: int, mu_s: float, spectrum, mu_n: float):
     return np.clip(q_curve, 0.0, 1.0), np.clip(p_curve, 0.0, 1.0)
 
 
+def atom_ml_decide(r: int, mu_s: float, spectrum, mu_n: float) -> int:
+    """Maximum-likelihood bit decision for a count r, each likelihood a log-sum-exp over the atoms."""
+    on = log_sum_exp(_log_poisson_score(r, mu_s + spectrum.values + mu_n) + spectrum.log_weights)
+    off = log_sum_exp(_log_poisson_score(r, spectrum.values + mu_n) + spectrum.log_weights)
+    return 1 if on >= off else 0
+
+
+def atom_balance(phi: float, mu_s: float, spectrum, mu_n: float) -> float:
+    """ln E[lam^phi e^-lam] of the bit-1 mixture minus that of the bit-0 mixture, over the atoms."""
+    log_w = spectrum.log_weights
+    lhs = log_sum_exp(_log_poisson_score(phi, mu_s + spectrum.values + mu_n) + log_w)
+    rhs = log_sum_exp(_log_poisson_score(phi, spectrum.values + mu_n) + log_w)
+    if lhs == rhs:
+        return 0.0
+    if math.isinf(rhs) and rhs < 0:
+        return math.inf
+    return lhs - rhs
+
+
 def atom_threshold_set(mu_s: float, spectrum, mu_n: float, phi_max: float | None = None) -> list[int]:
-    """Likelihood-balance crossings with every scan point a log-sum-exp over the atoms."""
+    """Likelihood-balance crossings with every scan point a log-sum-exp over the atoms, bisected to 1e-9."""
     if phi_max is None:
         phi_max = float(10 * math.ceil(mu_s + spectrum.max_value + mu_n) + 50)
-    lam_on = mu_s + spectrum.values + mu_n
-    lam_off = spectrum.values + mu_n
-    log_w = spectrum.log_weights
 
     def balance(phi: float) -> float:
-        lhs = log_sum_exp(_log_poisson_score(phi, lam_on) + log_w)
-        rhs = log_sum_exp(_log_poisson_score(phi, lam_off) + log_w)
-        if lhs == rhs:
-            return 0.0
-        if math.isinf(rhs) and rhs < 0:
-            return math.inf
-        return lhs - rhs
+        return atom_balance(phi, mu_s, spectrum, mu_n)
 
     roots: list[float] = []
     step = 0.25

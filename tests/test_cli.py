@@ -10,7 +10,7 @@ from mc_arelab import perf
 from mc_arelab.channel import summarize
 from mc_arelab.cli import main
 from mc_arelab.config import SystemConfig
-from mc_arelab.detection import characterize, collapse_iui
+from mc_arelab.detection import characterize
 
 
 def run_cli(capsys, *argv):
@@ -143,8 +143,7 @@ class TestAnalysisCommands:
         cells = rows[1].split(",")
         cfg = SystemConfig(n_interferers=6)
         summary = summarize(cfg.params(), cfg.geometry(), cfg.layout())
-        spectrum = collapse_iui(summary.cbar)
-        spec = characterize(summary.mu_s, spectrum, summary.mu_n)
+        spec = characterize(summary.mu_s, summary.cbar, summary.mu_n)
         assert float(cells[1]) == pytest.approx(summary.mu_s, rel=1e-12)
         assert int(cells[4]) == spec.theta_opt
         assert float(cells[7]) == pytest.approx(spec.sinr_worst, rel=1e-12)
@@ -204,10 +203,22 @@ class TestAnalysisCommands:
             code, out, err = run_cli(capsys, *argv, "--interferers", "200")
             assert code == 0, err
             assert len(data_lines(out)) == 1 + n_rows
-        # the threshold set still sums over the atoms
-        code, _, err = run_cli(capsys, "detect", "--interferers", "200")
-        assert code == 2
-        assert "would produce 9618578117517254114047 atoms" in err
+        # the threshold set reads the count distribution too, where the
+        # atoms would number 9618578117517254114047
+        code, out, err = run_cli(capsys, "detect", "--interferers", "200")
+        assert code == 0, err
+        cells = dict(zip(*(row.split(",") for row in data_lines(out))))
+        assert cells["threshold_set_size"] == "1"
+
+    @pytest.mark.parametrize("grid", ["hex", "square"])
+    def test_detect_builds_no_atoms(self, capsys, monkeypatch, grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("collapse_iui called")
+
+        monkeypatch.setattr("mc_arelab.detection.collapse_iui", refuse)
+        code, out, err = run_cli(capsys, "detect", "--grid", grid)
+        assert code == 0, err
+        assert len(data_lines(out)) == 2
 
     def test_optimize_radius_matches_library(self, capsys):
         _, out, _ = run_cli(capsys, "optimize-radius", "--w-max", "3", "--interferers", "6")

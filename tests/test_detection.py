@@ -1,17 +1,20 @@
 """Interference collapse, ML decisions, and threshold computations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mc_arelab.channel import summarize
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import (
+    BALANCE_RECHECK,
     DetectorSpec,
     IuiSpectrum,
+    _balance_bounds,
     characterize,
     collapse_iui,
     ml_decide,
@@ -24,7 +27,9 @@ from mc_arelab.errors import ParameterError, SearchError
 from mc_arelab.perf import ber_curve, error_curves
 
 from oracles import (
+    atom_balance,
     atom_decision_curves,
+    atom_ml_decide,
     atom_optimal_threshold,
     atom_threshold_set,
     exhaustive_iui_spectrum,
@@ -181,36 +186,31 @@ def random_detection_setup(rng):
 
 class TestMlDecide:
     def test_zero_count_decides_zero(self):
-        sp = collapse_iui([])
-        assert ml_decide(0, 5.0, sp, 0.0) == 0
+        assert ml_decide(0, 5.0, [], 0.0) == 0
 
     def test_large_count_decides_one(self):
-        sp = collapse_iui([(2.0, 1)])
-        assert ml_decide(50, 10.0, sp, 1.0) == 1
+        assert ml_decide(50, 10.0, [(2.0, 1)], 1.0) == 1
 
     def test_rejects_negative_or_fractional_counts(self):
-        sp = collapse_iui([])
         with pytest.raises(ParameterError):
-            ml_decide(-1, 5.0, sp, 0.0)
+            ml_decide(-1, 5.0, [], 0.0)
         with pytest.raises(ParameterError):
-            ml_decide(1.5, 5.0, sp, 0.0)
+            ml_decide(1.5, 5.0, [], 0.0)
 
     def test_agrees_with_threshold_rule_at_defaults(self):
         config = SystemConfig()
         summary = summarize(config.params(), config.geometry(), config.layout())
-        sp = collapse_iui(summary.cbar)
         theta = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         for r in range(201):
-            assert ml_decide(r, summary.mu_s, sp, summary.mu_n) == int(r >= theta)
+            assert ml_decide(r, summary.mu_s, summary.cbar, summary.mu_n) == int(r >= theta)
 
     def test_agrees_with_threshold_rule_when_signal_dominates(self):
         config = SystemConfig(c=0.5, n_interferers=6)
         summary = summarize(config.params(), config.geometry(), config.layout())
-        sp = collapse_iui(summary.cbar)
         assert sinr_worst(summary.mu_s, summary.cbar_sum) > 1.0
         theta = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         for r in range(3 * theta + 1):
-            assert ml_decide(r, summary.mu_s, sp, summary.mu_n) == int(r >= theta)
+            assert ml_decide(r, summary.mu_s, summary.cbar, summary.mu_n) == int(r >= theta)
 
 
 class TestOptimalThreshold:
@@ -238,9 +238,25 @@ class TestOptimalThreshold:
         with pytest.raises(ParameterError, match=name):
             optimal_threshold(mu_s, sp.ring_basis, mu_n)
         with pytest.raises(ParameterError, match=name):
-            threshold_set(mu_s, sp, mu_n)
+            threshold_set(mu_s, sp.ring_basis, mu_n)
         with pytest.raises(ParameterError, match=name):
-            ml_decide(3, mu_s, sp, mu_n)
+            ml_decide(3, mu_s, sp.ring_basis, mu_n)
+
+    @pytest.mark.parametrize(
+        "search,kwargs,name",
+        [
+            (optimal_threshold, {"theta_cap": 2.5}, "theta_cap"),
+            (optimal_threshold, {"theta_cap": math.nan}, "theta_cap"),
+            (optimal_threshold, {"theta_cap": True}, "theta_cap"),
+            (optimal_threshold, {"theta_cap": 0}, "theta_cap"),
+            (threshold_set, {"phi_max": math.nan}, "phi_max"),
+            (threshold_set, {"phi_max": math.inf}, "phi_max"),
+            (threshold_set, {"phi_max": 0.5}, "phi_max"),
+        ],
+    )
+    def test_rejects_bad_caps(self, search, kwargs, name):
+        with pytest.raises(ParameterError, match=name):
+            search(5.0, [(0.5, 2)], 0.0, **kwargs)
 
     def test_matches_brute_force_ber_argmin(self):
         from mc_arelab.perf import ber_curve
@@ -279,20 +295,19 @@ class TestThresholdSet:
     def test_default_config_single_threshold(self):
         config = SystemConfig()
         summary = summarize(config.params(), config.geometry(), config.layout())
-        sp = collapse_iui(summary.cbar)
-        ts = threshold_set(summary.mu_s, sp, summary.mu_n)
+        ts = threshold_set(summary.mu_s, summary.cbar, summary.mu_n)
         assert len(ts) == 1
         assert ts[0] == optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
 
     def test_no_interference_noiseless(self):
-        assert threshold_set(100.0, collapse_iui([]), 0.0) == [1]
+        assert threshold_set(100.0, [], 0.0) == [1]
 
     def test_contains_optimal_threshold(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             mu_s, sp, mu_n = random_detection_setup(rng)
             theta = optimal_threshold(mu_s, sp.ring_basis, mu_n)
-            assert theta in threshold_set(mu_s, sp, mu_n)
+            assert theta in threshold_set(mu_s, sp.ring_basis, mu_n)
 
 
 class TestSuboptimalThreshold:
@@ -351,8 +366,7 @@ class TestCharacterize:
     def test_consistent_bundle(self):
         config = SystemConfig()
         summary = summarize(config.params(), config.geometry(), config.layout())
-        sp = collapse_iui(summary.cbar)
-        spec = characterize(summary.mu_s, sp, summary.mu_n)
+        spec = characterize(summary.mu_s, summary.cbar, summary.mu_n)
         assert isinstance(spec, DetectorSpec)
         assert spec.theta_opt == optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         assert spec.theta_sub == suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n).theta
@@ -373,7 +387,7 @@ def oracle_cases():
 
 
 class TestAgainstAtomOracles:
-    """The count-distribution and ladder paths against log-sum-exp over atoms."""
+    """The count-distribution paths and the balance bounds against log-sum-exp over atoms."""
 
     def test_optimal_threshold_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
@@ -381,7 +395,32 @@ class TestAgainstAtomOracles:
 
     def test_threshold_set_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
-            assert threshold_set(mu_s, sp, mu_n) == atom_threshold_set(mu_s, sp, mu_n)
+            assert threshold_set(mu_s, sp.ring_basis, mu_n) == atom_threshold_set(mu_s, sp, mu_n)
+
+    def test_ml_decide_identical(self, oracle_cases):
+        for mu_s, sp, mu_n in oracle_cases:
+            theta = optimal_threshold(mu_s, sp.ring_basis, mu_n)
+            for r in range(3 * theta + 6):
+                assert ml_decide(r, mu_s, sp.ring_basis, mu_n) == atom_ml_decide(r, mu_s, sp, mu_n)
+
+    @given(
+        basis=st.lists(st.tuples(st.floats(0.01, 5.0), st.integers(1, 7)), max_size=4),
+        mu_s=st.floats(0.3, 100.0),
+        mu_n=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        extra=st.lists(st.floats(0.0, 150.0), max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_balance_bounds_contain_the_atom_balance(self, basis, mu_s, mu_n, extra):
+        # the bounds sign a scan point once they clear zero by
+        # BALANCE_RECHECK, so they may miss the atom balance by rounding only
+        sp = collapse_iui(basis)
+        assume(mu_n > 0 or sp.max_value > 0)
+        top = mu_s + sp.max_value + mu_n + 10.0
+        phis = np.concatenate((0.25 * np.arange(int(top / 0.25) + 1), extra))
+        lo, hi = _balance_bounds(mu_s, sp.ring_basis, mu_n, phis)
+        slack = 0.1 * BALANCE_RECHECK
+        for phi, low, high in zip(phis.tolist(), lo.tolist(), hi.tolist()):
+            assert low - slack <= atom_balance(phi, mu_s, sp, mu_n) <= high + slack, phi
 
     def test_error_curves_agree(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
@@ -397,7 +436,7 @@ class TestAgainstAtomOracles:
         # at phi = 0 the all-active atom's term is e^-900 relative to the
         # largest; it dominates the balance from phi ~ 900 on
         sp = collapse_iui([(150.0, 6), (0.01, 3)])
-        got = threshold_set(100.0, sp, 0.0, phi_max=1500.3)
+        got = threshold_set(100.0, sp.ring_basis, 0.0, phi_max=1500.3)
         assert got == atom_threshold_set(100.0, sp, 0.0, phi_max=1500.3)
         assert len(got) > 1
 
@@ -406,13 +445,13 @@ class TestAgainstAtomOracles:
         # one atom: the balance phi ln(1 + 1/mu_n) - 1 is within rounding of
         # zero at a scan point, where the ladder's last bits decide the sign
         sp = collapse_iui([])
-        assert threshold_set(1.0, sp, mu_n, phi_max=20.0) == want
+        assert threshold_set(1.0, sp.ring_basis, mu_n, phi_max=20.0) == want
         assert atom_threshold_set(1.0, sp, mu_n, phi_max=20.0) == want
 
     def test_empty_spectrum(self):
         for mu_s in (100.0, 1000.0):
             sp = collapse_iui([])
-            assert threshold_set(mu_s, sp, 0.0) == atom_threshold_set(mu_s, sp, 0.0) == [1]
+            assert threshold_set(mu_s, sp.ring_basis, 0.0) == atom_threshold_set(mu_s, sp, 0.0) == [1]
             # P(1 | 0) is exactly 0 here, so an underflowed P(1 | 1) still flips
             assert optimal_threshold(mu_s, [], 0.0) == atom_optimal_threshold(mu_s, sp, 0.0) == 1
 
@@ -428,5 +467,18 @@ class TestAgainstAtomOracles:
         # be returned in its place
         sp = collapse_iui([(1e-10, 36)])
         assert atom_optimal_threshold(1000.0, sp, 0.0) == 38
-        with pytest.raises(SearchError, match="underflows"):
-            optimal_threshold(1000.0, sp.ring_basis, 0.0)
+        assert optimal_threshold(1000.0, sp.ring_basis, 0.0) == 38
+
+    def test_threshold_set_memory_is_chunked(self):
+        # phi_max is 3050; one window per count would take a 3053 x 3053
+        # array (74 MB). mu_n = 0 has no bit-0 mass past r = 0 and returns
+        # before any pmf; mu_n = 1 convolves two full-length pmfs
+        for mu_n in (0.0, 1.0):
+            tracemalloc.start()
+            try:
+                got = threshold_set(300.0, [], mu_n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6
+            assert got == atom_threshold_set(300.0, collapse_iui([]), mu_n)

@@ -142,6 +142,9 @@ class TestRun:
             run(default_summary, 100, theta_max=0)
         with pytest.raises(ParameterError):
             run(default_summary, 100, mode="exact")
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ParameterError, match="seed"):
+                run(default_summary, 100, seed=seed)
 
     @pytest.mark.parametrize("mode", ["stochastic", "semi-analytic"])
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ def test_cli_runs_without_scipy():
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from mc_arelab.cli import main\n"
-        "sys.exit(main(['detect']))\n"
+        "sys.exit(main(['detect']) or main(['detect', '--interferers', '200']))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -32,3 +32,4 @@ def test_cli_runs_without_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert "theta_opt" in done.stdout
+    assert "# n_interferers = 200" in done.stdout

@@ -81,6 +81,13 @@ class TestErrorProbs:
             error_probs(-1, 5.0, [], 0.0)
         with pytest.raises(ParameterError):
             error_probs(1.5, 5.0, [], 0.0)
+        for theta_max in (-1, 2.5, True, math.nan):
+            with pytest.raises(ParameterError, match="theta_max"):
+                error_curves(theta_max, 5.0, [], 0.0)
+            with pytest.raises(ParameterError, match="theta_max"):
+                ber_curve(theta_max, 5.0, [], 0.0)
+        # NumPy integers are integers
+        assert error_probs(np.int64(3), 5.0, [(1.0, 2)], 0.0) == error_probs(3, 5.0, [(1.0, 2)], 0.0)
 
     @pytest.mark.parametrize(
         "mu_s,mu_n,basis,name",
