@@ -41,7 +41,6 @@ CONFIG_FLAGS = (
     ("--kmax", "k_max", "minimum radial series order"),
     ("--gamma-form", "gamma_form", "radial weight form: lower or regularized"),
     ("--threshold-mode", "threshold_mode", "detector: optimal or suboptimal"),
-    ("--theta-cap", "theta_cap", "threshold search cap (0 = automatic)"),
     ("--horizon", "horizon", "peak search horizon in s"),
     ("--samples", "mc_samples", "Monte Carlo sample count"),
     ("--theta-max", "mc_theta_max", "largest threshold evaluated"),
@@ -100,9 +99,12 @@ def _check_site_index(index: int, n_sites: int) -> None:
         raise ParameterError(f"tx-index must lie in 0..{n_sites - 1}, got {index}")
 
 
-def _geometric_axis(lo: float, hi: float, points: int | None) -> list[float]:
+def _geometric_axis(flag: str, lo: float, hi: float, points: int | None) -> list[float]:
+    for end, value in (("from", lo), ("to", hi)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{flag}-{end} must be finite, got {value}")
     if not lo > 0 or not hi > lo:
-        raise ParameterError(f"need 0 < from < to, got {lo} and {hi}")
+        raise ParameterError(f"need 0 < {flag}-from < {flag}-to, got {lo} and {hi}")
     if points is None:
         # default density: 60 points per decade
         points = max(2, round(60 * math.log10(hi / lo)) + 1)
@@ -140,7 +142,7 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
 
 def cmd_detect(cfg: SystemConfig, args) -> tuple:
     summary = _summary(cfg)
-    spec = characterize(summary.mu_s, summary.cbar, summary.mu_n, theta_cap=cfg.theta_cap or None)
+    spec = characterize(summary.mu_s, summary.cbar, summary.mu_n)
     columns = (
         "t_m_s",
         "mu_s",
@@ -175,14 +177,14 @@ def cmd_ber_sweep(cfg: SystemConfig, args) -> tuple:
 
 
 def cmd_are_sweep(cfg: SystemConfig, args) -> tuple:
-    values = _geometric_axis(args.c_from, args.c_to, args.points)
+    values = _geometric_axis("--c", args.c_from, args.c_to, args.points)
     reports = sweep(cfg, "cell_pitch", values)
     rows = [[v] + _report_cells(r) for v, r in zip(values, reports)]
     return SWEEP_COLUMNS, [(None, rows)]
 
 
 def cmd_grid_compare(cfg: SystemConfig, args) -> tuple:
-    values = _geometric_axis(args.area_from, args.area_to, args.points)
+    values = _geometric_axis("--area", args.area_from, args.area_to, args.points)
     rows = []
     for grid in ("hex", "square"):
         reports = sweep(dataclasses.replace(cfg, grid=grid), "cell_area", values)

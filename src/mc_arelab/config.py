@@ -13,6 +13,7 @@ import dataclasses
 import io
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .channel import GAMMA_FORMS, PhysicalParams, ReceiverGeometry
@@ -33,7 +34,7 @@ class SystemConfig:
     ``c`` is the hexagonal cell-center distance; for the square grid the
     pitch is derived from it so that cell areas match, which keeps sweeps
     over ``c`` area-fair across grids. ``s_rx = None`` means the touching
-    radius (half the pitch). ``theta_cap = 0`` selects the automatic cap.
+    radius (half the pitch).
     """
 
     grid: str = "hex"
@@ -49,9 +50,7 @@ class SystemConfig:
     k_max: int = 20
     gamma_form: str = "lower"
     threshold_mode: str = "optimal"
-    theta_cap: int = 0
     horizon: float = 15.0
-    atom_cap: int = 1_000_000
     mc_samples: int = 500_000
     mc_theta_max: int = 100
     mc_mode: str = "stochastic"
@@ -79,12 +78,12 @@ class SystemConfig:
             raise ConfigError("s_rx", f"must be positive or omitted, got {self.s_rx}")
         if self.c_noise < 0:
             raise ConfigError("c_noise", f"must be nonnegative, got {self.c_noise}")
-        for key in ("n_mol", "mc_samples", "mc_theta_max", "pbs_realizations", "pbs_particles", "pbs_record_every", "atom_cap"):
+        for key in ("n_mol", "mc_samples", "mc_theta_max", "pbs_realizations", "pbs_particles", "pbs_record_every"):
             if not getattr(self, key) >= 1:
                 raise ConfigError(key, f"must be >= 1, got {getattr(self, key)}")
         if self.n_interferers is not None and self.n_interferers < 1:
             raise ConfigError("n_interferers", f"must be >= 1 or omitted, got {self.n_interferers}")
-        for key in ("k_max", "theta_cap", "seed"):
+        for key in ("k_max", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(key, f"must be nonnegative, got {getattr(self, key)}")
         if self.gamma_form not in GAMMA_FORMS:
@@ -202,6 +201,15 @@ def worker_count() -> int:
     if n < 1:
         raise ConfigError("MC_ARELAB_THREADS", f"must be >= 1, got {n}")
     return n
+
+
+def map_workers(fn, items) -> list:
+    """[fn(item) for item in items], on up to worker_count() threads, in input order."""
+    workers = worker_count()
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def dump_config(config: SystemConfig) -> str:

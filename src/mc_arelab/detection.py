@@ -145,7 +145,7 @@ def collapse_iui(ring_basis, atom_cap: int = 10**6) -> IuiSpectrum:
 
 def _half_binomial_log_pmf(count: int) -> np.ndarray:
     """ln Binomial(count, k; 1/2) for k = 0..count: how many of a ring are active."""
-    lgamma = np.array([math.lgamma(i + 1.0) for i in range(count + 1)])
+    lgamma = _log_factorials(count)
     return lgamma[-1] - lgamma - lgamma[::-1] - count * math.log(2.0)
 
 
@@ -243,36 +243,40 @@ def ml_decide(r: int, mu_s: float, ring_basis, mu_n: float) -> int:
     return 1 if on[-1] >= off[-1] else 0
 
 
-def optimal_threshold(
-    mu_s: float,
-    ring_basis,
-    mu_n: float,
-    theta_cap: int | None = None,
-) -> int:
+def _crossing(mu_s: float, lam: float) -> float:
+    """mu_s / ln(1 + mu_s / lam): the real count where Poisson(lam + mu_s) overtakes Poisson(lam)."""
+    return mu_s / math.log1p(mu_s / lam)
+
+
+def _flip_bound(mu_s: float, merged, mu_n: float) -> int:
+    """ceil(phi*), with phi* the crossing at the all-interferers-active mean lam_max.
+
+    At exponent phi, the Poisson(x + mu_s) term over the Poisson(x) term is
+    exp(phi ln(1 + mu_s / x) - mu_s), at least 1 from the crossing at x on,
+    and that crossing grows with x. Every interference atom x lies at or
+    below lam_max, so past phi* both P(r | 1) >= P(r | 0) and the balance is
+    positive: the optimal threshold and the ceiling of every crossing of
+    the threshold set are at most ceil(phi*).
+    """
+    lam_max = mu_n + math.fsum(cbar * count for cbar, count in merged)
+    return math.ceil(_crossing(mu_s, lam_max)) if lam_max > 0 else 0
+
+
+def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
     """Smallest integer count at which deciding 1 becomes maximum likelihood.
 
-    That is the first r <= theta_cap with P(r | 1) >= P(r | 0) in the
-    exact count distribution of the (cbar, count) ring basis; the default
-    cap follows from the all-interferers-active mean. The log pmfs are
-    computed on a prefix of 32 counts, doubled until the ratio flips or
-    the prefix reaches the cap.
+    That is the first r with P(r | 1) >= P(r | 0) in the exact count
+    distribution of the (cbar, count) ring basis, read from one prefix of
+    the log pmfs that reaches one count past the bound of _flip_bound.
     """
     _check_means(mu_s, mu_n)
     merged = _merge_rings(ring_basis)
-    if theta_cap is None:
-        theta_cap = 10 * math.ceil(mu_s + sum(cbar * count for cbar, count in merged) + mu_n) + 50
-    if not (is_integer(theta_cap) and theta_cap >= 1):
-        raise ParameterError(f"theta_cap must be an integer >= 1, got {theta_cap!r}")
-    n = 32
-    while True:
-        n = min(n, theta_cap + 1)
-        off, on = _count_pmfs(mu_s, merged, mu_n, n)
-        flips = np.flatnonzero(on >= off)
-        if flips.size:
-            return int(flips[0])
-        if n > theta_cap:
-            raise SearchError(f"no threshold up to {theta_cap} flips the likelihood ratio; raise theta_cap")
-        n *= 2
+    bound = _flip_bound(mu_s, merged, mu_n)
+    off, on = _count_pmfs(mu_s, merged, mu_n, bound + 2)
+    flips = np.flatnonzero(on >= off)
+    if not flips.size:
+        raise SearchError(f"no count up to {bound + 1} flips the likelihood ratio, past the bound {bound}")
+    return int(flips[0])
 
 
 def _balance_bounds(mu_s: float, merged, mu_n: float, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,13 +286,15 @@ def _balance_bounds(mu_s: float, merged, mu_n: float, phis: np.ndarray) -> tuple
     over bit b's mixture of Poisson means. M_b(k) = k! P(k | b) at an
     integer k, where both bounds are the count log-likelihood ratio. ln M_b
     is convex for phi > 0, a log-sum-exp of affine functions, so at
-    phi = m + f the chord through m and m + 1 bounds it from above and the
-    larger secant extension of (m - 1, m) and (m + 1, m + 2) from below
-    (only the right one at m = 0). A lam = 0 atom (mu_n = 0) adds to
-    M_0(0) alone, which keeps the chord above. The bit-0 mixture needs an
-    atom with lam > 0, so that every ln M_b(k) is finite.
+    phi = m + f, with m = ceil(phi) - 1 and 0 < f <= 1, the chord through m
+    and m + 1 bounds it from above and the larger secant extension of
+    (m - 1, m) and (m + 1, m + 2) from below (only the right one at m = 0).
+    An integer phi, the end of its unit interval, reads no count past
+    phi + 1. A lam = 0 atom (mu_n = 0) adds to M_0(0) alone, which keeps
+    the chord above. The bit-0 mixture needs an atom with lam > 0, so that
+    every ln M_b(k) is finite.
     """
-    m = np.floor(phis).astype(np.int64)
+    m = np.maximum(np.ceil(phis) - 1, 0).astype(np.int64)
     f = phis - m
     off, on = _count_pmfs(mu_s, merged, mu_n, int(m.max()) + 3)
 
@@ -300,21 +306,19 @@ def _balance_bounds(mu_s: float, merged, mu_n: float, phis: np.ndarray) -> tuple
 
     (lo_0, up_0), (lo_1, up_1) = (bounds(pmf + _log_factorials(pmf.size - 1)) for pmf in (off, on))
     lo, hi = lo_1 - up_0, up_1 - lo_0
-    exact = f == 0
-    lo[exact] = hi[exact] = on[m[exact]] - off[m[exact]]
+    exact = phis == np.floor(phis)
+    k = phis[exact].astype(np.int64)
+    lo[exact] = hi[exact] = on[k] - off[k]
     return lo, hi
 
 
-def threshold_set(
-    mu_s: float,
-    ring_basis,
-    mu_n: float,
-    phi_max: float | None = None,
-) -> list[int]:
+def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
     """Integer ceilings of all real crossings of the likelihood balance.
 
     The balance compares both likelihood mixtures at a real exponent phi,
-    on a 0.25-step scan. A crossing between two scan points has the
+    on a 0.25-step scan from 0 to one past the bound of _flip_bound. The
+    extra unit interval keeps a crossing whose rounded balance at the bound
+    itself is not yet positive. A crossing between two scan points has the
     ceiling of the later one, as they lie in one unit interval, so k is in
     the set iff the balance is zero at a scan point of (k - 1, k] or its
     sign changes along that interval's points and the point before them
@@ -326,16 +330,11 @@ def threshold_set(
     """
     _check_means(mu_s, mu_n)
     merged = _merge_rings(ring_basis)
-    all_active = sum(cbar * count for cbar, count in merged)
-    if phi_max is None:
-        phi_max = float(10 * math.ceil(mu_s + all_active + mu_n) + 50)
-    elif not (is_finite_real(phi_max) and phi_max >= 1):
-        raise ParameterError(f"phi_max must be finite and >= 1, got {phi_max!r}")
-    if mu_n == 0 and all_active == 0:
+    if mu_n == 0 and all(cbar == 0 for cbar, _ in merged):
         # the bit-0 count is surely 0: B(0) = -mu_s and B = +inf beyond
         return [1]
 
-    phis = np.minimum(0.25 * np.arange(math.ceil(phi_max / 0.25) + 1), phi_max)
+    phis = 0.25 * np.arange(4 * (_flip_bound(mu_s, merged, mu_n) + 1) + 1)
     lo, hi = _balance_bounds(mu_s, merged, mu_n, phis)
     positive, negative = lo > BALANCE_RECHECK, hi < -BALANCE_RECHECK
     zero = np.zeros_like(positive)
@@ -379,7 +378,7 @@ def suboptimal_threshold(mu_s: float, cbar_sum: float, mu_n: float) -> Suboptima
     if denom_mean == 0.0:
         # the log argument diverges and the raw threshold collapses to 0
         return SuboptimalThreshold(theta=1, raw=0.0, degenerate=True)
-    raw = mu_s / math.log1p(mu_s / denom_mean)
+    raw = _crossing(mu_s, denom_mean)
     return SuboptimalThreshold(theta=math.ceil(raw), raw=raw, degenerate=False)
 
 
@@ -393,19 +392,13 @@ def sinr_worst(mu_s: float, cbar_sum: float) -> float:
     return mu_s / cbar_sum
 
 
-def characterize(
-    mu_s: float,
-    ring_basis,
-    mu_n: float,
-    theta_cap: int | None = None,
-    phi_max: float | None = None,
-) -> DetectorSpec:
+def characterize(mu_s: float, ring_basis, mu_n: float) -> DetectorSpec:
     """Bundle the per-configuration detector quantities the CLI reports."""
     merged = _merge_rings(ring_basis)
     cbar_sum = math.fsum(cbar * count for cbar, count in merged)
-    theta_opt = optimal_threshold(mu_s, merged, mu_n, theta_cap=theta_cap)
+    theta_opt = optimal_threshold(mu_s, merged, mu_n)
     sub = suboptimal_threshold(mu_s, cbar_sum, mu_n)
-    thresholds = threshold_set(mu_s, merged, mu_n, phi_max=phi_max)
+    thresholds = threshold_set(mu_s, merged, mu_n)
     return DetectorSpec(
         theta_opt=theta_opt,
         theta_sub=sub.theta,

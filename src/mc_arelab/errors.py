@@ -24,7 +24,7 @@ class SearchError(RuntimeError):
     """An iterative search could not bracket or reach its target.
 
     Raised for example when the response peak sits on the search-horizon
-    boundary, or when a threshold scan exhausts its cap.
+    boundary, or when rounding hides the likelihood flip below its bound.
     """
 
 

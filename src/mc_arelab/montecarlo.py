@@ -11,14 +11,13 @@ never on how chunks are scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelSummary
-from .config import MC_MODES, worker_count
+from .config import MC_MODES, map_workers
 from .detection import _log_mixture
 from .errors import ParameterError, is_finite_real, is_integer
 from .perf import _threshold_curves
@@ -76,14 +75,6 @@ def _draw_iui(rings, size: int, rng: np.random.Generator) -> np.ndarray:
     return iui
 
 
-def _map_chunks(fn, n_chunks: int):
-    workers = worker_count()
-    if workers == 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
-
-
 def run(
     summary: ChannelSummary,
     samples: int,
@@ -100,9 +91,9 @@ def run(
     the counting noise. The reported stderr is the binomial-scale value
     sqrt(ber (1 - ber) / samples) in both modes.
     """
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
+    if not (is_integer(samples) and samples >= 1):
         raise ParameterError(f"samples must be a positive integer, got {samples!r}")
-    if not isinstance(theta_max, int) or isinstance(theta_max, bool) or theta_max < 1:
+    if not (is_integer(theta_max) and theta_max >= 1):
         raise ParameterError(f"theta_max must be a positive integer, got {theta_max!r}")
     if not (is_integer(seed) and seed >= 0):
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -154,7 +145,7 @@ def _run_stochastic(rings, mu_s, mu_n, sizes, streams, theta_max, samples):
         hist_off = np.bincount(r[s0 == 0], minlength=theta_max + 1)
         return hist_on, hist_off
 
-    tallies = _map_chunks(chunk_tallies, len(sizes))
+    tallies = map_workers(chunk_tallies, range(len(sizes)))
     hist_on = np.sum([t[0] for t in tallies], axis=0)
     hist_off = np.sum([t[1] for t in tallies], axis=0)
     n_on = int(hist_on.sum())
@@ -189,7 +180,7 @@ def _run_semi_analytic(rings, mu_s, mu_n, sizes, streams, theta_max, samples):
         values, tallies = np.unique(_draw_iui(rings, sizes[i], rng), return_counts=True)
         return values, tallies
 
-    for values, tallies in _map_chunks(chunk_counts, len(sizes)):
+    for values, tallies in map_workers(chunk_counts, range(len(sizes))):
         for value, tally in zip(values.tolist(), tallies.tolist()):
             counts[value] = counts.get(value, 0) + tally
 

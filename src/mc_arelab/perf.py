@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PhysicalParams, ReceiverGeometry, cir, summarize
-from .config import SystemConfig, worker_count
+from .config import SystemConfig, map_workers
 from .detection import (
     _check_means,
     _count_pmfs,
@@ -26,7 +25,7 @@ from .detection import (
     sinr_worst,
     suboptimal_threshold,
 )
-from .errors import ParameterError, is_integer
+from .errors import ParameterError, is_finite_real, is_integer
 from .gridgeom import GridLayout
 
 __all__ = [
@@ -205,8 +204,7 @@ def evaluate(config: SystemConfig) -> PerfReport:
         gamma_form=config.gamma_form,
         search_horizon=config.horizon,
     )
-    theta_cap = config.theta_cap if config.theta_cap > 0 else None
-    theta_opt = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n, theta_cap=theta_cap)
+    theta_opt = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
     sub = suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n)
     theta_used = theta_opt if config.threshold_mode == "optimal" else sub.theta
 
@@ -276,11 +274,7 @@ def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
         except Exception as exc:
             raise ParameterError(f"sweep failed at {axis} = {value}: {exc}") from exc
 
-    workers = worker_count()
-    if workers == 1:
-        return [run_one(value) for value in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, values))
+    return map_workers(run_one, values)
 
 
 def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.02):
@@ -289,10 +283,10 @@ def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.
     Returns the ARE-maximizing radius and its report; ties keep the
     smaller radius.
     """
-    if not isinstance(w_max, int) or isinstance(w_max, bool) or w_max < 1:
+    if not (is_integer(w_max) and w_max >= 1):
         raise ParameterError(f"w_max must be a positive integer, got {w_max!r}")
-    if not step_frac > 0:
-        raise ParameterError(f"step_frac must be positive, got {step_frac}")
+    if not (is_finite_real(step_frac) and step_frac > 0):
+        raise ParameterError(f"step_frac must be positive and finite, got {step_frac!r}")
     best_radius = None
     best_report = None
     for w in range(1, w_max + 1):

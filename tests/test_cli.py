@@ -180,6 +180,23 @@ class TestAnalysisCommands:
         code, _, _ = run_cli(capsys, "are-sweep", "--c-from", "0.5", "--c-to", "0.2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("are-sweep", "--c-to", "inf"), "--c-to"),
+            (("are-sweep", "--c-from=-inf"), "--c-from"),
+            (("grid-compare", "--area-to", "inf"), "--area-to"),
+            (("grid-compare", "--area-from", "nan"), "--area-from"),
+        ],
+    )
+    def test_sweep_axis_ends_must_be_finite(self, capsys, argv, flag):
+        # an infinite end would reach the axis spacing, which warns and
+        # then hands an infinite pitch to the configuration
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag} must be finite" in err
+
     def test_grid_compare_covers_both_grids(self, capsys):
         _, out, _ = run_cli(
             capsys, "grid-compare", "--area-from", "0.03", "--area-to", "0.06", "--points", "2"

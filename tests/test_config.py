@@ -86,9 +86,9 @@ class TestValidation:
             ({"k_max": -1}, "k_max"),
             ({"gamma_form": "upper"}, "gamma_form"),
             ({"threshold_mode": "fancy"}, "threshold_mode"),
-            ({"theta_cap": -1}, "theta_cap"),
+            ({"mc_samples": True}, "mc_samples"),
             ({"horizon": 0.0}, "horizon"),
-            ({"atom_cap": 0}, "atom_cap"),
+            ({"pbs_dt": math.inf}, "pbs_dt"),
             ({"mc_samples": 0}, "mc_samples"),
             ({"mc_theta_max": 0}, "mc_theta_max"),
             ({"mc_mode": "exact"}, "mc_mode"),
@@ -187,6 +187,14 @@ class TestTextFormat:
         with pytest.raises(ConfigError) as err:
             parse_config_text("velocity = 0.2\n")
         assert err.value.key == "velocity"
+
+    @pytest.mark.parametrize("key", ["theta_cap", "atom_cap"])
+    def test_removed_cap_keys_rejected(self, key):
+        # a CSV header written before the threshold searches were bounded
+        # by the physics still lists these caps
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"{key} = 0\n")
+        assert err.value.key == key
 
     def test_bad_literal_rejected(self):
         with pytest.raises(ConfigError) as err:

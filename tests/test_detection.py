@@ -15,6 +15,7 @@ from mc_arelab.detection import (
     DetectorSpec,
     IuiSpectrum,
     _balance_bounds,
+    _count_pmfs as count_pmfs,
     characterize,
     collapse_iui,
     ml_decide,
@@ -23,7 +24,7 @@ from mc_arelab.detection import (
     suboptimal_threshold,
     threshold_set,
 )
-from mc_arelab.errors import ParameterError, SearchError
+from mc_arelab.errors import ParameterError
 from mc_arelab.perf import ber_curve, error_curves
 
 from oracles import (
@@ -217,11 +218,6 @@ class TestOptimalThreshold:
     def test_no_interference_noiseless(self):
         assert optimal_threshold(100.0, [], 0.0) == 1
 
-    def test_cap_too_small(self):
-        # a threshold exists for this config but not below the forced cap
-        with pytest.raises(SearchError, match="theta_cap"):
-            optimal_threshold(100.0, [(30.0, 3)], 0.0, theta_cap=2)
-
     @pytest.mark.parametrize(
         "mu_s,mu_n,name",
         [
@@ -241,22 +237,6 @@ class TestOptimalThreshold:
             threshold_set(mu_s, sp.ring_basis, mu_n)
         with pytest.raises(ParameterError, match=name):
             ml_decide(3, mu_s, sp.ring_basis, mu_n)
-
-    @pytest.mark.parametrize(
-        "search,kwargs,name",
-        [
-            (optimal_threshold, {"theta_cap": 2.5}, "theta_cap"),
-            (optimal_threshold, {"theta_cap": math.nan}, "theta_cap"),
-            (optimal_threshold, {"theta_cap": True}, "theta_cap"),
-            (optimal_threshold, {"theta_cap": 0}, "theta_cap"),
-            (threshold_set, {"phi_max": math.nan}, "phi_max"),
-            (threshold_set, {"phi_max": math.inf}, "phi_max"),
-            (threshold_set, {"phi_max": 0.5}, "phi_max"),
-        ],
-    )
-    def test_rejects_bad_caps(self, search, kwargs, name):
-        with pytest.raises(ParameterError, match=name):
-            search(5.0, [(0.5, 2)], 0.0, **kwargs)
 
     def test_matches_brute_force_ber_argmin(self):
         from mc_arelab.perf import ber_curve
@@ -373,6 +353,38 @@ class TestCharacterize:
         assert spec.threshold_set_size >= 1
         assert spec.sinr_worst == pytest.approx(summary.mu_s / summary.cbar_sum)
 
+    def test_pmfs_stop_at_the_bound(self, monkeypatch):
+        # detect --nmol 1000: one crossing near 145, where a count range
+        # sized by the all-active mean would run to about 2,960 counts
+        config = SystemConfig(n_mol=1000)
+        summary = summarize(config.params(), config.geometry(), config.layout())
+        lam_max = summary.mu_n + math.fsum(cbar * count for cbar, count in summary.cbar)
+        bound = math.ceil(summary.mu_s / math.log1p(summary.mu_s / lam_max))
+        lengths = []
+
+        def recording(mu_s, ring_basis, mu_n, n):
+            lengths.append(n)
+            return count_pmfs(mu_s, ring_basis, mu_n, n)
+
+        monkeypatch.setattr("mc_arelab.detection._count_pmfs", recording)
+        spec = characterize(summary.mu_s, summary.cbar, summary.mu_n)
+        assert max(lengths) <= bound + 3
+        assert len(lengths) == 2
+        assert spec.threshold_set_size == 1
+        assert spec.theta_opt <= bound
+
+
+def wide_range_setup(rng):
+    """A ring basis whose means, and mu_n half the time, span 1e-3..200 log-uniformly."""
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+    basis = [(log_uniform(1e-3, 200.0), int(rng.integers(1, 3))) for _ in range(int(rng.integers(1, 4)))]
+    mu_s = log_uniform(0.3, 300.0)
+    mu_n = log_uniform(1e-3, 200.0) if rng.random() < 0.5 else 0.0
+    return mu_s, collapse_iui(basis), mu_n
+
 
 @pytest.fixture(scope="module")
 def oracle_cases():
@@ -396,6 +408,19 @@ class TestAgainstAtomOracles:
     def test_threshold_set_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
             assert threshold_set(mu_s, sp.ring_basis, mu_n) == atom_threshold_set(mu_s, sp, mu_n)
+
+    def test_wide_range_bases(self):
+        # the oracles scan to 10 ceil(mu_s + all-active mean + mu_n) + 50,
+        # far past the bound the library stops at
+        rng = np.random.default_rng(77)
+        several = 0
+        for _ in range(100):
+            mu_s, sp, mu_n = wide_range_setup(rng)
+            want = atom_threshold_set(mu_s, sp, mu_n)
+            assert threshold_set(mu_s, sp.ring_basis, mu_n) == want
+            assert optimal_threshold(mu_s, sp.ring_basis, mu_n) == atom_optimal_threshold(mu_s, sp, mu_n)
+            several += len(want) > 1
+        assert several >= 25
 
     def test_ml_decide_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
@@ -434,18 +459,21 @@ class TestAgainstAtomOracles:
 
     def test_terms_beyond_the_double_range(self):
         # at phi = 0 the all-active atom's term is e^-900 relative to the
-        # largest; it dominates the balance from phi ~ 900 on
+        # largest; it dominates the balance from phi ~ 900 on. The last
+        # crossing, near 948.24, has ceiling 949, just under the bound
+        # phi* = 949.15: a scan ending a unit short of the bound misses it
         sp = collapse_iui([(150.0, 6), (0.01, 3)])
-        got = threshold_set(100.0, sp.ring_basis, 0.0, phi_max=1500.3)
+        got = threshold_set(100.0, sp.ring_basis, 0.0)
         assert got == atom_threshold_set(100.0, sp, 0.0, phi_max=1500.3)
         assert len(got) > 1
+        assert got[-1] == 949 == math.ceil(100.0 / math.log1p(100.0 / 900.03)) - 1
 
     @pytest.mark.parametrize("mu_n,want", [(1.5414940825367975, [2]), (2.5277264731571285, [3, 4])])
     def test_balance_near_zero_on_the_scan_grid(self, mu_n, want):
         # one atom: the balance phi ln(1 + 1/mu_n) - 1 is within rounding of
         # zero at a scan point, where the ladder's last bits decide the sign
         sp = collapse_iui([])
-        assert threshold_set(1.0, sp.ring_basis, mu_n, phi_max=20.0) == want
+        assert threshold_set(1.0, sp.ring_basis, mu_n) == want
         assert atom_threshold_set(1.0, sp, mu_n, phi_max=20.0) == want
 
     def test_empty_spectrum(self):
@@ -454,12 +482,6 @@ class TestAgainstAtomOracles:
             assert threshold_set(mu_s, sp.ring_basis, 0.0) == atom_threshold_set(mu_s, sp, 0.0) == [1]
             # P(1 | 0) is exactly 0 here, so an underflowed P(1 | 1) still flips
             assert optimal_threshold(mu_s, [], 0.0) == atom_optimal_threshold(mu_s, sp, 0.0) == 1
-
-    def test_cap_error_as_before(self):
-        sp = collapse_iui([(30.0, 3)])
-        for search, interference in ((optimal_threshold, sp.ring_basis), (atom_optimal_threshold, sp)):
-            with pytest.raises(SearchError, match="theta_cap"):
-                search(100.0, interference, 0.0, theta_cap=2)
 
     def test_underflow_before_the_flip_is_not_a_threshold(self):
         # the ratio flips at r = 38, where both count pmfs are far below
@@ -470,10 +492,11 @@ class TestAgainstAtomOracles:
         assert optimal_threshold(1000.0, sp.ring_basis, 0.0) == 38
 
     def test_threshold_set_memory_is_chunked(self):
-        # phi_max is 3050; one window per count would take a 3053 x 3053
-        # array (74 MB). mu_n = 0 has no bit-0 mass past r = 0 and returns
-        # before any pmf; mu_n = 1 convolves two full-length pmfs
-        for mu_n in (0.0, 1.0):
+        # mu_n = 3000 puts the bound at 3148, so the pmfs run to 3151
+        # counts; one window per count would take a 3151 x 3151 array
+        # (79 MB). mu_n = 0 has no bit-0 mass past r = 0 and returns before
+        # any pmf; mu_n = 3000 convolves two full-length pmfs
+        for mu_n in (0.0, 3000.0):
             tracemalloc.start()
             try:
                 got = threshold_set(300.0, [], mu_n)
@@ -481,4 +504,4 @@ class TestAgainstAtomOracles:
             finally:
                 tracemalloc.stop()
             assert peak < 8e6
-            assert got == atom_threshold_set(300.0, collapse_iui([]), mu_n)
+            assert got == atom_threshold_set(300.0, collapse_iui([]), mu_n, phi_max=4000.0)

@@ -145,6 +145,11 @@ class TestRun:
         for seed in (-1, 1.5, True):
             with pytest.raises(ParameterError, match="seed"):
                 run(default_summary, 100, seed=seed)
+        for samples, theta_max, name in ((100.0, 5, "samples"), (100, True, "theta_max")):
+            with pytest.raises(ParameterError, match=name):
+                run(default_summary, samples, theta_max=theta_max)
+        # NumPy integers are integers
+        assert run(default_summary, np.int64(100), theta_max=np.int64(5)) == run(default_summary, 100, theta_max=5)
 
     @pytest.mark.parametrize("mode", ["stochastic", "semi-analytic"])
     @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import collapse_iui
-from mc_arelab.errors import ConfigError, ParameterError
+from mc_arelab.errors import ConfigError, ParameterError, SearchError
 from mc_arelab.perf import (
     ErrorPair,
     ber_curve,
@@ -191,6 +193,46 @@ class TestEvaluate:
         )
         assert rate == pytest.approx(want, abs=1e-12)
 
+    @given(
+        grid=st.sampled_from(["hex", "square"]),
+        c=st.floats(0.03, 2.0),
+        n_mol=st.integers(1, 3000),
+        # up to 300 /m^3 keeps mu_n below about 200 counts: the count pmfs
+        # cost O(n^2) in the count range, seconds at mu_n ~ 8e3
+        c_noise=st.one_of(st.just(0.0), st.floats(0.0, 300.0)),
+        diff=st.floats(1e-4, 0.2),
+        v=st.floats(0.0, 2.0),
+        n_interferers=st.sampled_from([None, 1, 6, 18, 36, 200]),
+        threshold_mode=st.sampled_from(["optimal", "suboptimal"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_configs_give_valid_reports_or_named_errors(
+        self, grid, c, n_mol, c_noise, diff, v, n_interferers, threshold_mode
+    ):
+        config = SystemConfig(
+            grid=grid,
+            c=c,
+            n_mol=n_mol,
+            c_noise=c_noise,
+            diff=diff,
+            v=v,
+            n_interferers=n_interferers,
+            threshold_mode=threshold_mode,
+        )
+        try:
+            report = evaluate(config)
+        except (ParameterError, SearchError) as err:
+            event(type(err).__name__)
+            assert str(err)
+            return
+        event("report")
+        assert 0.0 <= report.errors.p <= 1.0 and 0.0 <= report.errors.q <= 1.0
+        for value in (report.ber, report.link_rate, report.spatial_rate, report.are):
+            assert math.isfinite(value)
+        assert report.theta_used in (report.theta_opt, report.theta_sub)
+        # infinite only without interference
+        assert report.sinr_worst > 0.0
+
 
 class TestSweep:
     def test_singleton_equals_evaluate(self):
@@ -292,3 +334,11 @@ class TestOptimizeRadius:
             optimize_radius(SystemConfig(), w_max=0)
         with pytest.raises(ParameterError):
             optimize_radius(SystemConfig(), step_frac=0.0)
+        for step_frac in (math.inf, math.nan, True):
+            with pytest.raises(ParameterError, match="step_frac"):
+                optimize_radius(SystemConfig(), step_frac=step_frac)
+        with pytest.raises(ParameterError, match="w_max"):
+            optimize_radius(SystemConfig(), w_max=2.0)
+        # a NumPy integer is an integer
+        config = SystemConfig(n_interferers=6)
+        assert optimize_radius(config, w_max=np.int64(2)) == optimize_radius(config, w_max=2)
