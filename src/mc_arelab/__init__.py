@@ -50,7 +50,7 @@ from .gridgeom import (
     square_side_for_equal_area,
     to_cartesian,
 )
-from .montecarlo import BestThreshold, McResult, ThresholdBer, poisson_sample
+from .montecarlo import BestThreshold, McResult, ThresholdBer
 from .pbs import CirTrace, PbsConfig, simulate_cir
 from .perf import (
     SWEEP_AXES,
@@ -120,7 +120,6 @@ __all__ = [
     "optimize_radius",
     "parse_config_text",
     "peak_time",
-    "poisson_sample",
     "simulate_cir",
     "sinr_worst",
     "spatial_rate",

@@ -45,11 +45,11 @@ CONFIG_FLAGS = (
     ("--samples", "mc_samples", "Monte Carlo sample count"),
     ("--theta-max", "mc_theta_max", "largest threshold evaluated"),
     ("--mode", "mc_mode", "Monte Carlo mode: stochastic or semi-analytic"),
-    ("--dt", "pbs_dt", "particle time step in s"),
+    ("--dt", "pbs_dt", "record grid unit in s; cir and pbs-validate report every dt * record-every"),
     ("--t-sim", "pbs_t_sim", "particle simulation span in s"),
     ("--realizations", "pbs_realizations", "particle ensemble size"),
     ("--particles", "pbs_particles", "molecules per realization"),
-    ("--record-every", "pbs_record_every", "record every Nth particle step"),
+    ("--record-every", "pbs_record_every", "record step in units of dt"),
     ("--seed", "seed", "random number generator seed"),
 )
 
@@ -99,6 +99,15 @@ def _check_site_index(index: int, n_sites: int) -> None:
         raise ParameterError(f"tx-index must lie in 0..{n_sites - 1}, got {index}")
 
 
+def _record_times(cfg: SystemConfig, span: float, name: str) -> np.ndarray:
+    """Multiples of the record step pbs_dt * pbs_record_every up to ``span``."""
+    step = cfg.pbs_dt * cfg.pbs_record_every
+    n_rec = int(math.floor(span / step + 1e-9))
+    if n_rec < 1:
+        raise ParameterError(f"{name} = {span} is shorter than one record step of {step} s")
+    return step * np.arange(1, n_rec + 1)
+
+
 def _geometric_axis(flag: str, lo: float, hi: float, points: int | None) -> list[float]:
     for end, value in (("from", lo), ("to", hi)):
         if not math.isfinite(value):
@@ -128,12 +137,8 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
     for index in indices:
         _check_site_index(index, len(layout.sites))
     params, geom = cfg.params(), cfg.geometry()
-    step = cfg.pbs_dt * cfg.pbs_record_every
-    n_rec = int(math.floor(cfg.horizon / step + 1e-9))
-    if n_rec < 1:
-        raise ParameterError("horizon shorter than one record step")
+    times = _record_times(cfg, cfg.horizon, "horizon")
     distances = np.array([layout.sites[i].radial_distance for i in indices])
-    times = step * np.arange(1, n_rec + 1)
     values = cir(times[:, None], distances, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
     rows = np.column_stack([times, values]).tolist()
     columns = ["t_s"] + [f"cir_tx{i}" for i in indices]
@@ -212,11 +217,9 @@ def cmd_pbs_validate(cfg: SystemConfig, args) -> tuple:
     _check_site_index(args.tx_index, len(layout.sites))
     offset = to_cartesian(layout.kind, layout.pitch, layout.sites[args.tx_index].lattice_coords)
     pcfg = PbsConfig(
-        dt=cfg.pbs_dt,
-        t_sim=cfg.pbs_t_sim,
+        times=tuple(_record_times(cfg, cfg.pbs_t_sim, "t_sim").tolist()),
         realizations=cfg.pbs_realizations,
         particles=cfg.pbs_particles,
-        record_every=cfg.pbs_record_every,
         seed=cfg.seed,
     )
     trace = simulate_cir(cfg.params(), cfg.geometry(), offset, pcfg)

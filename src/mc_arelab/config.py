@@ -16,6 +16,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import GAMMA_FORMS, PhysicalParams, ReceiverGeometry
 from .errors import ConfigError, is_finite_real, is_integer
 from .gridgeom import GridKind, GridLayout, cell_area, enumerate_sites, square_side_for_equal_area
@@ -210,6 +212,17 @@ def map_workers(fn, items) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def map_chunks(fn, total: int, chunk: int, seed: int) -> list:
+    """fn(size, rng) for each chunk of ``total`` items, at most ``chunk`` per call, in chunk order.
+
+    Chunk i draws from substream i of SeedSequence(seed), so the results
+    depend on the seed and the sizes only, never on worker_count().
+    """
+    sizes = [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    return map_workers(lambda job: fn(job[0], np.random.default_rng(job[1])), list(zip(sizes, streams)))
 
 
 def dump_config(config: SystemConfig) -> str:

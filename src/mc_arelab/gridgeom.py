@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParameterError
+from .errors import ParameterError, is_finite_real, is_integer
 
 __all__ = [
     "GridKind",
@@ -65,24 +65,26 @@ class GridLayout:
         return iter(self.sites[1:])
 
 
+def _check_pitch(pitch: float) -> None:
+    if not (is_finite_real(pitch) and pitch > 0):
+        raise ParameterError(f"pitch must be positive and finite, got {pitch!r}")
+
+
 def hex_distance(xp: int, yp: int, c: float) -> float:
     """Euclidean distance of hex offset coordinates (x', y') from the origin."""
-    if c <= 0:
-        raise ParameterError(f"pitch must be positive, got {c}")
+    _check_pitch(c)
     return c * math.sqrt(xp * xp + yp * yp + xp * yp)
 
 
 def square_side_for_equal_area(c: float) -> float:
     """Side length b of a square cell with the same area as a hex cell of pitch c."""
-    if c <= 0:
-        raise ParameterError(f"pitch must be positive, got {c}")
+    _check_pitch(c)
     return c * math.sqrt(math.sqrt(3.0) / 2.0)
 
 
 def cell_area(kind: GridKind, pitch: float) -> float:
     """Area of one cell: (sqrt(3)/2) pitch^2 for hex cells, pitch^2 for square."""
-    if pitch <= 0:
-        raise ParameterError(f"pitch must be positive, got {pitch}")
+    _check_pitch(pitch)
     if kind is GridKind.HEXAGONAL:
         return (math.sqrt(3.0) / 2.0) * pitch * pitch
     return pitch * pitch
@@ -114,9 +116,10 @@ def enumerate_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLay
     class is completed, so the layout may hold slightly more interferers
     than requested; classes are never truncated.
     """
-    if pitch <= 0:
-        raise ParameterError(f"pitch must be positive, got {pitch}")
-    if not isinstance(n_interferers, int) or isinstance(n_interferers, bool) or n_interferers < 1:
+    if not isinstance(kind, GridKind):
+        raise ParameterError(f"kind must be a GridKind, got {kind!r}")
+    _check_pitch(pitch)
+    if not (is_integer(n_interferers) and n_interferers >= 1):
         raise ParameterError(f"n_interferers must be a positive integer, got {n_interferers!r}")
 
     # generous first guess from the site density, grown if a rescan is needed

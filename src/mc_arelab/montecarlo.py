@@ -10,6 +10,7 @@ never on how chunks are scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,12 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSummary
-from .config import MC_MODES, map_workers
+from .config import MC_MODES, map_chunks
 from .detection import _log_mixture
 from .errors import ParameterError, is_finite_real, is_integer
 from .perf import _threshold_curves
 
-__all__ = ["BestThreshold", "McResult", "ThresholdBer", "poisson_sample", "run"]
+__all__ = ["BestThreshold", "McResult", "ThresholdBer", "run"]
 
 CHUNK = 100_000
 
@@ -51,20 +52,6 @@ class McResult:
     samples: int
     seed: int
     mode: str
-
-
-def poisson_sample(lam: float, rng: np.random.Generator) -> int:
-    """One Poisson draw; lam = 0 is the deterministic zero count."""
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise ParameterError(f"lambda must be finite and nonnegative, got {lam}")
-    return int(rng.poisson(lam))
-
-
-def _chunk_sizes(samples: int) -> list[int]:
-    sizes = [CHUNK] * (samples // CHUNK)
-    if samples % CHUNK:
-        sizes.append(samples % CHUNK)
-    return sizes
 
 
 def _draw_iui(rings, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -111,13 +98,10 @@ def run(
     mu_n = float(summary.mu_n)
     rings = [(float(cbar), int(count)) for cbar, count in summary.cbar]
 
-    sizes = _chunk_sizes(samples)
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-
     if mode == "stochastic":
-        rows = _run_stochastic(rings, mu_s, mu_n, sizes, streams, theta_max, samples)
+        rows = _run_stochastic(rings, mu_s, mu_n, theta_max, samples, seed)
     else:
-        rows = _run_semi_analytic(rings, mu_s, mu_n, sizes, streams, theta_max, samples)
+        rows = _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed)
 
     bers = [row.ber for row in rows]
     best_idx = int(np.argmin(bers))
@@ -134,18 +118,16 @@ def run(
     )
 
 
-def _run_stochastic(rings, mu_s, mu_n, sizes, streams, theta_max, samples):
-    def chunk_tallies(i: int):
-        rng = np.random.default_rng(streams[i])
-        n = sizes[i]
-        s0 = rng.integers(0, 2, size=n)
-        lam = mu_s * s0 + _draw_iui(rings, n, rng) + mu_n
+def _run_stochastic(rings, mu_s, mu_n, theta_max, samples, seed):
+    def chunk_tallies(size: int, rng: np.random.Generator):
+        s0 = rng.integers(0, 2, size=size)
+        lam = mu_s * s0 + _draw_iui(rings, size, rng) + mu_n
         r = np.minimum(rng.poisson(lam), theta_max)
         hist_on = np.bincount(r[s0 == 1], minlength=theta_max + 1)
         hist_off = np.bincount(r[s0 == 0], minlength=theta_max + 1)
         return hist_on, hist_off
 
-    tallies = map_workers(chunk_tallies, range(len(sizes)))
+    tallies = map_chunks(chunk_tallies, samples, CHUNK, seed)
     hist_on = np.sum([t[0] for t in tallies], axis=0)
     hist_off = np.sum([t[1] for t in tallies], axis=0)
     n_on = int(hist_on.sum())
@@ -172,21 +154,18 @@ def _run_stochastic(rings, mu_s, mu_n, sizes, streams, theta_max, samples):
     return rows
 
 
-def _run_semi_analytic(rings, mu_s, mu_n, sizes, streams, theta_max, samples):
-    counts: dict[float, int] = {}
-
-    def chunk_counts(i: int):
-        rng = np.random.default_rng(streams[i])
-        values, tallies = np.unique(_draw_iui(rings, sizes[i], rng), return_counts=True)
-        return values, tallies
-
-    for values, tallies in map_workers(chunk_counts, range(len(sizes))):
-        for value, tally in zip(values.tolist(), tallies.tolist()):
-            counts[value] = counts.get(value, 0) + tally
-
-    items = sorted(counts.items())
-    values = np.array([value for value, _ in items])
-    log_weights = np.log(np.array([tally for _, tally in items]) / samples)
+def _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed):
+    chunks = map_chunks(
+        lambda size, rng: np.unique(_draw_iui(rings, size, rng), return_counts=True), samples, CHUNK, seed
+    )
+    # merged chunk by chunk: a union of all draws at once would hold several
+    # copies of every chunk's values and raise the peak memory
+    values = functools.reduce(np.union1d, [v for v, _ in chunks])
+    tallies = np.zeros(values.size, dtype=np.int64)
+    for chunk_values, chunk_tallies in chunks:
+        # the values of one chunk are distinct, so no index repeats
+        tallies[np.searchsorted(values, chunk_values)] += chunk_tallies
+    log_weights = np.log(tallies / samples)
     off = np.exp(_log_mixture(values + mu_n, log_weights, theta_max))
     on = np.exp(_log_mixture(mu_s + values + mu_n, log_weights, theta_max))
     p_curve, q_curve = _threshold_curves(theta_max, off, on)

@@ -1,22 +1,21 @@
 """Particle-based validation of the analytic channel response.
 
 Free diffusion with constant drift has exactly Gaussian increments over
-any interval, so particles are stepped directly on the recording grid:
-the per-step displacement is Normal(0, 2D dt_rec) per axis plus v dt_rec
-along z, where dt_rec = dt * record_every. This introduces no time
-discretization error; dt only sets the reporting resolution. The
-receiver is transparent, so counting molecules inside the cylinder is a
-pure observation.
+any interval, so particles jump straight from one requested time to the
+next: over a gap g the displacement is Normal(0, 2D g) per axis plus v g
+along z. No step size enters, so there is no time discretization error.
+The receiver is transparent, so counting molecules inside the cylinder
+is a pure observation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PhysicalParams, ReceiverGeometry
+from .config import map_chunks
 from .errors import ParameterError, is_finite_real, is_integer
 
 __all__ = ["CirTrace", "PbsConfig", "simulate_cir"]
@@ -26,21 +25,20 @@ REALIZATION_CHUNK = 100
 
 @dataclass(frozen=True)
 class PbsConfig:
-    """Simulation sizes: step, horizon, ensemble, and reporting decimation."""
+    """Simulation sizes: the record times, the ensemble and its seed."""
 
-    dt: float = 1e-3
-    t_sim: float = 15.0
+    times: tuple[float, ...]
     realizations: int = 3000
     particles: int = 100
-    record_every: int = 10
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if not (is_finite_real(self.dt) and self.dt > 0):
-            raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (is_finite_real(self.t_sim) and self.dt < self.t_sim):
-            raise ParameterError(f"dt must be below a finite t_sim, got dt={self.dt}, t_sim={self.t_sim!r}")
-        for name in ("realizations", "particles", "record_every"):
+        times = self.times
+        if not (isinstance(times, tuple) and times and all(is_finite_real(t) for t in times)):
+            raise ParameterError(f"times must be a non-empty tuple of finite floats, got {times!r:.80}")
+        if not (times[0] > 0 and all(a < b for a, b in zip(times, times[1:]))):
+            raise ParameterError("times must be positive and strictly increasing")
+        for name in ("realizations", "particles"):
             value = getattr(self, name)
             if not is_integer(value) or value < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
@@ -74,45 +72,37 @@ def simulate_cir(
     """Ensemble-averaged fraction of particles inside the receiver cylinder.
 
     One realization releases ``cfg.particles`` particles at the offset
-    transmitter position at t = 0 and records the in-cylinder fraction on
-    the decimated grid. Mean and standard error are taken across
-    realizations, chunked with one RNG substream per fixed-size chunk, so
-    the trace depends only on the seed and the sizes.
+    transmitter position at t = 0 and records the in-cylinder fraction at
+    each of ``cfg.times``. Mean and standard error are taken across
+    realizations, in chunks of ``REALIZATION_CHUNK`` with one RNG substream
+    each (``config.map_chunks``), so the trace depends only on the seed and
+    the sizes, not on the thread count.
     """
+    if len(tx_offset) != 2 or not all(is_finite_real(u) for u in tx_offset):
+        raise ParameterError(f"tx_offset must be two finite coordinates, got {tx_offset!r}")
     x0, y0 = float(tx_offset[0]), float(tx_offset[1])
-    dt_rec = cfg.dt * cfg.record_every
-    n_rec = int(math.floor(cfg.t_sim / dt_rec + 1e-9))
-    if n_rec < 1:
-        raise ParameterError(
-            f"no record times in [0, {cfg.t_sim}] at spacing {dt_rec}; lower record_every or dt"
-        )
-    times = dt_rec * np.arange(1, n_rec + 1)
-
-    sigma = math.sqrt(2.0 * params.D * dt_rec)
-    drift = params.v * dt_rec
+    gaps = np.diff(cfg.times, prepend=0.0)
+    sigmas = np.sqrt(2.0 * params.D * gaps)
+    drifts = params.v * gaps
     s2 = params.s_rx * params.s_rx
 
-    sizes = [REALIZATION_CHUNK] * (cfg.realizations // REALIZATION_CHUNK)
-    if cfg.realizations % REALIZATION_CHUNK:
-        sizes.append(cfg.realizations % REALIZATION_CHUNK)
-    streams = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
-
-    sum_m = np.zeros(n_rec)
-    sum_m2 = np.zeros(n_rec)
-    for size, stream in zip(sizes, streams):
-        rng = np.random.default_rng(stream)
+    def chunk_sums(size: int, rng: np.random.Generator):
         n_part = size * cfg.particles
         x = np.full(n_part, x0)
         y = np.full(n_part, y0)
         z = np.zeros(n_part)
-        for k in range(n_rec):
+        sums = np.empty((2, gaps.size))
+        for k, (sigma, drift) in enumerate(zip(sigmas, drifts)):
             x += rng.normal(0.0, sigma, n_part)
             y += rng.normal(0.0, sigma, n_part)
             z += rng.normal(0.0, sigma, n_part) + drift
             inside = (x * x + y * y <= s2) & (z >= geom.z_s) & (z <= geom.z_e)
             frac = inside.reshape(size, cfg.particles).mean(axis=1)
-            sum_m[k] += frac.sum()
-            sum_m2[k] += (frac * frac).sum()
+            sums[:, k] = frac.sum(), (frac * frac).sum()
+        return sums
+
+    chunks = map_chunks(chunk_sums, cfg.realizations, REALIZATION_CHUNK, cfg.seed)
+    sum_m, sum_m2 = sum(chunks, np.zeros((2, gaps.size)))
 
     n = cfg.realizations
     mean = sum_m / n
@@ -120,9 +110,9 @@ def simulate_cir(
         var = np.maximum(sum_m2 - sum_m * sum_m / n, 0.0) / (n - 1)
         stderr = np.sqrt(var / n)
     else:
-        stderr = np.zeros(n_rec)
+        stderr = np.zeros(gaps.size)
     return CirTrace(
-        times=tuple(float(t) for t in times),
+        times=tuple(float(t) for t in cfg.times),
         mean_fraction=tuple(float(m) for m in mean),
         stderr=tuple(float(s) for s in stderr),
     )

@@ -81,18 +81,19 @@ def test_criterion_3_particle_ensemble_agreement():
     layout = cfg.layout()
     t_m = peak_time(params, geom)
     sample_times = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0]
-    pcfg = PbsConfig(seed=1)
+    # the record-grid point nearest each check time; particles jump straight between them
+    grid = cfg.pbs_dt * cfg.pbs_record_every * np.arange(1, 1501)
+    times = sorted({float(grid[np.argmin(np.abs(grid - t))]) for t in [t_m] + sample_times})
+    assert len(times) == 11
+    pcfg = PbsConfig(times=tuple(times), seed=1)
     for site in (0, 1):
         offset = to_cartesian(layout.kind, layout.pitch, layout.sites[site].lattice_coords)
         r_i = layout.sites[site].radial_distance
         trace = simulate_cir(params, geom, offset, pcfg)
-        times = np.array(trace.times)
-        for t in [t_m] + sample_times:
-            k = int(np.argmin(np.abs(times - t)))
-            ref = cir(float(times[k]), r_i, params, geom)
-            gap = abs(trace.mean_fraction[k] - ref)
-            if gap > 3.0 * trace.stderr[k]:
-                failures.append(f"site {site} t={times[k]:.2f}: gap {gap:.2e} > 3se")
+        for t, mean, stderr in zip(trace.times, trace.mean_fraction, trace.stderr):
+            gap = abs(mean - cir(t, r_i, params, geom))
+            if gap > 3.0 * stderr:
+                failures.append(f"site {site} t={t:.2f}: gap {gap:.2e} > 3se")
     _report(3, "particle ensemble vs analytic response", failures, time.perf_counter() - start, 300.0)
 
 

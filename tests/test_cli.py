@@ -315,9 +315,24 @@ class TestValidationCommands:
         assert outputs[0] == outputs[1]
 
     def test_threads_do_not_change_bytes(self, capsys, monkeypatch):
-        args = ("are-sweep", "--c-from", "0.2", "--c-to", "0.5", "--points", "4")
-        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("MC_ARELAB_THREADS", "3")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert threaded == serial
+        # 250 realizations and 250,000 samples are three sampling chunks each
+        for args in (
+            ("are-sweep", "--c-from", "0.2", "--c-to", "0.5", "--points", "4"),
+            ("pbs-validate", "--realizations", "250", "--particles", "10", "--t-sim", "1"),
+            ("mc-validate", "--mode", "semi-analytic", "--samples", "250000"),
+        ):
+            monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
+            _, serial, _ = run_cli(capsys, *args)
+            monkeypatch.setenv("MC_ARELAB_THREADS", "3")
+            _, threaded, _ = run_cli(capsys, *args)
+            assert threaded == serial, args
+
+    @pytest.mark.parametrize(
+        "argv, span",
+        [(("pbs-validate", "--t-sim", "0.005"), "t_sim"), (("cir", "--horizon", "0.005"), "horizon")],
+    )
+    def test_span_shorter_than_one_record_step(self, capsys, argv, span):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert span in err and "record step of 0.01" in err

@@ -9,6 +9,7 @@ from mc_arelab.config import (
     SystemConfig,
     dump_config,
     load_config,
+    map_chunks,
     parse_config_text,
     worker_count,
 )
@@ -229,3 +230,21 @@ class TestWorkerCount:
         monkeypatch.setenv("MC_ARELAB_THREADS", "0")
         with pytest.raises(ConfigError):
             worker_count()
+
+
+class TestMapChunks:
+    def test_sizes_cover_the_total_in_order(self):
+        assert map_chunks(lambda size, rng: size, 250, 100, 0) == [100, 100, 50]
+        assert map_chunks(lambda size, rng: size, 200, 100, 0) == [100, 100]
+        assert map_chunks(lambda size, rng: size, 7, 100, 0) == [7]
+
+    def test_one_substream_per_chunk_whatever_the_thread_count(self, monkeypatch):
+        def draw(size, rng):
+            return rng.random(size).tolist()
+
+        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
+        serial = map_chunks(draw, 25, 10, 3)
+        assert len({chunk[0] for chunk in serial}) == 3
+        monkeypatch.setenv("MC_ARELAB_THREADS", "3")
+        assert map_chunks(draw, 25, 10, 3) == serial
+        assert map_chunks(draw, 25, 10, 4) != serial

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mc_arelab.config import SystemConfig
 from mc_arelab.errors import ParameterError
 from mc_arelab.gridgeom import (
     GridKind,
@@ -40,8 +42,9 @@ class TestHexDistance:
                 assert hex_distance(xp, yp, 0.37) == pytest.approx(math.hypot(x, y), abs=1e-12)
 
     def test_rejects_bad_pitch(self):
-        with pytest.raises(ParameterError):
-            hex_distance(1, 0, 0.0)
+        for pitch in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="pitch"):
+                hex_distance(1, 0, pitch)
 
 
 class TestAreas:
@@ -68,10 +71,11 @@ class TestAreas:
         assert a_sq == pytest.approx(a_hex, rel=1e-12)
 
     def test_rejects_bad_pitch(self):
-        with pytest.raises(ParameterError):
-            cell_area(GridKind.HEXAGONAL, -1.0)
-        with pytest.raises(ParameterError):
-            square_side_for_equal_area(0.0)
+        for pitch in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="pitch"):
+                cell_area(GridKind.HEXAGONAL, pitch)
+            with pytest.raises(ParameterError, match="pitch"):
+                square_side_for_equal_area(pitch)
 
 
 class TestEnumerateSites:
@@ -196,3 +200,13 @@ class TestEnumerateSites:
             enumerate_sites(GridKind.HEXAGONAL, 0.0, 6)
         with pytest.raises(ParameterError):
             enumerate_sites(GridKind.HEXAGONAL, 0.2, 0)
+        for pitch in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="pitch"):
+                enumerate_sites(GridKind.HEXAGONAL, pitch, 6)
+        with pytest.raises(ParameterError, match="kind"):
+            enumerate_sites("hex", 0.2, 6)
+
+    def test_numpy_integer_count(self):
+        layout = enumerate_sites(GridKind.HEXAGONAL, 0.2, np.int64(36))
+        assert layout == enumerate_sites(GridKind.HEXAGONAL, 0.2, 36)
+        assert SystemConfig(n_interferers=np.int64(36)).layout() == layout

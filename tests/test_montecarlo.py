@@ -8,12 +8,11 @@ import pytest
 from scipy import stats
 
 from mc_arelab.channel import ChannelSummary, summarize
-from mc_arelab.config import SystemConfig
+from mc_arelab.config import SystemConfig, map_chunks
 from mc_arelab.detection import IuiSpectrum, optimal_threshold
 from mc_arelab.errors import ParameterError
-from mc_arelab.montecarlo import _chunk_sizes, _draw_iui, poisson_sample, run
+from mc_arelab.montecarlo import CHUNK, _draw_iui, run
 from mc_arelab.perf import error_probs
-from mc_arelab.specfun import regularized_gamma_q
 
 from oracles import atom_decision_curves
 
@@ -39,9 +38,10 @@ class TestRun:
         assert other.best.ber != default_run.best.ber
 
     def test_thread_count_does_not_change_results(self, monkeypatch, default_summary, default_run):
+        serial = run(default_summary, 250_000, seed=1, mode="semi-analytic")
         monkeypatch.setenv("MC_ARELAB_THREADS", "4")
-        parallel = run(default_summary, 200_000, seed=1)
-        assert parallel == default_run
+        assert run(default_summary, 200_000, seed=1) == default_run
+        assert run(default_summary, 250_000, seed=1, mode="semi-analytic") == serial
 
     def test_silent_transmitter_always_misses(self):
         summary = ChannelSummary(t_m=1.0, mu_s=0.0, cbar=(), mu_n=0.0)
@@ -120,10 +120,8 @@ class TestRun:
         samples, theta_max, seed = 30_000, 400, 4
         result = run(summary, samples, theta_max=theta_max, seed=seed, mode="semi-analytic")
 
-        sizes = _chunk_sizes(samples)
-        streams = np.random.SeedSequence(seed).spawn(len(sizes))
         draws = np.concatenate(
-            [_draw_iui(summary.cbar, size, np.random.default_rng(s)) for size, s in zip(sizes, streams)]
+            map_chunks(lambda size, rng: _draw_iui(summary.cbar, size, rng), samples, CHUNK, seed)
         )
         values, tallies = np.unique(draws, return_counts=True)
         assert values.size > 2**15 // theta_max
@@ -170,33 +168,6 @@ class TestRun:
         bad = dataclasses.replace(default_summary, **change)
         with pytest.raises(ParameterError, match=name):
             run(bad, 100, theta_max=5, mode=mode)
-
-
-class TestPoissonSample:
-    def test_zero_rate_is_always_zero(self):
-        rng = np.random.default_rng(0)
-        assert all(poisson_sample(0.0, rng) == 0 for _ in range(100))
-
-    def test_moments(self):
-        rng = np.random.default_rng(11)
-        draws = np.array([poisson_sample(4.0, rng) for _ in range(1_000_000)])
-        assert draws.mean() == pytest.approx(4.0, abs=0.02)
-        assert draws.var(ddof=1) == pytest.approx(4.0, abs=0.05)
-
-    def test_tail_matches_gamma_cdf(self):
-        rng = np.random.default_rng(12)
-        draws = np.array([poisson_sample(100.0, rng) for _ in range(100_000)])
-        p_hat = float((draws <= 90).mean())
-        ref = regularized_gamma_q(91, 100.0)
-        sigma = math.sqrt(ref * (1.0 - ref) / draws.size)
-        assert abs(p_hat - ref) <= 3.0 * sigma
-
-    def test_rejects_bad_rate(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ParameterError):
-            poisson_sample(-1.0, rng)
-        with pytest.raises(ParameterError):
-            poisson_sample(math.inf, rng)
 
 
 class TestRingSampling:

@@ -1,5 +1,6 @@
 """Particle-ensemble traces against the analytic response and each other."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,37 +11,47 @@ from mc_arelab.errors import ParameterError
 from mc_arelab.pbs import CirTrace, PbsConfig, simulate_cir
 
 
+def record_grid(t_sim, dt=1e-3, record_every=10):
+    """The uniform times dt * record_every * k up to t_sim, as the CLI builds them."""
+    step = dt * record_every
+    return tuple((step * np.arange(1, math.floor(t_sim / step + 1e-9) + 1)).tolist())
+
+
+FULL_GRID = record_grid(15.0)
+
+
 def nearest_index(trace, t):
     return int(np.argmin(np.abs(np.array(trace.times) - t)))
 
 
 class TestConfig:
     def test_defaults_valid(self):
-        cfg = PbsConfig()
-        assert cfg.dt == 1e-3
-        assert cfg.realizations == 3000
+        cfg = PbsConfig(times=(1.0,))
+        assert [f.name for f in dataclasses.fields(PbsConfig)] == ["times", "realizations", "particles", "seed"]
+        assert (cfg.realizations, cfg.particles, cfg.seed) == (3000, 100, 1)
 
-    def test_step_must_fit_horizon(self):
-        with pytest.raises(ParameterError, match="t_sim"):
-            PbsConfig(dt=2.0, t_sim=1.0)
+    def test_bad_times_rejected(self):
+        for times in ((), (0.2, 0.1), (0.1, 0.1), (0.0, 0.1), (math.nan,), (0.1, math.inf), (-1.0,), [0.1], None):
+            with pytest.raises(ParameterError, match="times"):
+                PbsConfig(times=times)
 
     def test_counts_positive(self):
         with pytest.raises(ParameterError):
-            PbsConfig(realizations=0)
+            PbsConfig(times=(1.0,), realizations=0)
         with pytest.raises(ParameterError):
-            PbsConfig(particles=0)
-        with pytest.raises(ParameterError):
-            PbsConfig(record_every=0)
+            PbsConfig(times=(1.0,), particles=0)
 
     def test_non_finite_and_non_integer_rejected(self):
-        with pytest.raises(ParameterError, match="dt"):
-            PbsConfig(dt=math.nan)
-        with pytest.raises(ParameterError, match="t_sim"):
-            PbsConfig(t_sim=math.inf)
+        with pytest.raises(ParameterError, match="times"):
+            PbsConfig(times=(math.nan,))
+        with pytest.raises(ParameterError, match="times"):
+            PbsConfig(times=(math.inf,))
+        with pytest.raises(ParameterError, match="realizations"):
+            PbsConfig(times=(1.0,), realizations=2.5)
         with pytest.raises(ParameterError, match="seed"):
-            PbsConfig(seed=1.5)
+            PbsConfig(times=(1.0,), seed=1.5)
         with pytest.raises(ParameterError, match="seed"):
-            PbsConfig(seed=True)
+            PbsConfig(times=(1.0,), seed=True)
 
     def test_trace_validation(self):
         with pytest.raises(ParameterError):
@@ -53,16 +64,32 @@ class TestSimulateCir:
     def test_record_grid(self):
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
-        cfg = PbsConfig(t_sim=0.5, realizations=1, particles=1, seed=1)
+        cfg = PbsConfig(times=record_grid(0.5), realizations=1, particles=1, seed=1)
         trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
         assert len(trace.times) == 50
         assert trace.times[0] == pytest.approx(0.01)
         assert trace.times[-1] == pytest.approx(0.5)
 
+    def test_non_uniform_times_returned_exactly(self):
+        params = PhysicalParams()
+        geom = ReceiverGeometry.centered(params)
+        times = (0.013, 0.5, 0.51, 2.0, 7.25)
+        trace = simulate_cir(params, geom, (0.0, 0.0), PbsConfig(times=times, realizations=3, particles=5))
+        assert trace.times == times
+        assert len(trace.mean_fraction) == len(trace.stderr) == len(times)
+
+    def test_bad_offset_rejected(self):
+        params = PhysicalParams()
+        geom = ReceiverGeometry.centered(params)
+        cfg = PbsConfig(times=(1.0,), realizations=1, particles=1)
+        for offset in ((math.nan, 0.0), (math.inf, 0.0), (0.1,), (0.1, 0.0, 0.0)):
+            with pytest.raises(ParameterError, match="tx_offset"):
+                simulate_cir(params, geom, offset, cfg)
+
     def test_deterministic_given_seed(self):
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
-        cfg = PbsConfig(t_sim=1.0, realizations=20, particles=10, seed=4)
+        cfg = PbsConfig(times=record_grid(1.0), realizations=20, particles=10, seed=4)
         a = simulate_cir(params, geom, (0.0, 0.0), cfg)
         b = simulate_cir(params, geom, (0.0, 0.0), cfg)
         assert a == b
@@ -71,18 +98,19 @@ class TestSimulateCir:
         # vanishing diffusion: the cloud crosses the receiver as a point
         params = PhysicalParams(D=1e-12)
         geom = ReceiverGeometry.centered(params)
-        cfg = PbsConfig(dt=1e-3, t_sim=4.0, realizations=2, particles=40, record_every=1, seed=31)
+        dt = 1e-3
+        cfg = PbsConfig(times=record_grid(4.0, dt=dt, record_every=1), realizations=2, particles=40, seed=31)
         trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
         times = np.array(trace.times)
         mean = np.array(trace.mean_fraction)
         lo, hi = geom.z_s / params.v, geom.z_e / params.v
-        assert np.all(mean[(times >= lo + 2 * cfg.dt) & (times <= hi - 2 * cfg.dt)] == 1.0)
-        assert np.all(mean[(times < lo - 2 * cfg.dt) | (times > hi + 2 * cfg.dt)] == 0.0)
+        assert np.all(mean[(times >= lo + 2 * dt) & (times <= hi - 2 * dt)] == 1.0)
+        assert np.all(mean[(times < lo - 2 * dt) | (times > hi + 2 * dt)] == 0.0)
 
     def test_no_flow_dilutes(self):
         params = PhysicalParams(v=0.0)
         geom = ReceiverGeometry.centered(params)
-        cfg = PbsConfig(realizations=500, particles=100, seed=17)
+        cfg = PbsConfig(times=FULL_GRID, realizations=500, particles=100, seed=17)
         trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
         peak = max(trace.mean_fraction)
         assert peak > 0.0
@@ -92,7 +120,7 @@ class TestSimulateCir:
     def test_matches_analytic_response_at_peak_time(self):
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
-        cfg = PbsConfig(realizations=400, particles=100, seed=13)
+        cfg = PbsConfig(times=FULL_GRID, realizations=400, particles=100, seed=13)
         trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
         k = nearest_index(trace, peak_time(params, geom))
         ref = cir(trace.times[k], 0.0, params, geom)
@@ -101,7 +129,7 @@ class TestSimulateCir:
     def test_matches_analytic_response_off_axis(self):
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
-        cfg = PbsConfig(t_sim=6.0, realizations=600, particles=100, seed=23)
+        cfg = PbsConfig(times=record_grid(6.0), realizations=600, particles=100, seed=23)
         trace = simulate_cir(params, geom, (0.2, 0.0), cfg)
         for t_check in (1.2, 1.8, 2.4, 3.0, 4.0):
             k = nearest_index(trace, t_check)
@@ -115,7 +143,7 @@ class TestSimulateCir:
         t_m = peak_time(params, geom)
         estimates = {}
         for dt in (1e-3, 5e-4):
-            cfg = PbsConfig(dt=dt, t_sim=4.0, realizations=800, particles=100, seed=22)
+            cfg = PbsConfig(times=record_grid(4.0, dt=dt), realizations=800, particles=100, seed=22)
             trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
             k = nearest_index(trace, t_m)
             estimates[dt] = (trace.mean_fraction[k], trace.stderr[k])
@@ -127,7 +155,7 @@ class TestSimulateCir:
         geom = ReceiverGeometry.centered(params)
         traces = {}
         for particles in (20, 200):
-            cfg = PbsConfig(t_sim=4.0, realizations=300, particles=particles, seed=29)
+            cfg = PbsConfig(times=record_grid(4.0), realizations=300, particles=particles, seed=29)
             traces[particles] = simulate_cir(params, geom, (0.0, 0.0), cfg)
         t_m = peak_time(params, geom)
         k = nearest_index(traces[20], t_m)
