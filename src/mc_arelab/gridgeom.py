@@ -65,6 +65,11 @@ class GridLayout:
         return iter(self.sites[1:])
 
 
+def _check_kind(kind: GridKind) -> None:
+    if not isinstance(kind, GridKind):
+        raise ParameterError(f"kind must be a GridKind, got {kind!r}")
+
+
 def _check_pitch(pitch: float) -> None:
     if not (is_finite_real(pitch) and pitch > 0):
         raise ParameterError(f"pitch must be positive and finite, got {pitch!r}")
@@ -84,6 +89,7 @@ def square_side_for_equal_area(c: float) -> float:
 
 def cell_area(kind: GridKind, pitch: float) -> float:
     """Area of one cell: (sqrt(3)/2) pitch^2 for hex cells, pitch^2 for square."""
+    _check_kind(kind)
     _check_pitch(pitch)
     if kind is GridKind.HEXAGONAL:
         return (math.sqrt(3.0) / 2.0) * pitch * pitch
@@ -96,6 +102,7 @@ def to_cartesian(kind: GridKind, pitch: float, coords: tuple[int, int]) -> tuple
     Hex offset coordinates map through x = c (sqrt(3)/2) x', y = c (y' + x'/2);
     square coordinates scale directly by the pitch.
     """
+    _check_kind(kind)
     xp, yp = coords
     if kind is GridKind.HEXAGONAL:
         return pitch * (math.sqrt(3.0) / 2.0) * xp, pitch * (yp + 0.5 * xp)
@@ -116,8 +123,7 @@ def enumerate_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLay
     class is completed, so the layout may hold slightly more interferers
     than requested; classes are never truncated.
     """
-    if not isinstance(kind, GridKind):
-        raise ParameterError(f"kind must be a GridKind, got {kind!r}")
+    _check_kind(kind)
     _check_pitch(pitch)
     if not (is_integer(n_interferers) and n_interferers >= 1):
         raise ParameterError(f"n_interferers must be a positive integer, got {n_interferers!r}")

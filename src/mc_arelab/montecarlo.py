@@ -3,9 +3,11 @@
 run() samples transmit patterns and receiver counts and scores the
 threshold rule [r >= theta] at every threshold up to a cap, so the
 empirically best threshold and its error rates can be compared against
-the analytic results. Sampling is chunked with one RNG substream per
-fixed-size chunk: the outcome depends on the seed and sample count only,
-never on how chunks are scheduled.
+the analytic results. Each interferer's activity is one fair random
+bit, and the active count of a ring is the popcount of its bits, which
+has the Binomial(count, 1/2) law of the model. Sampling is chunked with
+one RNG substream per fixed-size chunk: the outcome depends on the seed
+and sample count only, never on how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -54,11 +56,28 @@ class McResult:
     mode: str
 
 
+def _ones(bits: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Number of ones among ``bits`` (at most 64) fair random bits, per sample, as uint8."""
+    return np.bitwise_count(rng.integers(0, 2**bits, size=size, dtype=np.uint64))
+
+
 def _draw_iui(rings, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Total interference mean per sample, one Binomial draw per ring."""
+    """Total interference mean per sample.
+
+    Each interferer sends one fair random bit, so a ring's active count is
+    the popcount of ``count`` random bits, drawn in words of at most 64.
+    The counts add up in the smallest unsigned type that holds ``count``,
+    so they cannot overflow. The first word's count is the tally itself:
+    one fewer temporary per ring keeps the peak memory of the sampling
+    threads down.
+    """
     iui = np.zeros(size)
     for cbar, count in rings:
-        iui += cbar * rng.binomial(count, 0.5, size=size)
+        words = [min(64, count - start) for start in range(0, count, 64)]
+        active = _ones(words[0], size, rng).astype(np.min_scalar_type(count), copy=False)
+        for bits in words[1:]:
+            active += _ones(bits, size, rng)
+        iui += cbar * active
     return iui
 
 
@@ -71,8 +90,9 @@ def run(
 ) -> McResult:
     """Estimate the BER of every threshold in 0..theta_max by sampling.
 
-    Each sample draws the desired bit, one Binomial activity count per
-    interferer ring, and (in stochastic mode) the Poisson observation.
+    Each sample draws the desired bit, one fair activity bit per
+    interferer (counted per ring), and (in stochastic mode) the Poisson
+    observation.
     mode="semi-analytic" draws only the interference states and averages
     the exact conditional error probabilities over them, which removes
     the counting noise. The reported stderr is the binomial-scale value

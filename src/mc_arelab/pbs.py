@@ -91,11 +91,16 @@ def simulate_cir(
         x = np.full(n_part, x0)
         y = np.full(n_part, y0)
         z = np.zeros(n_part)
+        # one buffer of x, y, z steps, filled in that order from the stream
+        step = np.empty((3, n_part))
         sums = np.empty((2, gaps.size))
         for k, (sigma, drift) in enumerate(zip(sigmas, drifts)):
-            x += rng.normal(0.0, sigma, n_part)
-            y += rng.normal(0.0, sigma, n_part)
-            z += rng.normal(0.0, sigma, n_part) + drift
+            rng.standard_normal(out=step)
+            step *= sigma
+            x += step[0]
+            y += step[1]
+            step[2] += drift
+            z += step[2]
             inside = (x * x + y * y <= s2) & (z >= geom.z_s) & (z <= geom.z_e)
             frac = inside.reshape(size, cfg.particles).mean(axis=1)
             sums[:, k] = frac.sum(), (frac * frac).sum()

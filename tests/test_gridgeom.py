@@ -77,6 +77,14 @@ class TestAreas:
             with pytest.raises(ParameterError, match="pitch"):
                 square_side_for_equal_area(pitch)
 
+    def test_rejects_a_kind_that_is_not_a_grid_kind(self):
+        # a string must not fall through to the square formulas
+        for kind in ("hex", "hexagonal", None):
+            with pytest.raises(ParameterError, match="kind"):
+                cell_area(kind, 0.2)
+            with pytest.raises(ParameterError, match="kind"):
+                to_cartesian(kind, 0.2, (1, 1))
+
 
 class TestEnumerateSites:
     def test_hex_first_ring(self):

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from mc_arelab.channel import ChannelSummary, summarize
-from mc_arelab.config import SystemConfig, map_chunks
+from mc_arelab.config import MC_MODES, SystemConfig, map_chunks
 from mc_arelab.detection import IuiSpectrum, optimal_threshold
 from mc_arelab.errors import ParameterError
 from mc_arelab.montecarlo import CHUNK, _draw_iui, run
@@ -38,10 +38,15 @@ class TestRun:
         assert other.best.ber != default_run.best.ber
 
     def test_thread_count_does_not_change_results(self, monkeypatch, default_summary, default_run):
+        # a ring of 130 draws three words of activity bits per sample
+        wide = ChannelSummary(t_m=1.0, mu_s=20.0, cbar=((0.9, 6), (0.04, 130)), mu_n=1.0)
         serial = run(default_summary, 250_000, seed=1, mode="semi-analytic")
+        wide_serial = {mode: run(wide, 250_000, seed=3, mode=mode) for mode in MC_MODES}
         monkeypatch.setenv("MC_ARELAB_THREADS", "4")
         assert run(default_summary, 200_000, seed=1) == default_run
         assert run(default_summary, 250_000, seed=1, mode="semi-analytic") == serial
+        for mode in MC_MODES:
+            assert run(wide, 250_000, seed=3, mode=mode) == wide_serial[mode]
 
     def test_silent_transmitter_always_misses(self):
         summary = ChannelSummary(t_m=1.0, mu_s=0.0, cbar=(), mu_n=0.0)
@@ -180,3 +185,23 @@ class TestRingSampling:
         )
         _, p_value, _, _ = stats.chi2_contingency(table)
         assert p_value > 0.01
+
+    # one partial word, a full 64-bit word, one bit past it, several words,
+    # a ring that needs a 16-bit tally, and one whose active counts pass
+    # 255, where an 8-bit tally would wrap
+    @pytest.mark.parametrize("count", [1, 6, 63, 64, 65, 130, 300, 600])
+    def test_active_count_is_binomial_half(self, count):
+        n = 50_000
+        active = _draw_iui([(1.0, count)], n, np.random.default_rng(count)).astype(int)
+        assert active.min() >= 0 and active.max() <= count
+        observed = np.bincount(active, minlength=count + 1)
+        expected = n * stats.binom.pmf(np.arange(count + 1), count, 0.5)
+        # pool each tail into one bin so that every bin expects 5 draws or more
+        core = np.flatnonzero(expected >= 5.0)
+        lo, hi = core[0], core[-1]
+
+        def pooled(x):
+            return np.concatenate(([x[: lo + 1].sum()], x[lo + 1 : hi], [x[hi:].sum()]))
+
+        _, p_value = stats.chisquare(pooled(observed), pooled(expected))
+        assert p_value > 0.001
