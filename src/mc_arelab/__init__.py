@@ -50,7 +50,7 @@ from .gridgeom import (
     square_side_for_equal_area,
     to_cartesian,
 )
-from .montecarlo import BestThreshold, McResult, ThresholdBer
+from .montecarlo import McResult, ThresholdBer
 from .pbs import CirTrace, PbsConfig, simulate_cir
 from .perf import (
     SWEEP_AXES,
@@ -78,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GAMMA_FORMS",
     "SWEEP_AXES",
-    "BestThreshold",
     "ChannelSummary",
     "CirTrace",
     "ConfigError",

@@ -206,10 +206,8 @@ def cmd_mc_validate(cfg: SystemConfig, args) -> tuple:
         seed=cfg.seed,
         mode=cfg.mc_mode,
     )
-    curve = [[r.theta, r.ber, r.stderr, r.p_hat, r.q_hat] for r in result.per_threshold_ber]
-    best_row = next(row for row in curve if row[0] == result.best.theta)
     columns = ("theta", "ber_hat", "stderr", "p_hat", "q_hat")
-    return columns, [(None, curve), ("best", [best_row])]
+    return columns, [(None, result.per_threshold_ber), ("best", [result.best])]
 
 
 def cmd_pbs_validate(cfg: SystemConfig, args) -> tuple:

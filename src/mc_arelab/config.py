@@ -13,6 +13,7 @@ import dataclasses
 import io
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -205,24 +206,25 @@ def worker_count() -> int:
     return n
 
 
-def map_workers(fn, items) -> list:
-    """[fn(item) for item in items], on up to worker_count() threads, in input order."""
+def map_workers(fn, items) -> Iterator:
+    """Yield fn(item) for each item, in input order, on up to worker_count() threads."""
     workers = worker_count()
     if workers == 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
-def map_chunks(fn, total: int, chunk: int, seed: int) -> list:
-    """fn(size, rng) for each chunk of ``total`` items, at most ``chunk`` per call, in chunk order.
+def map_chunks(fn, total: int, chunk: int, seed: int) -> Iterator:
+    """Yield fn(size, rng) for each chunk of ``total`` items, at most ``chunk`` per call, in chunk order.
 
     Chunk i draws from substream i of SeedSequence(seed), so the results
     depend on the seed and the sizes only, never on worker_count().
     """
     sizes = [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
     streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    return map_workers(lambda job: fn(job[0], np.random.default_rng(job[1])), list(zip(sizes, streams)))
+    return map_workers(lambda job: fn(job[0], np.random.default_rng(job[1])), zip(sizes, streams))
 
 
 def dump_config(config: SystemConfig) -> str:

@@ -234,6 +234,11 @@ def _check_means(mu_s: float, mu_n: float) -> None:
         raise ParameterError(f"mu_n must be nonnegative and finite, got {mu_n!r}")
 
 
+def _check_cbar_sum(cbar_sum: float) -> None:
+    if not (is_finite_real(cbar_sum) and cbar_sum >= 0):
+        raise ParameterError(f"cbar_sum must be nonnegative and finite, got {cbar_sum!r}")
+
+
 def ml_decide(r: int, mu_s: float, ring_basis, mu_n: float) -> int:
     """Maximum-likelihood bit decision for a count r: 1 where P(r | 1) >= P(r | 0)."""
     if not is_integer(r) or r < 0:
@@ -372,8 +377,7 @@ def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
 def suboptimal_threshold(mu_s: float, cbar_sum: float, mu_n: float) -> SuboptimalThreshold:
     """Closed-form threshold from the average-interference approximation."""
     _check_means(mu_s, mu_n)
-    if cbar_sum < 0:
-        raise ParameterError(f"cbar_sum must be nonnegative, got {cbar_sum}")
+    _check_cbar_sum(cbar_sum)
     denom_mean = 0.5 * cbar_sum + mu_n
     if denom_mean == 0.0:
         # the log argument diverges and the raw threshold collapses to 0
@@ -385,8 +389,7 @@ def suboptimal_threshold(mu_s: float, cbar_sum: float, mu_n: float) -> Suboptima
 def sinr_worst(mu_s: float, cbar_sum: float) -> float:
     """Signal mean over the all-interferers-active mean; inf when no IUI."""
     _check_means(mu_s, 0.0)
-    if cbar_sum < 0:
-        raise ParameterError(f"cbar_sum must be nonnegative, got {cbar_sum}")
+    _check_cbar_sum(cbar_sum)
     if cbar_sum == 0.0:
         return math.inf
     return mu_s / cbar_sum

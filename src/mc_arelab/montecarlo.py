@@ -7,13 +7,14 @@ the analytic results. Each interferer's activity is one fair random
 bit, and the active count of a ring is the popcount of its bits, which
 has the Binomial(count, 1/2) law of the model. Sampling is chunked with
 one RNG substream per fixed-size chunk: the outcome depends on the seed
-and sample count only, never on how chunks are scheduled.
+and sample count only, never on how chunks are scheduled. Chunk results fold
+into one running tally, in chunk order, as they finish. McResult.best is
+the ThresholdBer row of least BER.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ from .detection import _log_mixture
 from .errors import ParameterError, is_finite_real, is_integer
 from .perf import _threshold_curves
 
-__all__ = ["BestThreshold", "McResult", "ThresholdBer", "run"]
+__all__ = ["McResult", "ThresholdBer", "run"]
 
 CHUNK = 100_000
 
@@ -38,19 +39,12 @@ class ThresholdBer(NamedTuple):
     q_hat: float
 
 
-class BestThreshold(NamedTuple):
-    theta: int
-    p_hat: float
-    q_hat: float
-    ber: float
-
-
 @dataclass(frozen=True)
 class McResult:
-    """Per-threshold BER estimates plus the empirically best threshold."""
+    """Per-threshold BER estimates plus the row of the empirically best threshold."""
 
     per_threshold_ber: tuple[ThresholdBer, ...]
-    best: BestThreshold
+    best: ThresholdBer
     samples: int
     seed: int
     mode: str
@@ -118,20 +112,13 @@ def run(
     mu_n = float(summary.mu_n)
     rings = [(float(cbar), int(count)) for cbar, count in summary.cbar]
 
-    if mode == "stochastic":
-        rows = _run_stochastic(rings, mu_s, mu_n, theta_max, samples, seed)
-    else:
-        rows = _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed)
-
-    bers = [row.ber for row in rows]
-    best_idx = int(np.argmin(bers))
-    best_row = rows[best_idx]
-    best = BestThreshold(
-        theta=best_row.theta, p_hat=best_row.p_hat, q_hat=best_row.q_hat, ber=best_row.ber
-    )
+    sample = _run_stochastic if mode == "stochastic" else _run_semi_analytic
+    ber, p_hat, q_hat = sample(rings, mu_s, mu_n, theta_max, samples, seed)
+    stderr = np.sqrt(ber * (1.0 - ber) / samples)
+    rows = tuple(map(ThresholdBer, range(ber.size), ber.tolist(), stderr.tolist(), p_hat.tolist(), q_hat.tolist()))
     return McResult(
-        per_threshold_ber=tuple(rows),
-        best=best,
+        per_threshold_ber=rows,
+        best=rows[int(np.argmin(ber))],
         samples=samples,
         seed=seed,
         mode=mode,
@@ -139,67 +126,45 @@ def run(
 
 
 def _run_stochastic(rings, mu_s, mu_n, theta_max, samples, seed):
-    def chunk_tallies(size: int, rng: np.random.Generator):
+    """(ber, p_hat, q_hat) per threshold, from counted observations."""
+
+    def chunk_histogram(size: int, rng: np.random.Generator) -> np.ndarray:
         s0 = rng.integers(0, 2, size=size)
         lam = mu_s * s0 + _draw_iui(rings, size, rng) + mu_n
         r = np.minimum(rng.poisson(lam), theta_max)
-        hist_on = np.bincount(r[s0 == 1], minlength=theta_max + 1)
-        hist_off = np.bincount(r[s0 == 0], minlength=theta_max + 1)
-        return hist_on, hist_off
+        # row b counts the observations of the samples that sent bit b
+        return np.bincount(s0 * (theta_max + 1) + r, minlength=2 * (theta_max + 1)).reshape(2, -1)
 
-    tallies = map_chunks(chunk_tallies, samples, CHUNK, seed)
-    hist_on = np.sum([t[0] for t in tallies], axis=0)
-    hist_off = np.sum([t[1] for t in tallies], axis=0)
-    n_on = int(hist_on.sum())
-    n_off = int(hist_off.sum())
-
+    hist = sum(map_chunks(chunk_histogram, samples, CHUNK, seed))
+    n_off, n_on = hist.sum(axis=1)
     # counts strictly below each threshold
-    below_on = np.concatenate(([0], np.cumsum(hist_on)))[: theta_max + 1]
-    below_off = np.concatenate(([0], np.cumsum(hist_off)))[: theta_max + 1]
+    below_off, below_on = np.cumsum(hist, axis=1) - hist
+    false_alarms = n_off - below_off
+    # an empty bit class makes no errors, so its rate stays 0
+    return (below_on + false_alarms) / samples, false_alarms / max(n_off, 1), below_on / max(n_on, 1)
 
-    rows = []
-    for theta in range(theta_max + 1):
-        misses = int(below_on[theta])
-        false_alarms = n_off - int(below_off[theta])
-        ber = (misses + false_alarms) / samples
-        rows.append(
-            ThresholdBer(
-                theta=theta,
-                ber=ber,
-                stderr=math.sqrt(ber * (1.0 - ber) / samples),
-                p_hat=false_alarms / n_off if n_off else 0.0,
-                q_hat=misses / n_on if n_on else 0.0,
-            )
-        )
-    return rows
+
+def _merge(a, b):
+    """Union of two sorted (values, tallies) pairs, adding the tallies of equal values.
+
+    A stable sort of two sorted runs is one linear merge; the tallies of
+    each run of equal values are then summed in place of the run.
+    """
+    values, tallies = (np.concatenate(pair) for pair in zip(a, b))
+    order = np.argsort(values, kind="stable")
+    values, tallies = values[order], tallies[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], np.add.reduceat(tallies, starts)
 
 
 def _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed):
+    """(ber, p_hat, q_hat) per threshold, exact given the sampled interference."""
     chunks = map_chunks(
         lambda size, rng: np.unique(_draw_iui(rings, size, rng), return_counts=True), samples, CHUNK, seed
     )
-    # merged chunk by chunk: a union of all draws at once would hold several
-    # copies of every chunk's values and raise the peak memory
-    values = functools.reduce(np.union1d, [v for v, _ in chunks])
-    tallies = np.zeros(values.size, dtype=np.int64)
-    for chunk_values, chunk_tallies in chunks:
-        # the values of one chunk are distinct, so no index repeats
-        tallies[np.searchsorted(values, chunk_values)] += chunk_tallies
+    values, tallies = functools.reduce(_merge, chunks)
     log_weights = np.log(tallies / samples)
     off = np.exp(_log_mixture(values + mu_n, log_weights, theta_max))
     on = np.exp(_log_mixture(mu_s + values + mu_n, log_weights, theta_max))
-    p_curve, q_curve = _threshold_curves(theta_max, off, on)
-    rows = []
-    for theta in range(theta_max + 1):
-        p, q = float(p_curve[theta]), float(q_curve[theta])
-        ber = 0.5 * (p + q)
-        rows.append(
-            ThresholdBer(
-                theta=theta,
-                ber=ber,
-                stderr=math.sqrt(ber * (1.0 - ber) / samples),
-                p_hat=p,
-                q_hat=q,
-            )
-        )
-    return rows
+    p_hat, q_hat = _threshold_curves(theta_max, off, on)
+    return 0.5 * (p_hat + q_hat), p_hat, q_hat

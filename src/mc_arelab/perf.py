@@ -274,7 +274,7 @@ def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
         except Exception as exc:
             raise ParameterError(f"sweep failed at {axis} = {value}: {exc}") from exc
 
-    return map_workers(run_one, values)
+    return list(map_workers(run_one, values))
 
 
 def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.02):

@@ -320,6 +320,7 @@ class TestValidationCommands:
             ("are-sweep", "--c-from", "0.2", "--c-to", "0.5", "--points", "4"),
             ("pbs-validate", "--realizations", "250", "--particles", "10", "--t-sim", "1"),
             ("mc-validate", "--mode", "semi-analytic", "--samples", "250000"),
+            ("mc-validate", "--mode", "stochastic", "--samples", "250000"),
         ):
             monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
             _, serial, _ = run_cli(capsys, *args)

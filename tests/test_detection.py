@@ -310,6 +310,17 @@ class TestSuboptimalThreshold:
         assert result.degenerate
 
 
+@pytest.mark.parametrize("cbar_sum", [math.nan, math.inf, -1.0, True])
+@pytest.mark.parametrize(
+    "call",
+    [lambda cbar_sum: suboptimal_threshold(5.0, cbar_sum, 0.0), lambda cbar_sum: sinr_worst(5.0, cbar_sum)],
+    ids=["suboptimal_threshold", "sinr_worst"],
+)
+def test_cbar_sum_must_be_finite_and_nonnegative(call, cbar_sum):
+    with pytest.raises(ParameterError, match="cbar_sum"):
+        call(cbar_sum)
+
+
 class TestSinrWorst:
     def test_equal_means_give_one(self):
         assert sinr_worst(3.7, 3.7) == pytest.approx(1.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ class TestRun:
         assert abs(row.ber - analytic_ber) <= 3.0 * row.stderr
         assert result.best.theta == pytest.approx(theta_opt, abs=1)
 
+    def test_semi_analytic_memory_does_not_grow_with_the_chunk_count(self, monkeypatch, default_summary):
+        # 40 chunks fold into one running tally, so the peak is about one
+        # chunk's draw plus the tally, whatever the sample count
+        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
+        tracemalloc.start()
+        try:
+            run(default_summary, 4_000_000, seed=5, mode="semi-analytic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
     def test_semi_analytic_curves_match_atom_oracle(self):
         # 144 possible interference values, more than the 81 atoms of one
         # pmf block at theta_max = 400; with mu_n = 0, the all-silent draw
@@ -126,7 +139,7 @@ class TestRun:
         result = run(summary, samples, theta_max=theta_max, seed=seed, mode="semi-analytic")
 
         draws = np.concatenate(
-            map_chunks(lambda size, rng: _draw_iui(summary.cbar, size, rng), samples, CHUNK, seed)
+            list(map_chunks(lambda size, rng: _draw_iui(summary.cbar, size, rng), samples, CHUNK, seed))
         )
         values, tallies = np.unique(draws, return_counts=True)
         assert values.size > 2**15 // theta_max

@@ -1,6 +1,8 @@
 """Package-level contracts: the public name list and the runtime dependencies."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -8,10 +10,13 @@ import mc_arelab
 
 
 def test_public_names_resolve_once():
-    names = mc_arelab.__all__
-    assert len(names) == len(set(names))
-    missing = [name for name in names if not hasattr(mc_arelab, name)]
-    assert missing == []
+    infos = pkgutil.iter_modules(mc_arelab.__path__)
+    submodules = [importlib.import_module(f"mc_arelab.{info.name}") for info in infos]
+    for module in [mc_arelab] + submodules:
+        names = getattr(module, "__all__", ())
+        assert len(names) == len(set(names)), module.__name__
+        missing = [name for name in names if not hasattr(module, name)]
+        assert missing == [], module.__name__
 
 
 def test_cli_runs_without_scipy():
