@@ -56,8 +56,6 @@ from .perf import (
     SWEEP_AXES,
     ErrorPair,
     PerfReport,
-    ber_curve,
-    bsc_capacity,
     error_curves,
     error_probs,
     evaluate,
@@ -97,8 +95,6 @@ __all__ = [
     "SystemConfig",
     "ThresholdBer",
     "TxSite",
-    "ber_curve",
-    "bsc_capacity",
     "cell_area",
     "characterize",
     "cir",

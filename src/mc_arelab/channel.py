@@ -79,10 +79,10 @@ class ReceiverGeometry:
     volume: float
 
     def __post_init__(self) -> None:
-        if not self.z_e > self.z_s:
-            raise ParameterError(f"z_e must exceed z_s, got [{self.z_s}, {self.z_e}]")
-        if not self.volume > 0:
-            raise ParameterError(f"volume must be positive, got {self.volume}")
+        if not (is_finite_real(self.z_s) and is_finite_real(self.z_e) and self.z_e > self.z_s):
+            raise ParameterError(f"z_s and z_e must be finite with z_e > z_s, got [{self.z_s!r}, {self.z_e!r}]")
+        if not (is_finite_real(self.volume) and self.volume > 0):
+            raise ParameterError(f"volume must be positive and finite, got {self.volume!r}")
 
     @classmethod
     def centered(cls, params: PhysicalParams) -> "ReceiverGeometry":

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .channel import cir, summarize
 from .config import SystemConfig, dump_config, load_config, parse_config_text
-from .detection import _merge_rings, characterize
+from .detection import characterize
 from .errors import ParameterError, SearchError
 from .gridgeom import to_cartesian
 from .montecarlo import run as mc_run
@@ -161,7 +161,7 @@ def cmd_detect(cfg: SystemConfig, args) -> tuple:
     row = [
         summary.t_m,
         summary.mu_s,
-        math.fsum(cbar * count for cbar, count in _merge_rings(summary.cbar)),
+        spec.cbar_sum,
         summary.mu_n,
         spec.theta_opt,
         spec.theta_sub,

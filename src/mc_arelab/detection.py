@@ -96,6 +96,7 @@ class DetectorSpec:
     theta_sub: int
     threshold_set_size: int
     sinr_worst: float
+    cbar_sum: float
 
 
 def _merge_rings(ring_basis) -> list[tuple[float, int]]:
@@ -205,8 +206,9 @@ def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarra
     k ~ Binomial(count, 1/2), plus Poisson(mu_s) when the bit is 1. The
     terms are independent, so the pmf is the convolution of one pmf per
     term, carried in log space: no entry underflows, and an entry is -inf
-    only where the count has no mass. The first n entries do not depend
-    on n, so any prefix is exact.
+    only where the count has no mass. A longer build gives the same
+    first n entries in value, but not bit for bit: each convolution output
+    sums a window whose length follows n, so its rounding moves with n.
     """
     point = np.zeros(1)
     off = _log_mixture(np.array([mu_n]), point, n)
@@ -253,38 +255,7 @@ def _crossing(mu_s: float, lam: float) -> float:
     return mu_s / math.log1p(mu_s / lam)
 
 
-def _flip_bound(mu_s: float, merged, mu_n: float) -> int:
-    """ceil(phi*), with phi* the crossing at the all-interferers-active mean lam_max.
-
-    At exponent phi, the Poisson(x + mu_s) term over the Poisson(x) term is
-    exp(phi ln(1 + mu_s / x) - mu_s), at least 1 from the crossing at x on,
-    and that crossing grows with x. Every interference atom x lies at or
-    below lam_max, so past phi* both P(r | 1) >= P(r | 0) and the balance is
-    positive: the optimal threshold and the ceiling of every crossing of
-    the threshold set are at most ceil(phi*).
-    """
-    lam_max = mu_n + math.fsum(cbar * count for cbar, count in merged)
-    return math.ceil(_crossing(mu_s, lam_max)) if lam_max > 0 else 0
-
-
-def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
-    """Smallest integer count at which deciding 1 becomes maximum likelihood.
-
-    That is the first r with P(r | 1) >= P(r | 0) in the exact count
-    distribution of the (cbar, count) ring basis, read from one prefix of
-    the log pmfs that reaches one count past the bound of _flip_bound.
-    """
-    _check_means(mu_s, mu_n)
-    merged = _merge_rings(ring_basis)
-    bound = _flip_bound(mu_s, merged, mu_n)
-    off, on = _count_pmfs(mu_s, merged, mu_n, bound + 2)
-    flips = np.flatnonzero(on >= off)
-    if not flips.size:
-        raise SearchError(f"no count up to {bound + 1} flips the likelihood ratio, past the bound {bound}")
-    return int(flips[0])
-
-
-def _balance_bounds(mu_s: float, merged, mu_n: float, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _balance_bounds(off: np.ndarray, on: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on the likelihood balance B at each phi >= 0.
 
     B(phi) = ln M_1(phi) - ln M_0(phi), with M_b(phi) = E[lam^phi e^-lam]
@@ -297,11 +268,11 @@ def _balance_bounds(mu_s: float, merged, mu_n: float, phis: np.ndarray) -> tuple
     An integer phi, the end of its unit interval, reads no count past
     phi + 1. A lam = 0 atom (mu_n = 0) adds to M_0(0) alone, which keeps
     the chord above. The bit-0 mixture needs an atom with lam > 0, so that
-    every ln M_b(k) is finite.
+    every ln M_b(k) is finite. ``off`` and ``on`` are the log count pmfs of
+    both bits, to at least ceil(max phi) + 2 counts.
     """
     m = np.maximum(np.ceil(phis) - 1, 0).astype(np.int64)
     f = phis - m
-    off, on = _count_pmfs(mu_s, merged, mu_n, int(m.max()) + 3)
 
     def bounds(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         chord = (1 - f) * g[m] + f * g[m + 1]
@@ -317,11 +288,94 @@ def _balance_bounds(mu_s: float, merged, mu_n: float, phis: np.ndarray) -> tuple
     return lo, hi
 
 
+class _CountDistribution:
+    """The received-count distribution of one configuration, built once to the flip bound.
+
+    ``bound`` is ceil(phi*), with phi* the crossing at the all-active mean
+    lam_max = mu_n + cbar_sum. At exponent phi, the Poisson(x + mu_s) term
+    over the Poisson(x) term is exp(phi ln(1 + mu_s / x) - mu_s), at least
+    1 from the crossing at x on, and that crossing grows with x. Every
+    interference atom x lies at or below lam_max, so past phi* both
+    P(r | 1) >= P(r | 0) and the balance is positive: the optimal
+    threshold and the ceiling of every crossing of the threshold set are
+    at most ceil(phi*). So is the suboptimal threshold, the crossing at
+    cbar_sum / 2 + mu_n. ``off`` and ``on``, ln P(r | bit 0) and
+    ln P(r | bit 1) for r = 0..bound + 2, answer all of these questions.
+    """
+
+    def __init__(self, mu_s: float, ring_basis, mu_n: float) -> None:
+        _check_means(mu_s, mu_n)
+        self.mu_s, self.mu_n = mu_s, mu_n
+        self.merged = _merge_rings(ring_basis)
+        self.cbar_sum = math.fsum(cbar * count for cbar, count in self.merged)
+        lam_max = mu_n + self.cbar_sum
+        self.bound = math.ceil(_crossing(mu_s, lam_max)) if lam_max > 0 else 0
+        self.off, self.on = _count_pmfs(mu_s, self.merged, mu_n, self.bound + 3)
+
+    def theta_opt(self) -> int:
+        """The first r with P(r | 1) >= P(r | 0), among the first bound + 2 counts."""
+        n = self.bound + 2
+        flips = np.flatnonzero(self.on[:n] >= self.off[:n])
+        if not flips.size:
+            raise SearchError(f"no count up to {n - 1} flips the likelihood ratio, past the bound {self.bound}")
+        return int(flips[0])
+
+    def threshold_set(self) -> list[int]:
+        """The scan of threshold_set."""
+        if self.mu_n == 0 and all(cbar == 0 for cbar, _ in self.merged):
+            # the bit-0 count is surely 0: B(0) = -mu_s and B = +inf beyond
+            return [1]
+
+        phis = 0.25 * np.arange(4 * (self.bound + 1) + 1)
+        lo, hi = _balance_bounds(self.off, self.on, phis)
+        positive, negative = lo > BALANCE_RECHECK, hi < -BALANCE_RECHECK
+        zero = np.zeros_like(positive)
+        ceil = np.maximum(np.ceil(phis), 1).astype(np.int64)
+        starts = np.flatnonzero(np.diff(ceil, prepend=0))
+
+        def in_interval(flags: np.ndarray) -> np.ndarray:
+            """Per unit interval: any flag at its points or at the point before them."""
+            hit = np.logical_or.reduceat(flags, starts)
+            hit[1:] |= flags[starts[1:] - 1]
+            return hit
+
+        unsigned = ~(positive | negative)
+        open_ = in_interval(unsigned) & ~(in_interval(positive) & in_interval(negative))
+        needed = open_[ceil - 1]
+        needed[starts[1:] - 1] |= open_[1:]
+        points = np.flatnonzero(unsigned & needed)
+        if points.size:
+            try:
+                spectrum = collapse_iui(self.merged)
+            except ParameterError as exc:
+                raise SearchError(f"the likelihood balance at phi = {phis[points[0]]} needs the atoms: {exc}") from exc
+            lam_on = self.mu_s + spectrum.values + self.mu_n
+            lam_off = spectrum.values + self.mu_n
+            for i in points.tolist():
+                phi = float(phis[i])
+                lhs = log_sum_exp(_log_poisson_score(phi, lam_on) + spectrum.log_weights)
+                rhs = log_sum_exp(_log_poisson_score(phi, lam_off) + spectrum.log_weights)
+                # a zero balance counts as not positive, as in a sign change
+                positive[i], negative[i], zero[i] = lhs > rhs, not lhs > rhs, lhs == rhs
+        crossed = (in_interval(positive) & in_interval(negative)) | np.logical_or.reduceat(zero, starts)
+        return ceil[starts][crossed].tolist()
+
+
+def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
+    """Smallest integer count at which deciding 1 becomes maximum likelihood.
+
+    That is the first r with P(r | 1) >= P(r | 0) in the exact count
+    distribution of the (cbar, count) ring basis, read up to one count
+    past the bound of _CountDistribution.
+    """
+    return _CountDistribution(mu_s, ring_basis, mu_n).theta_opt()
+
+
 def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
     """Integer ceilings of all real crossings of the likelihood balance.
 
     The balance compares both likelihood mixtures at a real exponent phi,
-    on a 0.25-step scan from 0 to one past the bound of _flip_bound. The
+    on a 0.25-step scan from 0 to one past the flip bound ceil(phi*). The
     extra unit interval keeps a crossing whose rounded balance at the bound
     itself is not yet positive. A crossing between two scan points has the
     ceiling of the later one, as they lie in one unit interval, so k is in
@@ -333,45 +387,7 @@ def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
     atoms, unless its intervals already show both signs; if the atoms do
     not fit, a SearchError names the point.
     """
-    _check_means(mu_s, mu_n)
-    merged = _merge_rings(ring_basis)
-    if mu_n == 0 and all(cbar == 0 for cbar, _ in merged):
-        # the bit-0 count is surely 0: B(0) = -mu_s and B = +inf beyond
-        return [1]
-
-    phis = 0.25 * np.arange(4 * (_flip_bound(mu_s, merged, mu_n) + 1) + 1)
-    lo, hi = _balance_bounds(mu_s, merged, mu_n, phis)
-    positive, negative = lo > BALANCE_RECHECK, hi < -BALANCE_RECHECK
-    zero = np.zeros_like(positive)
-    ceil = np.maximum(np.ceil(phis), 1).astype(np.int64)
-    starts = np.flatnonzero(np.diff(ceil, prepend=0))
-
-    def in_interval(flags: np.ndarray) -> np.ndarray:
-        """Per unit interval: any flag at its points or at the point before them."""
-        hit = np.logical_or.reduceat(flags, starts)
-        hit[1:] |= flags[starts[1:] - 1]
-        return hit
-
-    unsigned = ~(positive | negative)
-    open_ = in_interval(unsigned) & ~(in_interval(positive) & in_interval(negative))
-    needed = open_[ceil - 1]
-    needed[starts[1:] - 1] |= open_[1:]
-    points = np.flatnonzero(unsigned & needed)
-    if points.size:
-        try:
-            spectrum = collapse_iui(merged)
-        except ParameterError as exc:
-            raise SearchError(f"the likelihood balance at phi = {phis[points[0]]} needs the atoms: {exc}") from exc
-        lam_on = mu_s + spectrum.values + mu_n
-        lam_off = spectrum.values + mu_n
-        for i in points.tolist():
-            phi = float(phis[i])
-            lhs = log_sum_exp(_log_poisson_score(phi, lam_on) + spectrum.log_weights)
-            rhs = log_sum_exp(_log_poisson_score(phi, lam_off) + spectrum.log_weights)
-            # a zero balance counts as not positive, as in a sign change
-            positive[i], negative[i], zero[i] = lhs > rhs, not lhs > rhs, lhs == rhs
-    crossed = (in_interval(positive) & in_interval(negative)) | np.logical_or.reduceat(zero, starts)
-    return ceil[starts][crossed].tolist()
+    return _CountDistribution(mu_s, ring_basis, mu_n).threshold_set()
 
 
 def suboptimal_threshold(mu_s: float, cbar_sum: float, mu_n: float) -> SuboptimalThreshold:
@@ -396,15 +412,12 @@ def sinr_worst(mu_s: float, cbar_sum: float) -> float:
 
 
 def characterize(mu_s: float, ring_basis, mu_n: float) -> DetectorSpec:
-    """Bundle the per-configuration detector quantities the CLI reports."""
-    merged = _merge_rings(ring_basis)
-    cbar_sum = math.fsum(cbar * count for cbar, count in merged)
-    theta_opt = optimal_threshold(mu_s, merged, mu_n)
-    sub = suboptimal_threshold(mu_s, cbar_sum, mu_n)
-    thresholds = threshold_set(mu_s, merged, mu_n)
+    """Bundle the per-configuration detector quantities the CLI reports, from one count distribution."""
+    counts = _CountDistribution(mu_s, ring_basis, mu_n)
     return DetectorSpec(
-        theta_opt=theta_opt,
-        theta_sub=sub.theta,
-        threshold_set_size=len(thresholds),
-        sinr_worst=sinr_worst(mu_s, cbar_sum),
+        theta_opt=counts.theta_opt(),
+        theta_sub=suboptimal_threshold(mu_s, counts.cbar_sum, mu_n).theta,
+        threshold_set_size=len(counts.threshold_set()),
+        sinr_worst=sinr_worst(mu_s, counts.cbar_sum),
+        cbar_sum=counts.cbar_sum,
     )

@@ -103,7 +103,13 @@ def to_cartesian(kind: GridKind, pitch: float, coords: tuple[int, int]) -> tuple
     square coordinates scale directly by the pitch.
     """
     _check_kind(kind)
-    xp, yp = coords
+    _check_pitch(pitch)
+    if not (len(coords) == 2 and all(is_integer(value) for value in coords)):
+        raise ParameterError(f"coords must be a pair of integers, got {coords!r}")
+    return _cartesian(kind, pitch, *coords)
+
+
+def _cartesian(kind: GridKind, pitch: float, xp: int, yp: int) -> tuple[float, float]:
     if kind is GridKind.HEXAGONAL:
         return pitch * (math.sqrt(3.0) / 2.0) * xp, pitch * (yp + 0.5 * xp)
     return pitch * xp, pitch * yp
@@ -142,7 +148,7 @@ def enumerate_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLay
                 q = _squared_norm(kind, xp, yp)
                 if q > q_max:
                     continue
-                x, y = to_cartesian(kind, pitch, (xp, yp))
+                x, y = _cartesian(kind, pitch, xp, yp)
                 angle = math.atan2(y, x) % (2.0 * math.pi)
                 by_class.setdefault(q, []).append((angle, xp, yp))
                 total += 1

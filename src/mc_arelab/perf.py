@@ -18,13 +18,7 @@ import numpy as np
 
 from .channel import PhysicalParams, ReceiverGeometry, cir, summarize
 from .config import SystemConfig, map_workers
-from .detection import (
-    _check_means,
-    _count_pmfs,
-    optimal_threshold,
-    sinr_worst,
-    suboptimal_threshold,
-)
+from .detection import _check_means, _count_pmfs, _CountDistribution, sinr_worst, suboptimal_threshold
 from .errors import ParameterError, is_finite_real, is_integer
 from .gridgeom import GridLayout
 
@@ -32,8 +26,6 @@ __all__ = [
     "ErrorPair",
     "PerfReport",
     "SWEEP_AXES",
-    "ber_curve",
-    "bsc_capacity",
     "error_curves",
     "error_probs",
     "evaluate",
@@ -126,12 +118,6 @@ def error_probs(theta: int, mu_s: float, ring_basis, mu_n: float) -> ErrorPair:
     return ErrorPair(p=float(p_curve[theta]), q=float(q_curve[theta]))
 
 
-def ber_curve(theta_max: int, mu_s: float, ring_basis, mu_n: float) -> np.ndarray:
-    """Analytic BER at every threshold 0..theta_max in one pass."""
-    p_curve, q_curve = error_curves(theta_max, mu_s, ring_basis, mu_n)
-    return 0.5 * (q_curve + p_curve)
-
-
 def _h2(x: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -146,17 +132,10 @@ def link_rate(errors: ErrorPair) -> float:
     return min(1.0, max(0.0, rate))
 
 
-def bsc_capacity(ber: float) -> float:
-    """1 - H2(ber); equals link_rate when p = q."""
-    if not (0.0 <= ber <= 1.0):
-        raise ParameterError(f"ber must lie in [0, 1], got {ber}")
-    return 1.0 - _h2(ber)
-
-
 def spatial_rate(cell_area: float) -> float:
     """Transmissions per square meter: the reciprocal cell area."""
-    if not cell_area > 0:
-        raise ParameterError(f"cell_area must be positive, got {cell_area}")
+    if not (is_finite_real(cell_area) and cell_area > 0):
+        raise ParameterError(f"cell_area must be positive and finite, got {cell_area!r}")
     return 1.0 / cell_area
 
 
@@ -204,11 +183,14 @@ def evaluate(config: SystemConfig) -> PerfReport:
         gamma_form=config.gamma_form,
         search_horizon=config.horizon,
     )
-    theta_opt = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
+    counts = _CountDistribution(summary.mu_s, summary.cbar, summary.mu_n)
+    theta_opt = counts.theta_opt()
     sub = suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n)
     theta_used = theta_opt if config.threshold_mode == "optimal" else sub.theta
 
-    errors = error_probs(theta_used, summary.mu_s, summary.cbar, summary.mu_n)
+    # either threshold is at most counts.bound + 1, so the pmfs cover it
+    p_curve, q_curve = _threshold_curves(theta_used, np.exp(counts.off), np.exp(counts.on))
+    errors = ErrorPair(p=float(p_curve[theta_used]), q=float(q_curve[theta_used]))
     ber = 0.5 * (errors.p + errors.q)
     rate = link_rate(errors)
     area = config.cell_area

@@ -121,7 +121,8 @@ def test_criterion_4_threshold_behaviors():
         mu_s = float(rng.uniform(2.0, 40.0))
         mu_n = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
         theta = optimal_threshold(mu_s, basis, mu_n)
-        curve = perf.ber_curve(100, mu_s, basis, mu_n)
+        p_curve, q_curve = perf.error_curves(100, mu_s, basis, mu_n)
+        curve = 0.5 * (p_curve + q_curve)
         if theta != int(np.argmin(curve)):
             failures.append(f"setup {i}: threshold {theta} != argmin {int(np.argmin(curve))}")
     _report(4, "threshold selection behaviors", failures, time.perf_counter() - start, 60.0)

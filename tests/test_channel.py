@@ -53,6 +53,24 @@ class TestTypes:
         with pytest.raises(ParameterError):
             ReceiverGeometry(z_s=0.4, z_e=0.6, volume=0.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("z_s", -math.inf),
+            ("z_s", math.nan),
+            ("z_e", math.inf),
+            ("z_e", math.nan),
+            ("volume", math.inf),
+            ("volume", math.nan),
+            ("volume", True),
+            ("z_e", "0.6"),
+        ],
+    )
+    def test_geometry_rejects_non_finite_values(self, field, value):
+        fields = {"z_s": 0.4, "z_e": 0.6, "volume": 1.0, field: value}
+        with pytest.raises(ParameterError, match=field):
+            ReceiverGeometry(**fields)
+
 
 class TestCir:
     def test_rejects_nonpositive_time(self):

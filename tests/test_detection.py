@@ -25,7 +25,7 @@ from mc_arelab.detection import (
     threshold_set,
 )
 from mc_arelab.errors import ParameterError
-from mc_arelab.perf import ber_curve, error_curves
+from mc_arelab.perf import error_curves
 
 from oracles import (
     atom_balance,
@@ -239,14 +239,12 @@ class TestOptimalThreshold:
             ml_decide(3, mu_s, sp.ring_basis, mu_n)
 
     def test_matches_brute_force_ber_argmin(self):
-        from mc_arelab.perf import ber_curve
-
         rng = np.random.default_rng(42)
         for _ in range(10):
             mu_s, sp, mu_n = random_detection_setup(rng)
             theta = optimal_threshold(mu_s, sp.ring_basis, mu_n)
-            curve = ber_curve(100, mu_s, sp.ring_basis, mu_n)
-            assert theta == int(np.argmin(curve))
+            p_curve, q_curve = error_curves(100, mu_s, sp.ring_basis, mu_n)
+            assert theta == int(np.argmin(0.5 * (p_curve + q_curve)))
 
     def test_threshold_step_down_with_growing_pitch(self):
         lo = SystemConfig(n_mol=10, c=0.58, gamma_form="regularized")
@@ -363,6 +361,7 @@ class TestCharacterize:
         assert spec.theta_sub == suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n).theta
         assert spec.threshold_set_size >= 1
         assert spec.sinr_worst == pytest.approx(summary.mu_s / summary.cbar_sum)
+        assert spec.cbar_sum == pytest.approx(summary.cbar_sum, rel=1e-15)
 
     def test_pmfs_stop_at_the_bound(self, monkeypatch):
         # detect --nmol 1000: one crossing near 145, where a count range
@@ -380,7 +379,7 @@ class TestCharacterize:
         monkeypatch.setattr("mc_arelab.detection._count_pmfs", recording)
         spec = characterize(summary.mu_s, summary.cbar, summary.mu_n)
         assert max(lengths) <= bound + 3
-        assert len(lengths) == 2
+        assert len(lengths) == 1
         assert spec.threshold_set_size == 1
         assert spec.theta_opt <= bound
 
@@ -420,6 +419,14 @@ class TestAgainstAtomOracles:
         for mu_s, sp, mu_n in oracle_cases:
             assert threshold_set(mu_s, sp.ring_basis, mu_n) == atom_threshold_set(mu_s, sp, mu_n)
 
+    def test_characterize_matches_the_single_questions(self, oracle_cases):
+        # one shared count distribution answers both questions as the
+        # separate entry points do
+        for mu_s, sp, mu_n in oracle_cases:
+            spec = characterize(mu_s, sp.ring_basis, mu_n)
+            assert spec.theta_opt == optimal_threshold(mu_s, sp.ring_basis, mu_n)
+            assert spec.threshold_set_size == len(threshold_set(mu_s, sp.ring_basis, mu_n))
+
     def test_wide_range_bases(self):
         # the oracles scan to 10 ceil(mu_s + all-active mean + mu_n) + 50,
         # far past the bound the library stops at
@@ -453,7 +460,8 @@ class TestAgainstAtomOracles:
         assume(mu_n > 0 or sp.max_value > 0)
         top = mu_s + sp.max_value + mu_n + 10.0
         phis = np.concatenate((0.25 * np.arange(int(top / 0.25) + 1), extra))
-        lo, hi = _balance_bounds(mu_s, sp.ring_basis, mu_n, phis)
+        off, on = count_pmfs(mu_s, sp.ring_basis, mu_n, math.ceil(phis.max()) + 2)
+        lo, hi = _balance_bounds(off, on, phis)
         slack = 0.1 * BALANCE_RECHECK
         for phi, low, high in zip(phis.tolist(), lo.tolist(), hi.tolist()):
             assert low - slack <= atom_balance(phi, mu_s, sp, mu_n) <= high + slack, phi
@@ -464,9 +472,7 @@ class TestAgainstAtomOracles:
             q_ref, p_ref = atom_decision_curves(120, mu_s, sp, mu_n)
             np.testing.assert_allclose(p, p_ref, rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(
-                ber_curve(120, mu_s, sp.ring_basis, mu_n), 0.5 * (p_ref + q_ref), rtol=0.0, atol=1e-12
-            )
+            np.testing.assert_allclose(0.5 * (p + q), 0.5 * (p_ref + q_ref), rtol=0.0, atol=1e-12)
 
     def test_terms_beyond_the_double_range(self):
         # at phi = 0 the all-active atom's term is e^-900 relative to the

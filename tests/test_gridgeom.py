@@ -85,6 +85,22 @@ class TestAreas:
             with pytest.raises(ParameterError, match="kind"):
                 to_cartesian(kind, 0.2, (1, 1))
 
+    @pytest.mark.parametrize("kind", list(GridKind))
+    @pytest.mark.parametrize("pitch", [0.0, -1.0, math.nan, math.inf, True])
+    def test_to_cartesian_rejects_bad_pitch(self, kind, pitch):
+        with pytest.raises(ParameterError, match="pitch"):
+            to_cartesian(kind, pitch, (1, 1))
+
+    @pytest.mark.parametrize("coords", [(0.5, math.nan), (1.0, 2), (1, True), (1, 2, 3), (1,)])
+    def test_to_cartesian_rejects_non_integer_coordinates(self, coords):
+        for kind in GridKind:
+            with pytest.raises(ParameterError, match="coords"):
+                to_cartesian(kind, 0.2, coords)
+
+    def test_to_cartesian_takes_numpy_integers(self):
+        got = to_cartesian(GridKind.HEXAGONAL, 0.2, (np.int64(1), np.int64(-2)))
+        assert got == to_cartesian(GridKind.HEXAGONAL, 0.2, (1, -2))
+
 
 class TestEnumerateSites:
     def test_hex_first_ring(self):

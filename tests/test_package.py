@@ -3,6 +3,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,15 @@ def test_public_names_resolve_once():
         assert len(names) == len(set(names)), module.__name__
         missing = [name for name in names if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_readme_library_block_runs():
+    # the README's library example uses the public API as it stands
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_cli_runs_without_scipy():

@@ -9,13 +9,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from mc_arelab import detection, perf
+from mc_arelab.channel import summarize
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import collapse_iui
 from mc_arelab.errors import ConfigError, ParameterError, SearchError
 from mc_arelab.perf import (
     ErrorPair,
-    ber_curve,
-    bsc_capacity,
     error_curves,
     error_probs,
     evaluate,
@@ -73,7 +73,8 @@ class TestErrorProbs:
 
     def test_curve_agrees_with_single_calls(self):
         basis = [(1.5, 3)]
-        curve = ber_curve(20, 8.0, basis, 0.5)
+        p_curve, q_curve = error_curves(20, 8.0, basis, 0.5)
+        curve = 0.5 * (p_curve + q_curve)
         for theta in range(21):
             pair = error_probs(theta, 8.0, basis, 0.5)
             assert curve[theta] == pytest.approx(0.5 * (pair.p + pair.q), abs=1e-14)
@@ -86,8 +87,6 @@ class TestErrorProbs:
         for theta_max in (-1, 2.5, True, math.nan):
             with pytest.raises(ParameterError, match="theta_max"):
                 error_curves(theta_max, 5.0, [], 0.0)
-            with pytest.raises(ParameterError, match="theta_max"):
-                ber_curve(theta_max, 5.0, [], 0.0)
         # NumPy integers are integers
         assert error_probs(np.int64(3), 5.0, [(1.0, 2)], 0.0) == error_probs(3, 5.0, [(1.0, 2)], 0.0)
 
@@ -107,8 +106,6 @@ class TestErrorProbs:
             error_curves(10, mu_s, basis, mu_n)
         with pytest.raises(ParameterError, match=name):
             error_probs(3, mu_s, basis, mu_n)
-        with pytest.raises(ParameterError, match=name):
-            ber_curve(10, mu_s, basis, mu_n)
 
     def test_error_pair_bounds(self):
         with pytest.raises(ParameterError):
@@ -139,21 +136,19 @@ class TestRates:
             )
 
     def test_equal_errors_match_bsc_capacity(self):
+        # at p = q the channel is binary symmetric, of capacity 1 - H2(p)
         rate = link_rate(ErrorPair(0.11, 0.11))
-        assert rate == pytest.approx(bsc_capacity(0.11), abs=1e-12)
-
-    def test_bsc_endpoints(self):
-        assert bsc_capacity(0.0) == 1.0
-        assert bsc_capacity(0.5) == pytest.approx(0.0, abs=1e-15)
-        with pytest.raises(ParameterError):
-            bsc_capacity(1.5)
+        assert rate == pytest.approx(1.0 + 0.11 * math.log2(0.11) + 0.89 * math.log2(0.89), abs=1e-12)
 
     def test_spatial_rate(self):
         assert spatial_rate(0.0346410) == pytest.approx(28.8675, rel=1e-5)
         assert spatial_rate(1.0) == 1.0
         assert spatial_rate(2.0) == pytest.approx(0.5 * spatial_rate(1.0))
-        with pytest.raises(ParameterError):
-            spatial_rate(0.0)
+
+    @pytest.mark.parametrize("area", [0.0, -1.0, math.inf, math.nan, True, "1.0"])
+    def test_spatial_rate_rejects_bad_areas(self, area):
+        with pytest.raises(ParameterError, match="cell_area"):
+            spatial_rate(area)
 
 
 class TestEvaluate:
@@ -166,6 +161,27 @@ class TestEvaluate:
         assert report.theta_used == report.theta_opt
         assert report.cell_area == pytest.approx(math.sqrt(3.0) / 2.0 * 0.2**2)
         assert not report.truncation_warning
+
+    @pytest.mark.parametrize("threshold_mode", ["optimal", "suboptimal"])
+    def test_one_count_distribution_to_the_flip_bound(self, monkeypatch, threshold_mode):
+        # theta_opt and both error probabilities come from one pmf build
+        config = SystemConfig(n_mol=1000, threshold_mode=threshold_mode)
+        summary = summarize(config.params(), config.geometry(), config.layout())
+        lam_max = summary.mu_n + summary.cbar_sum
+        bound = math.ceil(summary.mu_s / math.log1p(summary.mu_s / lam_max))
+        lengths = []
+        build = detection._count_pmfs
+
+        def recording(mu_s, ring_basis, mu_n, n):
+            lengths.append(n)
+            return build(mu_s, ring_basis, mu_n, n)
+
+        for module in (detection, perf):
+            monkeypatch.setattr(module, "_count_pmfs", recording)
+        report = evaluate(config)
+        assert len(lengths) == 1
+        assert lengths[0] <= bound + 3
+        assert report.theta_used == (report.theta_opt if threshold_mode == "optimal" else report.theta_sub)
 
     def test_suboptimal_mode_uses_closed_form_threshold(self):
         report = evaluate(SystemConfig(threshold_mode="suboptimal"))
