@@ -165,13 +165,14 @@ def cir(
     an order chosen per element so that the dropped terms are at most
     SERIES_RTOL of the sum; ``k_max`` is a minimum order. Points whose value
     is provably 0 (a zero axial factor, or r_i more than 27.3 sqrt(4Dt)
-    beyond S_RX) skip the series. ``gamma_form`` selects the series variant:
-    "lower" (default) keeps the lower incomplete gamma exactly as the
-    cylinder integral dictates and agrees with adaptive quadrature of the
-    point-source concentration; "regularized" divides each term by an extra
-    k!, which is identical at r_i = 0 but decays faster with distance and
-    reproduces the tabulated reference constants used by the acceptance
-    suite.
+    beyond S_RX) skip the series. At rho = 0 (the paired link) the series
+    is its first term, taken in closed form as 1 - e^-sigma. ``gamma_form``
+    selects the series variant: "lower" (default) keeps the lower
+    incomplete gamma exactly as the cylinder integral dictates and agrees
+    with adaptive quadrature of the point-source concentration;
+    "regularized" divides each term by an extra k!, which is identical at
+    r_i = 0 (0! = 1) but decays faster with distance and reproduces the
+    tabulated reference constants used by the acceptance suite.
     """
     t_arr, r_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r_i, dtype=float))
     if not (np.isfinite(t_arr) & (t_arr > 0)).all():
@@ -197,7 +198,11 @@ def cir(
         live = np.flatnonzero((axial != 0.0) & (r_w - params.s_rx <= _FAR * root))
         sigma = params.s_rx * params.s_rx / four_dt[live]
         rho = r_w[live] * r_w[live] / four_dt[live]
-        flat[start + live] = axial[live] * _radial(rho, sigma, k_max, extra)
+        # at rho = 0 the series is its first term, P(1, sigma) = 1 - e^-sigma
+        radial = -np.expm1(-sigma)
+        off = rho > 0.0
+        radial[off] = _radial(rho[off], sigma[off], k_max, extra)
+        flat[start + live] = axial[live] * radial
     np.clip(value, 0.0, 1.0, out=value)
     return float(value) if value.ndim == 0 else value
 

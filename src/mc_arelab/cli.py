@@ -140,7 +140,9 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
     times = _record_times(cfg, cfg.horizon, "horizon")
     distances = np.array([layout.sites[i].radial_distance for i in indices])
     values = cir(times[:, None], distances, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
-    rows = np.column_stack([times, values]).tolist()
+    # one Python row at a time: a fine trace as lists of floats would be
+    # several times the size of its array
+    rows = map(np.ndarray.tolist, np.column_stack([times, values]))
     columns = ["t_s"] + [f"cir_tx{i}" for i in indices]
     return tuple(columns), [(None, rows)]
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, SearchError, is_finite_real, is_integer
-from .specfun import _log_factorials, _log_poisson_pmf, log_sum_exp
+from .specfun import _log_factorials, log_sum_exp
 
 __all__ = [
     "DetectorSpec",
@@ -163,14 +163,23 @@ def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
 def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, n: int) -> np.ndarray:
     """ln sum_a w_a Poisson(r; lam_a) at r = 0..n-1.
 
-    The atoms are taken in blocks, so no temporary exceeds _CHUNK elements;
-    each block's log-sum-exp is folded into the running value.
+    The atoms are taken in blocks of at most _CHUNK elements, each filled
+    into one reused buffer as ((r ln lam) - lam) - ln r! + ln w; each
+    block's log-sum-exp is folded into the running value.
     """
     out = np.full(n, -math.inf)
     block = max(1, _CHUNK // n)
+    r = np.arange(n)
+    log_r_factorial = _log_factorials(n - 1)
+    buffer = np.empty((min(block, lams.size), n))
     for start in range(0, lams.size, block):
         part = slice(start, start + block)
-        terms = _log_poisson_pmf(lams[part], n - 1)
+        terms = buffer[: lams[part].size]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(r, np.log(lams[part])[:, None], out=terms)
+        terms[:, 0] = 0.0
+        terms -= lams[part, None]
+        terms -= log_r_factorial
         terms += log_weights[part, None]
         out = np.logaddexp(out, _log_sum_exp(terms, axis=0))
     return out

@@ -9,6 +9,7 @@ sits at the origin; interferers are the nearest lattice sites around it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -127,18 +128,33 @@ def enumerate_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLay
     Sites are sorted by (distance, polar angle counterclockwise from +x).
     If the requested count would split a distance-equivalence class, the
     class is completed, so the layout may hold slightly more interferers
-    than requested; classes are never truncated.
+    than requested; classes are never truncated. The classes depend on the
+    pitch only through their scale, so the lattice is scanned once per
+    (kind, count), at unit pitch, and each call scales the distances.
     """
     _check_kind(kind)
     _check_pitch(pitch)
     if not (is_integer(n_interferers) and n_interferers >= 1):
         raise ParameterError(f"n_interferers must be a positive integer, got {n_interferers!r}")
 
+    sites = [TxSite(index=0, radial_distance=0.0, ring=0, lattice_coords=(0, 0))]
+    ring_sizes: list[tuple[float, int]] = []
+    for ring, (q, members) in enumerate(_distance_classes(kind, int(n_interferers)), start=1):
+        dist = pitch * math.sqrt(q)
+        ring_sizes.append((dist, len(members)))
+        for coords in members:
+            sites.append(TxSite(index=len(sites), radial_distance=dist, ring=ring, lattice_coords=coords))
+    return GridLayout(kind=kind, pitch=pitch, sites=tuple(sites), ring_sizes=tuple(ring_sizes))
+
+
+@functools.lru_cache(maxsize=64)
+def _distance_classes(kind: GridKind, n_interferers: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The nearest distance classes (q, members by angle) holding n_interferers sites, at unit pitch."""
     # generous first guess from the site density, grown if a rescan is needed
-    radius = math.sqrt((n_interferers + 1) * cell_area(kind, pitch) / math.pi) * 1.3 + 3.0 * pitch
+    radius = math.sqrt((n_interferers + 1) * cell_area(kind, 1.0) / math.pi) * 1.3 + 3.0
     while True:
-        q_max = (radius / pitch) ** 2
-        half_width = math.ceil(1.5 * radius / pitch) + 2
+        q_max = radius**2
+        half_width = math.ceil(1.5 * radius) + 2
         by_class: dict[int, list[tuple[float, int, int]]] = {}
         total = 0
         for xp in range(-half_width, half_width + 1):
@@ -148,7 +164,7 @@ def enumerate_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLay
                 q = _squared_norm(kind, xp, yp)
                 if q > q_max:
                     continue
-                x, y = _cartesian(kind, pitch, xp, yp)
+                x, y = _cartesian(kind, 1.0, xp, yp)
                 angle = math.atan2(y, x) % (2.0 * math.pi)
                 by_class.setdefault(q, []).append((angle, xp, yp))
                 total += 1
@@ -156,16 +172,12 @@ def enumerate_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLay
             break
         radius *= 1.6
 
-    sites = [TxSite(index=0, radial_distance=0.0, ring=0, lattice_coords=(0, 0))]
-    ring_sizes: list[tuple[float, int]] = []
-    index = 1
-    for ring, q in enumerate(sorted(by_class), start=1):
-        members = sorted(by_class[q])
-        dist = pitch * math.sqrt(q)
-        ring_sizes.append((dist, len(members)))
-        for _, xp, yp in members:
-            sites.append(TxSite(index=index, radial_distance=dist, ring=ring, lattice_coords=(xp, yp)))
-            index += 1
-        if index - 1 >= n_interferers:
+    classes = []
+    count = 0
+    for q in sorted(by_class):
+        members = tuple((xp, yp) for _, xp, yp in sorted(by_class[q]))
+        classes.append((q, members))
+        count += len(members)
+        if count >= n_interferers:
             break
-    return GridLayout(kind=kind, pitch=pitch, sites=tuple(sites), ring_sizes=tuple(ring_sizes))
+    return tuple(classes)

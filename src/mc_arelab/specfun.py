@@ -36,7 +36,7 @@ def erf(x):
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise ParameterError(f"erf requires finite x, got {x}")
-    values = np.array([math.erf(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    values = np.fromiter(map(math.erf, arr.ravel().tolist()), float, count=arr.size).reshape(arr.shape)
     return float(values) if values.ndim == 0 else values
 
 

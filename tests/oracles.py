@@ -7,7 +7,9 @@ evaluates), take the radial factor from SciPy's noncentral chi-square cdf
 or sum its series exactly with SciPy's incomplete gamma; the peak-time
 oracle refines its scan by golden-section search and plateau bisection
 with one scalar response call per step, where the library zooms on both
-edges of the peak with array calls; the error-probability oracles expand small sums by hand, and the detection
+edges of the peak with array calls; the site oracle scans the lattice at
+the asked pitch on every call, where the library scans it once per (kind,
+count) at unit pitch; the error-probability oracles expand small sums by hand, and the detection
 oracles evaluate every likelihood as a log-sum-exp over the
 atoms of the collapsed interference spectrum, where the library works
 from the convolved count distribution.
@@ -22,6 +24,7 @@ from scipy import integrate, special, stats
 
 from mc_arelab.channel import PhysicalParams, ReceiverGeometry, cir
 from mc_arelab.errors import ParameterError, SearchError
+from mc_arelab.gridgeom import GridKind, GridLayout, TxSite, cell_area
 from mc_arelab.specfun import log_sum_exp
 
 
@@ -152,6 +155,48 @@ def oracle_peak_time(
             d_ = a + inv_phi * (b - a)
             fd = f(d_)
     return 0.5 * (a + b)
+
+
+def scan_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLayout:
+    """Nearest sites by a full lattice scan at ``pitch``, with no cache.
+
+    Keeps every site within a radius grown until it holds n_interferers,
+    groups the sites by their integer squared norm in pitch units, sorts
+    each class by the polar angle of the site's position at this pitch,
+    and takes whole classes in distance order until n_interferers is
+    reached.
+    """
+    hexagonal = kind is GridKind.HEXAGONAL
+    radius = math.sqrt((n_interferers + 1) * cell_area(kind, pitch) / math.pi) * 1.3 + 3.0 * pitch
+    while True:
+        q_max = (radius / pitch) ** 2
+        half_width = math.ceil(1.5 * radius / pitch) + 2
+        by_class: dict[int, list[tuple[float, int, int]]] = {}
+        for xp in range(-half_width, half_width + 1):
+            for yp in range(-half_width, half_width + 1):
+                q = xp * xp + yp * yp + (xp * yp if hexagonal else 0)
+                if (xp, yp) == (0, 0) or q > q_max:
+                    continue
+                if hexagonal:
+                    x, y = pitch * (math.sqrt(3.0) / 2.0) * xp, pitch * (yp + 0.5 * xp)
+                else:
+                    x, y = pitch * xp, pitch * yp
+                by_class.setdefault(q, []).append((math.atan2(y, x) % (2.0 * math.pi), xp, yp))
+        if sum(map(len, by_class.values())) >= n_interferers:
+            break
+        radius *= 1.6
+
+    sites = [TxSite(index=0, radial_distance=0.0, ring=0, lattice_coords=(0, 0))]
+    ring_sizes = []
+    for ring, q in enumerate(sorted(by_class), start=1):
+        dist = pitch * math.sqrt(q)
+        members = sorted(by_class[q])
+        ring_sizes.append((dist, len(members)))
+        for _, xp, yp in members:
+            sites.append(TxSite(index=len(sites), radial_distance=dist, ring=ring, lattice_coords=(xp, yp)))
+        if len(sites) - 1 >= n_interferers:
+            break
+    return GridLayout(kind=kind, pitch=pitch, sites=tuple(sites), ring_sizes=tuple(ring_sizes))
 
 
 def exhaustive_iui_spectrum(ring_basis: list[tuple[float, int]]) -> list[tuple[float, float]]:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mc_arelab import channel
 from mc_arelab.channel import (
     ChannelSummary,
     PhysicalParams,
@@ -178,6 +179,34 @@ class TestCirSeries:
             for i, t_i in enumerate(t.tolist()):
                 for j, r_j in enumerate(r.tolist()):
                     assert grid[i, j] == cir(t_i, r_j, params, geom, k_max=3, gamma_form=gamma_form)
+
+    @pytest.mark.parametrize("gamma_form", ["lower", "regularized"])
+    @pytest.mark.parametrize("s_rx", [1e-4, 0.1, 1.0])
+    def test_zero_offset_closed_form_matches_ncx2(self, gamma_form, s_rx):
+        # sigma = s_rx^2 / 4Dt runs from 2e-8 (1 - e^-sigma loses all its
+        # digits without expm1) to 5e5 over the grid
+        params = replace(DEFAULTS, s_rx=s_rx)
+        geom = ReceiverGeometry.centered(params)
+        t = np.geomspace(5e-5, 15.0, 300)
+        values = cir(t, 0.0, params, geom, gamma_form=gamma_form)
+        for t_i, value in zip(t.tolist(), values.tolist()):
+            ref = cir_ncx2(t_i, 0.0, params, geom)
+            assert abs(value - ref) <= 1e-13 * ref, (t_i, value, ref)
+
+    def test_peak_time_sums_no_series_at_zero_offset(self, monkeypatch):
+        calls = []
+        radial = channel._radial
+
+        def offset_only(rho, *args):
+            assert (rho > 0).all()
+            calls.append(rho.size)
+            return radial(rho, *args)
+
+        monkeypatch.setattr("mc_arelab.channel._radial", offset_only)
+        peak_time(DEFAULTS, GEOM)
+        assert calls and sum(calls) == 0
+        summarize(DEFAULTS, GEOM, enumerate_sites(GridKind.HEXAGONAL, 0.2, 6))
+        assert sum(calls) == 1
 
     def test_scalar_call_returns_float(self):
         assert type(cir(2.0, 0.2, DEFAULTS, GEOM)) is float

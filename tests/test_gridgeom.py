@@ -16,6 +16,8 @@ from mc_arelab.gridgeom import (
     to_cartesian,
 )
 
+from oracles import scan_sites
+
 
 def lattice_shell(xp: int, yp: int) -> int:
     """Hex lattice ring number of an offset coordinate pair."""
@@ -234,3 +236,19 @@ class TestEnumerateSites:
         layout = enumerate_sites(GridKind.HEXAGONAL, 0.2, np.int64(36))
         assert layout == enumerate_sites(GridKind.HEXAGONAL, 0.2, 36)
         assert SystemConfig(n_interferers=np.int64(36)).layout() == layout
+
+    @pytest.mark.parametrize("kind", [GridKind.HEXAGONAL, GridKind.SQUARE])
+    def test_matches_a_fresh_scan_at_every_pitch(self, kind):
+        for n in (1, 6, 7, 24, 36, 200, 1000):
+            for pitch in (10.0**e for e in range(-6, 7)):
+                assert enumerate_sites(kind, pitch, n) == scan_sites(kind, pitch, n), (n, pitch)
+
+    def test_a_new_pitch_scans_no_lattice(self, monkeypatch):
+        enumerate_sites(GridKind.SQUARE, 0.2, 41)
+        expected = scan_sites(GridKind.SQUARE, 0.37, 41)
+
+        def scanning(*args):
+            raise AssertionError("lattice scanned again")
+
+        monkeypatch.setattr("mc_arelab.gridgeom._squared_norm", scanning)
+        assert enumerate_sites(GridKind.SQUARE, 0.37, 41) == expected
