@@ -102,7 +102,11 @@ def _check_site_index(index: int, n_sites: int) -> None:
 def _record_times(cfg: SystemConfig, span: float, name: str) -> np.ndarray:
     """Multiples of the record step pbs_dt * pbs_record_every up to ``span``."""
     step = cfg.pbs_dt * cfg.pbs_record_every
-    n_rec = int(math.floor(span / step + 1e-9))
+    steps = span / step + 1e-9
+    # past the largest float64 array NumPy can index, or an infinite ratio
+    if not steps < np.iinfo(np.intp).max / 8:
+        raise ParameterError(f"{name} = {span} holds more record steps of {step} s than an array can index")
+    n_rec = math.floor(steps)
     if n_rec < 1:
         raise ParameterError(f"{name} = {span} is shorter than one record step of {step} s")
     return step * np.arange(1, n_rec + 1)

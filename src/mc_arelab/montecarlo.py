@@ -29,6 +29,8 @@ from .perf import _threshold_curves
 __all__ = ["McResult", "ThresholdBer", "run"]
 
 CHUNK = 100_000
+# samples per block of interferer words in _draw_iui
+BLOCK = 25_000
 
 
 class ThresholdBer(NamedTuple):
@@ -61,17 +63,24 @@ def _draw_iui(rings, size: int, rng: np.random.Generator) -> np.ndarray:
     Each interferer sends one fair random bit, so a ring's active count is
     the popcount of ``count`` random bits, drawn in words of at most 64.
     The counts add up in the smallest unsigned type that holds ``count``,
-    so they cannot overflow. The first word's count is the tally itself:
-    one fewer temporary per ring keeps the peak memory of the sampling
-    threads down.
+    so they cannot overflow. Words are drawn, and ``cbar * active`` is
+    folded into the total through one reused buffer, ``BLOCK`` samples at
+    a time. A uint64 word is one draw from the stream whatever the block,
+    so the samples equal those of whole-chunk draws; only the temporaries
+    shrink to a block.
     """
     iui = np.zeros(size)
+    term = np.empty(min(size, BLOCK))
+    blocks = [slice(lo, lo + BLOCK) for lo in range(0, size, BLOCK)]
     for cbar, count in rings:
-        words = [min(64, count - start) for start in range(0, count, 64)]
-        active = _ones(words[0], size, rng).astype(np.min_scalar_type(count), copy=False)
-        for bits in words[1:]:
-            active += _ones(bits, size, rng)
-        iui += cbar * active
+        active = np.zeros(size, np.min_scalar_type(count))
+        for start in range(0, count, 64):
+            for block in blocks:
+                active[block] += _ones(min(64, count - start), active[block].size, rng)
+        for block in blocks:
+            part = term[: active[block].size]
+            np.multiply(cbar, active[block], out=part)
+            iui[block] += part
     return iui
 
 

@@ -6,6 +6,14 @@ next: over a gap g the displacement is Normal(0, 2D g) per axis plus v g
 along z. No step size enters, so there is no time discretization error.
 The receiver is transparent, so counting molecules inside the cylinder
 is a pure observation.
+
+Only z is advanced at every requested time. A particle whose z lies
+outside [z_s, z_e] cannot be inside the cylinder, so its (x, y) is not
+needed there; it is drawn only at the times where z meets the axial
+span, in one jump Normal(0, 2D (t - t_last)) per axis from the last time
+it was drawn. The lateral and axial motions are independent Brownian
+motions, so the recorded in-receiver indicators have exactly the joint
+law of advancing all three coordinates at every time.
 """
 
 from __future__ import annotations
@@ -73,7 +81,10 @@ def simulate_cir(
 
     One realization releases ``cfg.particles`` particles at the offset
     transmitter position at t = 0 and records the in-cylinder fraction at
-    each of ``cfg.times``. Mean and standard error are taken across
+    each of ``cfg.times``. Every record draws each particle's z step, then
+    the lateral jumps of the particles whose z is in the axial span, since
+    their last lateral draw (t = 0 at first); the others keep their stale
+    (x, y), which no record reads. Mean and standard error are taken across
     realizations, in chunks of ``REALIZATION_CHUNK`` with one RNG substream
     each (``config.map_chunks``), so the trace depends only on the seed and
     the sizes, not on the thread count.
@@ -81,7 +92,8 @@ def simulate_cir(
     if len(tx_offset) != 2 or not all(is_finite_real(u) for u in tx_offset):
         raise ParameterError(f"tx_offset must be two finite coordinates, got {tx_offset!r}")
     x0, y0 = float(tx_offset[0]), float(tx_offset[1])
-    gaps = np.diff(cfg.times, prepend=0.0)
+    times = np.array(cfg.times)
+    gaps = np.diff(times, prepend=0.0)
     sigmas = np.sqrt(2.0 * params.D * gaps)
     drifts = params.v * gaps
     s2 = params.s_rx * params.s_rx
@@ -91,18 +103,25 @@ def simulate_cir(
         x = np.full(n_part, x0)
         y = np.full(n_part, y0)
         z = np.zeros(n_part)
-        # one buffer of x, y, z steps, filled in that order from the stream
-        step = np.empty((3, n_part))
+        t_last = np.zeros(n_part)
+        dz = np.empty(n_part)
         sums = np.empty((2, gaps.size))
-        for k, (sigma, drift) in enumerate(zip(sigmas, drifts)):
-            rng.standard_normal(out=step)
-            step *= sigma
-            x += step[0]
-            y += step[1]
-            step[2] += drift
-            z += step[2]
-            inside = (x * x + y * y <= s2) & (z >= geom.z_s) & (z <= geom.z_e)
-            frac = inside.reshape(size, cfg.particles).mean(axis=1)
+        for k, (t, sigma, drift) in enumerate(zip(times, sigmas, drifts)):
+            rng.standard_normal(out=dz)
+            dz *= sigma
+            dz += drift
+            z += dz
+            span = np.flatnonzero((z >= geom.z_s) & (z <= geom.z_e))
+            # x and y jumps of the in-span particles, drawn in that order
+            lateral = rng.standard_normal((2, span.size))
+            lateral *= np.sqrt(2.0 * params.D * (t - t_last[span]))
+            xs = x[span] + lateral[0]
+            ys = y[span] + lateral[1]
+            x[span] = xs
+            y[span] = ys
+            t_last[span] = t
+            hit = span[xs * xs + ys * ys <= s2]
+            frac = np.bincount(hit // cfg.particles, minlength=size) / cfg.particles
             sums[:, k] = frac.sum(), (frac * frac).sum()
         return sums
 

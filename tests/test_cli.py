@@ -337,3 +337,20 @@ class TestValidationCommands:
         assert code == 2
         assert out == ""
         assert span in err and "record step of 0.01" in err
+
+    @pytest.mark.parametrize(
+        "argv, span, step",
+        [
+            (("cir", "--dt", "1e-300"), "horizon", "1e-299"),
+            (("cir", "--horizon", "1e300"), "horizon", "0.01"),
+            (("pbs-validate", "--dt", "1e-300"), "t_sim", "1e-299"),
+            (("pbs-validate", "--dt", "5e-324"), "t_sim", "5e-323"),
+        ],
+    )
+    def test_span_of_more_records_than_an_array_holds(self, capsys, argv, span, step):
+        # each grid here is past the array size limit, so nothing is allocated
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{span} = " in err and f"record steps of {step} s" in err
+        assert "Traceback" not in err

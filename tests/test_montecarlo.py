@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mc_arelab import montecarlo
 from mc_arelab.channel import ChannelSummary, summarize
 from mc_arelab.config import MC_MODES, SystemConfig, map_chunks
 from mc_arelab.detection import IuiSpectrum, optimal_threshold
@@ -189,6 +190,29 @@ class TestRun:
 
 
 class TestRingSampling:
+    def test_one_chunk_draws_in_block_sized_temporaries(self, default_summary):
+        # the result and the ring tally are chunk-sized; every other
+        # temporary is one block long
+        rings = default_summary.cbar
+        _draw_iui(rings, CHUNK, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            iui = _draw_iui(rings, CHUNK, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iui.nbytes == 8 * CHUNK
+        assert peak < iui.nbytes + 0.7e6
+
+    @pytest.mark.parametrize("block", [1000, CHUNK])
+    def test_block_size_does_not_change_the_draws(self, monkeypatch, block):
+        # a multi-word ring, and a size that no block divides
+        rings = [(0.3, 6), (1.7, 130), (0.05, 64)]
+        size = CHUNK - 7
+        expected = _draw_iui(rings, size, np.random.default_rng(8))
+        monkeypatch.setattr(montecarlo, "BLOCK", block)
+        assert _draw_iui(rings, size, np.random.default_rng(8)).tobytes() == expected.tobytes()
+
     def test_binomial_ring_equals_bernoulli_sum(self):
         n = 100_000
         ring = _draw_iui([(1.0, 6)], n, np.random.default_rng(21)).astype(int)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mc_arelab import config, pbs
 from mc_arelab.channel import PhysicalParams, ReceiverGeometry, cir, peak_time
 from mc_arelab.errors import ParameterError
 from mc_arelab.pbs import CirTrace, PbsConfig, simulate_cir
@@ -22,6 +23,48 @@ FULL_GRID = record_grid(15.0)
 
 def nearest_index(trace, t):
     return int(np.argmin(np.abs(np.array(trace.times) - t)))
+
+
+def bernoulli_kl(a, c):
+    """Relative entropy D(a || c) of two Bernoulli laws, in nats."""
+    total = 0.0
+    for x, y in ((a, c), (1.0 - a, 1.0 - c)):
+        if x > 0.0:
+            if y <= 0.0:
+                return math.inf
+            total += x * math.log(x / y)
+    return total
+
+
+class CountingGenerator:
+    """A Generator stand-in that counts the standard normals drawn through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.normals = 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        draw = self.rng.standard_normal(size, dtype=dtype, out=out)
+        self.normals += np.size(draw)
+        return draw
+
+
+def count_normals(monkeypatch, params, geom, cfg):
+    """Normals that simulate_cir draws in all its chunks."""
+    counts = []
+
+    def counting_map_chunks(fn, total, chunk, seed):
+        def counted(size, rng):
+            proxy = CountingGenerator(rng)
+            out = fn(size, proxy)
+            counts.append(proxy.normals)
+            return out
+
+        return config.map_chunks(counted, total, chunk, seed)
+
+    monkeypatch.setattr(pbs, "map_chunks", counting_map_chunks)
+    simulate_cir(params, geom, (0.0, 0.0), cfg)
+    return sum(counts)
 
 
 class TestConfig:
@@ -164,3 +207,42 @@ class TestSimulateCir:
         assert math.sqrt(10.0) * 0.7 <= ratio <= math.sqrt(10.0) * 1.5
         gap = abs(small.mean_fraction[k] - big.mean_fraction[k])
         assert gap <= 3.0 * (small.stderr[k] + big.stderr[k])
+
+    @pytest.mark.parametrize("v", [0.0, 0.2])
+    @pytest.mark.parametrize("offset", [0.0, 0.2])
+    def test_whole_trace_within_chernoff_bound(self, v, offset):
+        # every particle is independent, so each record's in-receiver count
+        # is Binomial(N, cir(t)); N * D(observed || cir) > ln(2 n / alpha)
+        # happens at any of the n records with probability at most alpha
+        params = PhysicalParams(v=v)
+        geom = ReceiverGeometry.centered(params)
+        cfg = PbsConfig(times=FULL_GRID, realizations=200, particles=100, seed=41)
+        trace = simulate_cir(params, geom, (offset, 0.0), cfg)
+        n_total = cfg.realizations * cfg.particles
+        limit = math.log(2.0 * len(trace.times) / 1e-6)
+        expected = cir(np.array(trace.times), offset, params, geom)
+        scores = [
+            n_total * bernoulli_kl(round(frac * n_total) / n_total, ref)
+            for frac, ref in zip(trace.mean_fraction, expected.tolist())
+        ]
+        assert max(scores) <= limit
+        assert max(trace.mean_fraction) > 0.0
+
+
+class TestLateralDraws:
+    def test_lateral_steps_only_inside_the_axial_span(self, monkeypatch):
+        # at vanishing diffusion z = v t, so the span [0.4, 0.6] m holds
+        # every particle at 2.1, 2.5 and 2.9 s and none at the other times
+        params = PhysicalParams(D=1e-12)
+        geom = ReceiverGeometry.centered(params)
+        times = (0.5, 1.0, 1.9, 2.1, 2.5, 2.9, 3.1, 4.0)
+        cfg = PbsConfig(times=times, realizations=150, particles=7, seed=3)
+        n_total = cfg.realizations * cfg.particles
+        assert count_normals(monkeypatch, params, geom, cfg) == len(times) * n_total + 2 * 3 * n_total
+
+    def test_no_lateral_steps_when_the_span_is_never_met(self, monkeypatch):
+        params = PhysicalParams(D=1e-12, v=0.0)
+        geom = ReceiverGeometry.centered(params)
+        cfg = PbsConfig(times=record_grid(2.0), realizations=150, particles=7, seed=3)
+        n_total = cfg.realizations * cfg.particles
+        assert count_normals(monkeypatch, params, geom, cfg) == len(cfg.times) * n_total
