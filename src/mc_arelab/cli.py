@@ -20,7 +20,7 @@ from . import __version__
 from .channel import cir, summarize
 from .config import SystemConfig, dump_config, load_config, parse_config_text
 from .detection import characterize
-from .errors import ParameterError, SearchError
+from .errors import MAX_ELEMENTS, ParameterError, SearchError
 from .gridgeom import to_cartesian
 from .montecarlo import run as mc_run
 from .pbs import PbsConfig, simulate_cir
@@ -104,7 +104,7 @@ def _record_times(cfg: SystemConfig, span: float, name: str) -> np.ndarray:
     step = cfg.pbs_dt * cfg.pbs_record_every
     steps = span / step + 1e-9
     # past the largest float64 array NumPy can index, or an infinite ratio
-    if not steps < np.iinfo(np.intp).max / 8:
+    if not steps < MAX_ELEMENTS:
         raise ParameterError(f"{name} = {span} holds more record steps of {step} s than an array can index")
     n_rec = math.floor(steps)
     if n_rec < 1:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ParameterError, SearchError, is_finite_real, is_integer
-from .specfun import _log_factorials, log_sum_exp
+from .errors import ParameterError, SearchError, check_elements, is_finite_real, is_integer
+from .specfun import _log_factorials, _log_poisson_pmf, log_sum_exp
 
 __all__ = [
     "DetectorSpec",
@@ -219,23 +219,18 @@ def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarra
     first n entries in value, but not bit for bit: each convolution output
     sums a window whose length follows n, so its rounding moves with n.
     """
-    point = np.zeros(1)
-    off = _log_mixture(np.array([mu_n]), point, n)
+    off = _log_poisson_pmf(np.float64(mu_n), n - 1)
     for cbar, count in _merge_rings(ring_basis):
         ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), n)
         off = _log_convolve(off, ring)
-    on = _log_convolve(off, _log_mixture(np.array([mu_s]), point, n))
+    on = _log_convolve(off, _log_poisson_pmf(np.float64(mu_s), n - 1))
     return off, on
 
 
 def _log_poisson_score(phi: float, lam: np.ndarray) -> np.ndarray:
     """phi ln(lam) - lam elementwise, with the 0^0 = 1 convention at lam = 0."""
-    out = np.full(lam.shape, -math.inf)
-    pos = lam > 0
-    out[pos] = phi * np.log(lam[pos]) - lam[pos]
-    if phi == 0:
-        out[~pos] = 0.0
-    return out
+    with np.errstate(divide="ignore"):
+        return phi * np.log(lam) - lam if phi else -lam
 
 
 def _check_means(mu_s: float, mu_n: float) -> None:
@@ -255,13 +250,17 @@ def ml_decide(r: int, mu_s: float, ring_basis, mu_n: float) -> int:
     if not is_integer(r) or r < 0:
         raise ParameterError(f"r must be a nonnegative integer, got {r!r}")
     _check_means(mu_s, mu_n)
+    check_elements(int(r) + 1, f"r = {r!r}")
     off, on = _count_pmfs(mu_s, ring_basis, mu_n, int(r) + 1)
     return 1 if on[-1] >= off[-1] else 0
 
 
 def _crossing(mu_s: float, lam: float) -> float:
     """mu_s / ln(1 + mu_s / lam): the real count where Poisson(lam + mu_s) overtakes Poisson(lam)."""
-    return mu_s / math.log1p(mu_s / lam)
+    ratio = math.log1p(mu_s / lam)
+    if ratio == 0:
+        raise ParameterError(f"mu_s = {mu_s!r} is lost in the rounding of the bit-0 mean {lam!r} (interference and mu_n)")
+    return mu_s / ratio
 
 
 def _balance_bounds(off: np.ndarray, on: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +318,7 @@ class _CountDistribution:
         self.cbar_sum = math.fsum(cbar * count for cbar, count in self.merged)
         lam_max = mu_n + self.cbar_sum
         self.bound = math.ceil(_crossing(mu_s, lam_max)) if lam_max > 0 else 0
+        check_elements(self.bound + 3, f"the count pmf to the flip bound of mu_s = {mu_s!r} and mu_n = {mu_n!r}")
         self.off, self.on = _count_pmfs(mu_s, self.merged, mu_n, self.bound + 3)
 
     def theta_opt(self) -> int:
@@ -330,44 +330,30 @@ class _CountDistribution:
         return int(flips[0])
 
     def threshold_set(self) -> list[int]:
-        """The scan of threshold_set."""
+        """The scan of threshold_set, one table row per unit interval."""
         if self.mu_n == 0 and all(cbar == 0 for cbar, _ in self.merged):
             # the bit-0 count is surely 0: B(0) = -mu_s and B = +inf beyond
             return [1]
 
-        phis = 0.25 * np.arange(4 * (self.bound + 1) + 1)
+        phis = np.arange(self.bound + 1)[:, None] + (0, 0.25, 0.5, 0.75, 1)
         lo, hi = _balance_bounds(self.off, self.on, phis)
         positive, negative = lo > BALANCE_RECHECK, hi < -BALANCE_RECHECK
-        zero = np.zeros_like(positive)
-        ceil = np.maximum(np.ceil(phis), 1).astype(np.int64)
-        starts = np.flatnonzero(np.diff(ceil, prepend=0))
-
-        def in_interval(flags: np.ndarray) -> np.ndarray:
-            """Per unit interval: any flag at its points or at the point before them."""
-            hit = np.logical_or.reduceat(flags, starts)
-            hit[1:] |= flags[starts[1:] - 1]
-            return hit
-
-        unsigned = ~(positive | negative)
-        open_ = in_interval(unsigned) & ~(in_interval(positive) & in_interval(negative))
-        needed = open_[ceil - 1]
-        needed[starts[1:] - 1] |= open_[1:]
-        points = np.flatnonzero(unsigned & needed)
+        points = np.argwhere(~(positive | negative) & ~(positive.any(1) & negative.any(1))[:, None])
         if points.size:
             try:
                 spectrum = collapse_iui(self.merged)
             except ParameterError as exc:
-                raise SearchError(f"the likelihood balance at phi = {phis[points[0]]} needs the atoms: {exc}") from exc
+                raise SearchError(f"the likelihood balance at phi = {phis[tuple(points[0])]} needs the atoms: {exc}") from exc
             lam_on = self.mu_s + spectrum.values + self.mu_n
             lam_off = spectrum.values + self.mu_n
-            for i in points.tolist():
-                phi = float(phis[i])
+            for row, col in points.tolist():
+                phi = float(phis[row, col])
                 lhs = log_sum_exp(_log_poisson_score(phi, lam_on) + spectrum.log_weights)
                 rhs = log_sum_exp(_log_poisson_score(phi, lam_off) + spectrum.log_weights)
-                # a zero balance counts as not positive, as in a sign change
-                positive[i], negative[i], zero[i] = lhs > rhs, not lhs > rhs, lhs == rhs
-        crossed = (in_interval(positive) & in_interval(negative)) | np.logical_or.reduceat(zero, starts)
-        return ceil[starts][crossed].tolist()
+                # a zero balance is not positive, but in the row's own interval it is a crossing
+                positive[row, col] = lhs > rhs or (lhs == rhs and (col > 0 or phi == 0))
+                negative[row, col] = not lhs > rhs
+        return (np.flatnonzero(positive.any(1) & negative.any(1)) + 1).tolist()
 
 
 def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
@@ -383,18 +369,15 @@ def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
 def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
     """Integer ceilings of all real crossings of the likelihood balance.
 
-    The balance compares both likelihood mixtures at a real exponent phi,
-    on a 0.25-step scan from 0 to one past the flip bound ceil(phi*). The
-    extra unit interval keeps a crossing whose rounded balance at the bound
-    itself is not yet positive. A crossing between two scan points has the
-    ceiling of the later one, as they lie in one unit interval, so k is in
-    the set iff the balance is zero at a scan point of (k - 1, k] or its
-    sign changes along that interval's points and the point before them
-    (phi = 0 joins k = 1). A single crossing is the typical case. The
-    signs come from the bounds of _balance_bounds. A point whose bounds do
-    not clear zero by BALANCE_RECHECK is summed over the interference
-    atoms, unless its intervals already show both signs; if the atoms do
-    not fit, a SearchError names the point.
+    The balance compares both likelihood mixtures at a real exponent phi.
+    It is scanned as a table: row k - 1 holds phi = k - 1, k - 0.75, k - 0.5,
+    k - 0.25 and k, for k up to one past the flip bound ceil(phi*), so that
+    a crossing whose rounded balance at the bound is not yet positive stays.
+    k is in the set iff its row shows both signs or an exact zero in
+    (k - 1, k], or in [0, 1] for k = 1. The signs come from _balance_bounds;
+    a point they leave within BALANCE_RECHECK of zero is summed over the
+    interference atoms while its row lacks a sign. If the atoms do not
+    fit, a SearchError names the first such point.
     """
     return _CountDistribution(mu_s, ring_basis, mu_n).threshold_set()
 

@@ -5,6 +5,11 @@ from __future__ import annotations
 import math
 from numbers import Integral, Real
 
+import numpy as np
+
+# Most float64 elements one NumPy array can index: its size in bytes must fit an intp.
+MAX_ELEMENTS = np.iinfo(np.intp).max / 8
+
 
 def is_finite_real(value) -> bool:
     """A finite int or float; bools are not numbers here."""
@@ -18,6 +23,12 @@ def is_integer(value) -> bool:
 
 class ParameterError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
+
+
+def check_elements(n, what: str) -> None:
+    """Raise a ParameterError naming ``what`` when n elements are more than an array can index."""
+    if not n < MAX_ELEMENTS:
+        raise ParameterError(f"{what} needs at least {MAX_ELEMENTS:.3g} entries, past what an array can index")
 
 
 class SearchError(RuntimeError):

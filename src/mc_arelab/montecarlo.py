@@ -15,6 +15,7 @@ the ThresholdBer row of least BER.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ import numpy as np
 from .channel import ChannelSummary
 from .config import MC_MODES, map_chunks
 from .detection import _log_mixture
-from .errors import ParameterError, is_finite_real, is_integer
+from .errors import ParameterError, check_elements, is_finite_real, is_integer
 from .perf import _threshold_curves
 
 __all__ = ["McResult", "ThresholdBer", "run"]
@@ -31,6 +32,8 @@ __all__ = ["McResult", "ThresholdBer", "run"]
 CHUNK = 100_000
 # samples per block of interferer words in _draw_iui
 BLOCK = 25_000
+# largest mean Generator.poisson samples: int64 max less ten of its square roots
+POISSON_LAM_MAX = 9.223372006484771e18
 
 
 class ThresholdBer(NamedTuple):
@@ -120,6 +123,14 @@ def run(
     mu_s = float(summary.mu_s)
     mu_n = float(summary.mu_n)
     rings = [(float(cbar), int(count)) for cbar, count in summary.cbar]
+    check_elements(int(theta_max) + 1, f"theta_max = {theta_max!r}")
+    if mode == "stochastic":
+        lam_max = mu_s + math.fsum(cbar * count for cbar, count in rings) + mu_n
+        if not lam_max <= POISSON_LAM_MAX:
+            raise ParameterError(
+                f"the all-active mean mu_s + interference + mu_n = {lam_max!r} is past {POISSON_LAM_MAX}, "
+                "the largest Poisson mean NumPy samples"
+            )
 
     sample = _run_stochastic if mode == "stochastic" else _run_semi_analytic
     ber, p_hat, q_hat = sample(rings, mu_s, mu_n, theta_max, samples, seed)

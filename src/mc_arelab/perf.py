@@ -19,7 +19,7 @@ import numpy as np
 from .channel import PhysicalParams, ReceiverGeometry, cir, summarize
 from .config import SystemConfig, map_workers
 from .detection import _check_means, _count_pmfs, _CountDistribution, sinr_worst, suboptimal_threshold
-from .errors import ParameterError, is_finite_real, is_integer
+from .errors import ParameterError, check_elements, is_finite_real, is_integer
 from .gridgeom import GridLayout
 
 __all__ = [
@@ -102,6 +102,7 @@ def error_curves(theta_max: int, mu_s: float, ring_basis, mu_n: float):
     """
     if not (is_integer(theta_max) and theta_max >= 0):
         raise ParameterError(f"theta_max must be a nonnegative integer, got {theta_max!r}")
+    check_elements(int(theta_max) + 1, f"theta_max = {theta_max!r}")
     _check_means(mu_s, mu_n)
     off, on = _count_pmfs(mu_s, ring_basis, mu_n, max(int(theta_max), 1))
     return _threshold_curves(int(theta_max), np.exp(off), np.exp(on))

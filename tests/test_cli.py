@@ -354,3 +354,29 @@ class TestValidationCommands:
         assert out == ""
         assert f"{span} = " in err and f"record steps of {step} s" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("detect", "--noise", "1e300"), "mu_n = "),
+            (("detect", "--nmol", str(10**30)), "mu_s = "),
+            (("optimize-radius", "--noise", "1e300"), "mu_n = "),
+            (("are-sweep", "--noise", "1e300"), "mu_n = "),
+            (("ber-sweep", "--theta-max", str(10**30)), "theta_max = "),
+            (("mc-validate", "--mode", "semi-analytic", "--theta-max", str(10**30)), "theta_max = "),
+            (("mc-validate", "--theta-max", str(10**30)), "theta_max = "),
+            (("mc-validate", "--samples", "10", "--noise", "1e300"), "mu_n = "),
+        ],
+    )
+    def test_counts_past_what_an_array_or_a_poisson_draw_holds(self, capsys, argv, name):
+        # each value fails its check before anything of its size is allocated
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert name in err
+        assert "Traceback" not in err
+
+    def test_semi_analytic_mode_draws_no_poisson_count(self, capsys):
+        code, out, err = run_cli(capsys, "mc-validate", "--mode", "semi-analytic", "--samples", "10", "--noise", "1e300")
+        assert code == 0, err
+        assert len(data_lines(out)) == 1 + 101 + 1

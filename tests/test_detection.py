@@ -198,6 +198,10 @@ class TestMlDecide:
         with pytest.raises(ParameterError):
             ml_decide(1.5, 5.0, [], 0.0)
 
+    def test_count_past_the_array_limit(self):
+        with pytest.raises(ParameterError, match=f"r = {10**30} needs"):
+            ml_decide(10**30, 5.0, [], 0.0)
+
     def test_agrees_with_threshold_rule_at_defaults(self):
         config = SystemConfig()
         summary = summarize(config.params(), config.geometry(), config.layout())
@@ -317,6 +321,17 @@ class TestSuboptimalThreshold:
 def test_cbar_sum_must_be_finite_and_nonnegative(call, cbar_sum):
     with pytest.raises(ParameterError, match="cbar_sum"):
         call(cbar_sum)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: optimal_threshold(1e-30, [], 1e300), lambda: suboptimal_threshold(1e-30, 0.0, 1e300)],
+    ids=["optimal_threshold", "suboptimal_threshold"],
+)
+def test_signal_lost_in_the_rounding_of_the_bit_0_mean(call):
+    # mu_s / mu_n underflows to 0, so the crossing mu_s / ln(1 + mu_s / mu_n) has no divisor
+    with pytest.raises(ParameterError, match="mu_s = 1e-30 .* mu_n"):
+        call()
 
 
 class TestSinrWorst:
