@@ -257,7 +257,12 @@ def ml_decide(r: int, mu_s: float, ring_basis, mu_n: float) -> int:
 
 def _crossing(mu_s: float, lam: float) -> float:
     """mu_s / ln(1 + mu_s / lam): the real count where Poisson(lam + mu_s) overtakes Poisson(lam)."""
-    ratio = math.log1p(mu_s / lam)
+    quotient = mu_s / lam
+    if math.isinf(quotient):
+        # a subnormal lam overflows the quotient; take its log from the logs of both means
+        ratio = math.log(mu_s) - math.log(lam) + math.log1p(lam / mu_s)
+    else:
+        ratio = math.log1p(quotient)
     if ratio == 0:
         raise ParameterError(f"mu_s = {mu_s!r} is lost in the rounding of the bit-0 mean {lam!r} (interference and mu_n)")
     return mu_s / ratio

@@ -16,6 +16,7 @@ from mc_arelab.detection import (
     IuiSpectrum,
     _balance_bounds,
     _count_pmfs as count_pmfs,
+    _CountDistribution,
     characterize,
     collapse_iui,
     ml_decide,
@@ -332,6 +333,15 @@ def test_signal_lost_in_the_rounding_of_the_bit_0_mean(call):
     # mu_s / mu_n underflows to 0, so the crossing mu_s / ln(1 + mu_s / mu_n) has no divisor
     with pytest.raises(ParameterError, match="mu_s = 1e-30 .* mu_n"):
         call()
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-306, 1e-310, 5e-324])
+def test_crossing_past_an_overflowing_mean_ratio(lam):
+    # from lam = 1e-310 on, mu_s / lam overflows to inf, where log1p cannot give ln(1 + mu_s / lam)
+    result = suboptimal_threshold(100.0, 0.0, lam)
+    assert result.theta == 1
+    assert result.raw == pytest.approx(100.0 / (math.log(100.0) - math.log(lam)), rel=1e-12)
+    assert _CountDistribution(100.0, [], lam).bound == 1
 
 
 class TestSinrWorst:

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mc_arelab import config, pbs
 from mc_arelab.channel import PhysicalParams, ReceiverGeometry, cir, peak_time
 from mc_arelab.errors import ParameterError
-from mc_arelab.pbs import CirTrace, PbsConfig, simulate_cir
+from mc_arelab.pbs import CirTrace, PbsConfig, _passage_times, simulate_cir
 
 
 def record_grid(t_sim, dt=1e-3, record_every=10):
@@ -36,35 +37,68 @@ def bernoulli_kl(a, c):
     return total
 
 
+def max_chernoff_score(trace, cfg, offset, params, geom):
+    """The largest N * D(observed || cir) over the records, and the bound it must stay under.
+
+    Every particle is independent, so each record's in-receiver count is
+    Binomial(N, cir(t)); a score past ln(2 n / alpha) happens at any of the
+    n records with probability at most alpha = 1e-6.
+    """
+    n_total = cfg.realizations * cfg.particles
+    expected = cir(np.array(trace.times), offset, params, geom)
+    scores = [
+        n_total * bernoulli_kl(round(frac * n_total) / n_total, ref)
+        for frac, ref in zip(trace.mean_fraction, expected.tolist())
+    ]
+    return max(scores), math.log(2.0 * len(trace.times) / 1e-6)
+
+
 class CountingGenerator:
-    """A Generator stand-in that counts the standard normals drawn through it."""
+    """A Generator stand-in that counts the draws made through it.
+
+    The particle code draws the lateral jumps as one (2, n) array, and one
+    normal and two uniforms for each passage time; its other normals, one
+    per (record, particle) pair where z is advanced, are the z steps.
+    """
 
     def __init__(self, rng):
         self.rng = rng
         self.normals = 0
+        self.lateral = 0
+        self.uniforms = 0
 
     def standard_normal(self, size=None, dtype=np.float64, out=None):
         draw = self.rng.standard_normal(size, dtype=dtype, out=out)
-        self.normals += np.size(draw)
+        if np.ndim(draw) == 2:
+            self.lateral += np.size(draw)
+        else:
+            self.normals += np.size(draw)
+        return draw
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        draw = self.rng.random(size, dtype=dtype, out=out)
+        self.uniforms += np.size(draw)
         return draw
 
 
-def count_normals(monkeypatch, params, geom, cfg):
-    """Normals that simulate_cir draws in all its chunks."""
-    counts = []
+def count_draws(monkeypatch, params, geom, cfg):
+    """Passage times, z steps and lateral normals drawn by simulate_cir in all its chunks."""
+    proxies = []
 
     def counting_map_chunks(fn, total, chunk, seed):
         def counted(size, rng):
             proxy = CountingGenerator(rng)
-            out = fn(size, proxy)
-            counts.append(proxy.normals)
-            return out
+            proxies.append(proxy)
+            return fn(size, proxy)
 
         return config.map_chunks(counted, total, chunk, seed)
 
     monkeypatch.setattr(pbs, "map_chunks", counting_map_chunks)
     simulate_cir(params, geom, (0.0, 0.0), cfg)
-    return sum(counts)
+    passages = sum(proxy.uniforms for proxy in proxies) // 2
+    normals = sum(proxy.normals for proxy in proxies)
+    lateral = sum(proxy.lateral for proxy in proxies)
+    return {"passages": passages, "z": normals - passages, "lateral": lateral}
 
 
 class TestConfig:
@@ -180,18 +214,15 @@ class TestSimulateCir:
             assert abs(trace.mean_fraction[k] - ref) <= 3.0 * trace.stderr[k]
 
     def test_step_size_does_not_bias_the_peak(self):
-        # independent noise per grid; guards against systematic dt effects
+        # independent noise per grid; guards against systematic dt effects at
+        # the peak and at every other record of either grid
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
-        t_m = peak_time(params, geom)
-        estimates = {}
         for dt in (1e-3, 5e-4):
             cfg = PbsConfig(times=record_grid(4.0, dt=dt), realizations=800, particles=100, seed=22)
             trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
-            k = nearest_index(trace, t_m)
-            estimates[dt] = (trace.mean_fraction[k], trace.stderr[k])
-        diff = abs(estimates[1e-3][0] - estimates[5e-4][0])
-        assert diff < estimates[1e-3][1]
+            score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom)
+            assert score <= limit, dt
 
     def test_more_particles_shrink_stderr_not_mean(self):
         params = PhysicalParams()
@@ -228,21 +259,75 @@ class TestSimulateCir:
         assert max(scores) <= limit
         assert max(trace.mean_fraction) > 0.0
 
+    @pytest.mark.parametrize("v", [0.0, 0.2])
+    def test_release_inside_the_span_within_chernoff_bound(self, v):
+        # z_s = -0.05 < 0: no passage is drawn at the release
+        params = PhysicalParams(v=v, d=0.05, l_rx=0.2)
+        geom = ReceiverGeometry.centered(params)
+        cfg = PbsConfig(times=FULL_GRID, realizations=200, particles=100, seed=43)
+        trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
+        score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom)
+        assert score <= limit
+        assert trace.mean_fraction[0] > 0.5
+
+
+class TestPassageTimes:
+    @pytest.mark.parametrize(
+        "a,v,D",
+        [(0.4, 0.2, 0.01), (0.002, 0.2, 0.01), (1e-12, 0.2, 0.01), (0.2, 0.2, 1e-12), (0.01, 1.0, 0.5)],
+    )
+    def test_inverse_gaussian_toward_the_edge(self, a, v, D):
+        rng = np.random.default_rng(7)
+        times = _passage_times(np.full(20_000, a), np.full(20_000, v), D, rng)
+        mu, lam = a / v, a * a / (2.0 * D)
+        assert stats.kstest(times, stats.invgauss(mu / lam, scale=lam).cdf).pvalue > 1e-3
+
+    def test_levy_without_drift(self):
+        rng = np.random.default_rng(8)
+        a, D = 0.4, 0.01
+        times = _passage_times(np.full(20_000, a), np.zeros(20_000), D, rng)
+        assert np.all(np.isfinite(times))
+        assert stats.kstest(times, stats.levy(scale=a * a / (2.0 * D)).cdf).pvalue > 1e-3
+
+    def test_drift_away_reaches_the_edge_with_probability_exp_minus_v_a_over_d(self):
+        rng = np.random.default_rng(9)
+        a, v, D, n = 0.05, 0.2, 0.01, 40_000
+        times = _passage_times(np.full(n, a), np.full(n, -v), D, rng)
+        reached = np.isfinite(times)
+        p = math.exp(-v * a / D)
+        assert abs(reached.mean() - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+        # given that it gets there, the time has the law of the drift toward the edge
+        mu, lam = a / v, a * a / (2.0 * D)
+        assert stats.kstest(times[reached], stats.invgauss(mu / lam, scale=lam).cdf).pvalue > 1e-3
+
 
 class TestLateralDraws:
     def test_lateral_steps_only_inside_the_axial_span(self, monkeypatch):
-        # at vanishing diffusion z = v t, so the span [0.4, 0.6] m holds
-        # every particle at 2.1, 2.5 and 2.9 s and none at the other times
+        # at vanishing diffusion z = v t: the release passage lands at 2.0 s, and
+        # z then meets the span [0.4, 0.6] m at 2.1, 2.5 and 2.9 s only. z is
+        # advanced from 2.1 s to the end of that record block; the exit passage
+        # drawn there has return probability exp(-v a / D) = 0, so none of the
+        # later records draws anything
         params = PhysicalParams(D=1e-12)
         geom = ReceiverGeometry.centered(params)
-        times = (0.5, 1.0, 1.9, 2.1, 2.5, 2.9, 3.1, 4.0)
+        times = (0.5, 1.0, 1.9, 2.1, 2.5, 2.9, 3.1) + tuple(4.0 + k for k in range(3 * pbs.BLOCK_RECORDS))
         cfg = PbsConfig(times=times, realizations=150, particles=7, seed=3)
         n_total = cfg.realizations * cfg.particles
-        assert count_normals(monkeypatch, params, geom, cfg) == len(times) * n_total + 2 * 3 * n_total
+        draws = count_draws(monkeypatch, params, geom, cfg)
+        assert draws == {"passages": 2 * n_total, "z": pbs.BLOCK_RECORDS * n_total, "lateral": 2 * 3 * n_total}
 
     def test_no_lateral_steps_when_the_span_is_never_met(self, monkeypatch):
         params = PhysicalParams(D=1e-12, v=0.0)
         geom = ReceiverGeometry.centered(params)
         cfg = PbsConfig(times=record_grid(2.0), realizations=150, particles=7, seed=3)
         n_total = cfg.realizations * cfg.particles
-        assert count_normals(monkeypatch, params, geom, cfg) == len(cfg.times) * n_total
+        assert count_draws(monkeypatch, params, geom, cfg) == {"passages": n_total, "z": 0, "lateral": 0}
+
+    def test_z_is_drawn_at_few_of_the_records(self, monkeypatch):
+        # at the defaults a particle is within reach of the axial span at
+        # about 7.5% of the (record, particle) pairs
+        params = PhysicalParams()
+        geom = ReceiverGeometry.centered(params)
+        cfg = PbsConfig(times=FULL_GRID, realizations=100, particles=100, seed=5)
+        z_steps = count_draws(monkeypatch, params, geom, cfg)["z"]
+        assert z_steps < 0.15 * len(FULL_GRID) * cfg.realizations * cfg.particles
