@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, SearchError, check_elements, is_finite_real, is_integer
-from .specfun import _log_factorials, _log_poisson_pmf, log_sum_exp
+from .specfun import _log_factorials, _log_poisson_pmf
 
 __all__ = [
     "DetectorSpec",
@@ -160,26 +160,28 @@ def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
         return np.log(terms.sum(axis=axis)) + np.squeeze(top, axis)
 
 
-def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, n: int) -> np.ndarray:
-    """ln sum_a w_a Poisson(r; lam_a) at r = 0..n-1.
+def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """ln sum_a w_a lam_a^e e^-lam_a / Gamma(e + 1) at each exponent e >= 0.
 
-    The atoms are taken in blocks of at most _CHUNK elements, each filled
-    into one reused buffer as ((r ln lam) - lam) - ln r! + ln w; each
-    block's log-sum-exp is folded into the running value.
+    At an integer e this is the mixture's Poisson pmf at count e; 0^0 = 1
+    at e = 0. The atoms are taken in blocks of at most _CHUNK elements,
+    each filled into one reused buffer as ((e ln lam) - lam) - ln Gamma(e + 1)
+    + ln w; each block's log-sum-exp is folded into the running value.
     """
+    n = exponents.size
     out = np.full(n, -math.inf)
     block = max(1, _CHUNK // n)
-    r = np.arange(n)
-    log_r_factorial = _log_factorials(n - 1)
+    # math.lgamma(e + 1.0), as _log_factorials takes it at an integer e
+    log_gamma = np.fromiter(map(math.lgamma, (exponents + 1.0).tolist()), float, count=n)
     buffer = np.empty((min(block, lams.size), n))
     for start in range(0, lams.size, block):
         part = slice(start, start + block)
         terms = buffer[: lams[part].size]
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(r, np.log(lams[part])[:, None], out=terms)
-        terms[:, 0] = 0.0
+            np.multiply(exponents, np.log(lams[part])[:, None], out=terms)
+        terms[:, exponents == 0] = 0.0
         terms -= lams[part, None]
-        terms -= log_r_factorial
+        terms -= log_gamma
         terms += log_weights[part, None]
         out = np.logaddexp(out, _log_sum_exp(terms, axis=0))
     return out
@@ -221,16 +223,10 @@ def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarra
     """
     off = _log_poisson_pmf(np.float64(mu_n), n - 1)
     for cbar, count in _merge_rings(ring_basis):
-        ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), n)
+        ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), np.arange(n))
         off = _log_convolve(off, ring)
     on = _log_convolve(off, _log_poisson_pmf(np.float64(mu_s), n - 1))
     return off, on
-
-
-def _log_poisson_score(phi: float, lam: np.ndarray) -> np.ndarray:
-    """phi ln(lam) - lam elementwise, with the 0^0 = 1 convention at lam = 0."""
-    with np.errstate(divide="ignore"):
-        return phi * np.log(lam) - lam if phi else -lam
 
 
 def _check_means(mu_s: float, mu_n: float) -> None:
@@ -246,13 +242,17 @@ def _check_cbar_sum(cbar_sum: float) -> None:
 
 
 def ml_decide(r: int, mu_s: float, ring_basis, mu_n: float) -> int:
-    """Maximum-likelihood bit decision for a count r: 1 where P(r | 1) >= P(r | 0)."""
+    """Maximum-likelihood bit decision for a count r: 1 where P(r | 1) >= P(r | 0).
+
+    P(0 | 1) = e^-mu_s P(0 | 0) < P(0 | 0), so r = 0 decides 0 even where
+    rounding ties the two log pmfs.
+    """
     if not is_integer(r) or r < 0:
         raise ParameterError(f"r must be a nonnegative integer, got {r!r}")
     _check_means(mu_s, mu_n)
     check_elements(int(r) + 1, f"r = {r!r}")
     off, on = _count_pmfs(mu_s, ring_basis, mu_n, int(r) + 1)
-    return 1 if on[-1] >= off[-1] else 0
+    return 1 if r > 0 and on[-1] >= off[-1] else 0
 
 
 def _crossing(mu_s: float, lam: float) -> float:
@@ -327,12 +327,15 @@ class _CountDistribution:
         self.off, self.on = _count_pmfs(mu_s, self.merged, mu_n, self.bound + 3)
 
     def theta_opt(self) -> int:
-        """The first r with P(r | 1) >= P(r | 0), among the first bound + 2 counts."""
+        """The first r >= 1 with P(r | 1) >= P(r | 0), among the first bound + 2 counts.
+
+        r = 0 never flips (see ml_decide), even where rounding ties its log pmfs.
+        """
         n = self.bound + 2
-        flips = np.flatnonzero(self.on[:n] >= self.off[:n])
+        flips = np.flatnonzero(self.on[1:n] >= self.off[1:n])
         if not flips.size:
             raise SearchError(f"no count up to {n - 1} flips the likelihood ratio, past the bound {self.bound}")
-        return int(flips[0])
+        return int(flips[0]) + 1
 
     def threshold_set(self) -> list[int]:
         """The scan of threshold_set, one table row per unit interval."""
@@ -349,15 +352,14 @@ class _CountDistribution:
                 spectrum = collapse_iui(self.merged)
             except ParameterError as exc:
                 raise SearchError(f"the likelihood balance at phi = {phis[tuple(points[0])]} needs the atoms: {exc}") from exc
-            lam_on = self.mu_s + spectrum.values + self.mu_n
-            lam_off = spectrum.values + self.mu_n
-            for row, col in points.tolist():
-                phi = float(phis[row, col])
-                lhs = log_sum_exp(_log_poisson_score(phi, lam_on) + spectrum.log_weights)
-                rhs = log_sum_exp(_log_poisson_score(phi, lam_off) + spectrum.log_weights)
-                # a zero balance is not positive, but in the row's own interval it is a crossing
-                positive[row, col] = lhs > rhs or (lhs == rhs and (col > 0 or phi == 0))
-                negative[row, col] = not lhs > rhs
+            rows, cols = points.T
+            phi = phis[rows, cols]
+            log_on = _log_mixture(self.mu_s + spectrum.values + self.mu_n, spectrum.log_weights, phi)
+            log_off = _log_mixture(spectrum.values + self.mu_n, spectrum.log_weights, phi)
+            balance = log_on - log_off  # Gamma(phi + 1) cancels
+            # a zero balance is not positive, but in the row's own interval it is a crossing
+            positive[rows, cols] = (balance > 0) | ((balance == 0) & ((cols > 0) | (phi == 0)))
+            negative[rows, cols] = ~(balance > 0)
         return (np.flatnonzero(positive.any(1) & negative.any(1)) + 1).tolist()
 
 

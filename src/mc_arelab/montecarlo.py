@@ -184,7 +184,7 @@ def _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed):
     )
     values, tallies = functools.reduce(_merge, chunks)
     log_weights = np.log(tallies / samples)
-    off = np.exp(_log_mixture(values + mu_n, log_weights, theta_max))
-    on = np.exp(_log_mixture(mu_s + values + mu_n, log_weights, theta_max))
+    off = np.exp(_log_mixture(values + mu_n, log_weights, np.arange(theta_max)))
+    on = np.exp(_log_mixture(mu_s + values + mu_n, log_weights, np.arange(theta_max)))
     p_hat, q_hat = _threshold_curves(theta_max, off, on)
     return 0.5 * (p_hat + q_hat), p_hat, q_hat

@@ -35,7 +35,7 @@ __all__ = [
     "sweep",
 ]
 
-SWEEP_AXES = ("cell_pitch", "cell_area", "N_mol", "C_noise", "D")
+SWEEP_AXES = ("cell_pitch", "cell_area", "s_rx")
 
 # Neglected interference beyond the outermost enumerated ring, as a
 # fraction of the total modeled mean, above which a report is flagged.
@@ -226,15 +226,8 @@ def _apply_axis(config: SystemConfig, axis: str, value) -> SystemConfig:
             raise ParameterError(f"cell_area must be positive, got {area}")
         # Both grids share A = (sqrt(3)/2) c^2 in terms of the hex pitch.
         return dataclasses.replace(config, c=math.sqrt(2.0 * area / math.sqrt(3.0)))
-    if axis == "N_mol":
-        n = int(value)
-        if n != value:
-            raise ParameterError(f"N_mol must be an integer, got {value}")
-        return dataclasses.replace(config, n_mol=n)
-    if axis == "C_noise":
-        return dataclasses.replace(config, c_noise=float(value))
-    if axis == "D":
-        return dataclasses.replace(config, diff=float(value))
+    if axis == "s_rx":
+        return dataclasses.replace(config, s_rx=float(value))
     raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
@@ -263,18 +256,13 @@ def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
 def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.02):
     """Grid search over receiver radii S = step_frac * w * pitch, w = 1..w_max.
 
-    Returns the ARE-maximizing radius and its report; ties keep the
-    smaller radius.
+    The radii are one sweep along s_rx. Returns the ARE-maximizing radius
+    and its report; ties keep the smaller radius.
     """
     if not (is_integer(w_max) and w_max >= 1):
         raise ParameterError(f"w_max must be a positive integer, got {w_max!r}")
     if not (is_finite_real(step_frac) and step_frac > 0):
         raise ParameterError(f"step_frac must be positive and finite, got {step_frac!r}")
-    best_radius = None
-    best_report = None
-    for w in range(1, w_max + 1):
-        radius = step_frac * w * config.pitch
-        report = evaluate(dataclasses.replace(config, s_rx=radius))
-        if best_report is None or report.are > best_report.are:
-            best_radius, best_report = radius, report
-    return best_radius, best_report
+    radii = [step_frac * w * config.pitch for w in range(1, w_max + 1)]
+    # max keeps the first of equal keys, so ties keep the smaller radius
+    return max(zip(radii, sweep(config, "s_rx", radii)), key=lambda pair: pair[1].are)

@@ -18,6 +18,7 @@ from mc_arelab.gridgeom import to_cartesian
 from mc_arelab.pbs import PbsConfig, simulate_cir
 from mc_arelab.specfun import erf, regularized_gamma_p, regularized_gamma_q
 from oracles import cir_quadrature, exhaustive_iui_spectrum
+from stochastic import max_chernoff_score
 
 
 def _report(index: int, label: str, failures: list, elapsed: float, limit: float) -> None:
@@ -86,14 +87,14 @@ def test_criterion_3_particle_ensemble_agreement():
     times = sorted({float(grid[np.argmin(np.abs(grid - t))]) for t in [t_m] + sample_times})
     assert len(times) == 11
     pcfg = PbsConfig(times=tuple(times), seed=1)
+    # family-wise false-failure probability 1e-3 over both sites' 22 records
     for site in (0, 1):
         offset = to_cartesian(layout.kind, layout.pitch, layout.sites[site].lattice_coords)
         r_i = layout.sites[site].radial_distance
         trace = simulate_cir(params, geom, offset, pcfg)
-        for t, mean, stderr in zip(trace.times, trace.mean_fraction, trace.stderr):
-            gap = abs(mean - cir(t, r_i, params, geom))
-            if gap > 3.0 * stderr:
-                failures.append(f"site {site} t={t:.2f}: gap {gap:.2e} > 3se")
+        score, limit = max_chernoff_score(trace, pcfg, r_i, params, geom, alpha=0.5e-3)
+        if score > limit:
+            failures.append(f"site {site}: Chernoff score {score:.1f} > {limit:.1f}")
     _report(3, "particle ensemble vs analytic response", failures, time.perf_counter() - start, 300.0)
 
 

@@ -318,6 +318,7 @@ class TestValidationCommands:
         # 250 realizations and 250,000 samples are three sampling chunks each
         for args in (
             ("are-sweep", "--c-from", "0.2", "--c-to", "0.5", "--points", "4"),
+            ("optimize-radius", "--noise", "10", "--c", "1.0"),
             ("pbs-validate", "--realizations", "250", "--particles", "10", "--t-sim", "1"),
             ("mc-validate", "--mode", "semi-analytic", "--samples", "250000"),
             ("mc-validate", "--mode", "stochastic", "--samples", "250000"),

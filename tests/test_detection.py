@@ -203,6 +203,12 @@ class TestMlDecide:
         with pytest.raises(ParameterError, match=f"r = {10**30} needs"):
             ml_decide(10**30, 5.0, [], 0.0)
 
+    @pytest.mark.parametrize("mu_s", [1e-16, 1e-300])
+    @pytest.mark.parametrize("basis, mu_n", [([], 1.0), ([(1.0, 6)], 0.0)])
+    def test_zero_count_decides_zero_below_rounding(self, basis, mu_n, mu_s):
+        # P(0 | 1) = e^-mu_s P(0 | 0) < P(0 | 0), though both logs round alike here
+        assert ml_decide(0, mu_s, basis, mu_n) == 0
+
     def test_agrees_with_threshold_rule_at_defaults(self):
         config = SystemConfig()
         summary = summarize(config.params(), config.geometry(), config.layout())
@@ -222,6 +228,12 @@ class TestMlDecide:
 class TestOptimalThreshold:
     def test_no_interference_noiseless(self):
         assert optimal_threshold(100.0, [], 0.0) == 1
+
+    @pytest.mark.parametrize("mu_s", [1e-16, 1e-300])
+    @pytest.mark.parametrize("basis, mu_n", [([], 1.0), ([(1.0, 6)], 0.0)])
+    def test_zero_is_never_the_threshold(self, basis, mu_n, mu_s):
+        # ML never decides 1 at r = 0, even where rounding ties ln P(0 | b)
+        assert optimal_threshold(mu_s, basis, mu_n) >= 1
 
     @pytest.mark.parametrize(
         "mu_s,mu_n,name",

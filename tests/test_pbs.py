@@ -8,9 +8,10 @@ import pytest
 from scipy import stats
 
 from mc_arelab import config, pbs
-from mc_arelab.channel import PhysicalParams, ReceiverGeometry, cir, peak_time
+from mc_arelab.channel import PhysicalParams, ReceiverGeometry, peak_time
 from mc_arelab.errors import ParameterError
 from mc_arelab.pbs import CirTrace, PbsConfig, _passage_times, simulate_cir
+from stochastic import max_chernoff_score
 
 
 def record_grid(t_sim, dt=1e-3, record_every=10):
@@ -24,33 +25,6 @@ FULL_GRID = record_grid(15.0)
 
 def nearest_index(trace, t):
     return int(np.argmin(np.abs(np.array(trace.times) - t)))
-
-
-def bernoulli_kl(a, c):
-    """Relative entropy D(a || c) of two Bernoulli laws, in nats."""
-    total = 0.0
-    for x, y in ((a, c), (1.0 - a, 1.0 - c)):
-        if x > 0.0:
-            if y <= 0.0:
-                return math.inf
-            total += x * math.log(x / y)
-    return total
-
-
-def max_chernoff_score(trace, cfg, offset, params, geom):
-    """The largest N * D(observed || cir) over the records, and the bound it must stay under.
-
-    Every particle is independent, so each record's in-receiver count is
-    Binomial(N, cir(t)); a score past ln(2 n / alpha) happens at any of the
-    n records with probability at most alpha = 1e-6.
-    """
-    n_total = cfg.realizations * cfg.particles
-    expected = cir(np.array(trace.times), offset, params, geom)
-    scores = [
-        n_total * bernoulli_kl(round(frac * n_total) / n_total, ref)
-        for frac, ref in zip(trace.mean_fraction, expected.tolist())
-    ]
-    return max(scores), math.log(2.0 * len(trace.times) / 1e-6)
 
 
 class CountingGenerator:
@@ -200,18 +174,17 @@ class TestSimulateCir:
         cfg = PbsConfig(times=FULL_GRID, realizations=400, particles=100, seed=13)
         trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
         k = nearest_index(trace, peak_time(params, geom))
-        ref = cir(trace.times[k], 0.0, params, geom)
-        assert abs(trace.mean_fraction[k] - ref) <= 3.0 * trace.stderr[k]
+        score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom, alpha=1e-3, records=[k])
+        assert score <= limit
 
     def test_matches_analytic_response_off_axis(self):
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
         cfg = PbsConfig(times=record_grid(6.0), realizations=600, particles=100, seed=23)
         trace = simulate_cir(params, geom, (0.2, 0.0), cfg)
-        for t_check in (1.2, 1.8, 2.4, 3.0, 4.0):
-            k = nearest_index(trace, t_check)
-            ref = cir(trace.times[k], 0.2, params, geom)
-            assert abs(trace.mean_fraction[k] - ref) <= 3.0 * trace.stderr[k]
+        records = [nearest_index(trace, t_check) for t_check in (1.2, 1.8, 2.4, 3.0, 4.0)]
+        score, limit = max_chernoff_score(trace, cfg, 0.2, params, geom, alpha=1e-3, records=records)
+        assert score <= limit
 
     def test_step_size_does_not_bias_the_peak(self):
         # independent noise per grid; guards against systematic dt effects at
@@ -221,7 +194,7 @@ class TestSimulateCir:
         for dt in (1e-3, 5e-4):
             cfg = PbsConfig(times=record_grid(4.0, dt=dt), realizations=800, particles=100, seed=22)
             trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
-            score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom)
+            score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom, alpha=1e-6)
             assert score <= limit, dt
 
     def test_more_particles_shrink_stderr_not_mean(self):
@@ -249,14 +222,8 @@ class TestSimulateCir:
         geom = ReceiverGeometry.centered(params)
         cfg = PbsConfig(times=FULL_GRID, realizations=200, particles=100, seed=41)
         trace = simulate_cir(params, geom, (offset, 0.0), cfg)
-        n_total = cfg.realizations * cfg.particles
-        limit = math.log(2.0 * len(trace.times) / 1e-6)
-        expected = cir(np.array(trace.times), offset, params, geom)
-        scores = [
-            n_total * bernoulli_kl(round(frac * n_total) / n_total, ref)
-            for frac, ref in zip(trace.mean_fraction, expected.tolist())
-        ]
-        assert max(scores) <= limit
+        score, limit = max_chernoff_score(trace, cfg, offset, params, geom, alpha=1e-6)
+        assert score <= limit
         assert max(trace.mean_fraction) > 0.0
 
     @pytest.mark.parametrize("v", [0.0, 0.2])
@@ -266,7 +233,7 @@ class TestSimulateCir:
         geom = ReceiverGeometry.centered(params)
         cfg = PbsConfig(times=FULL_GRID, realizations=200, particles=100, seed=43)
         trace = simulate_cir(params, geom, (0.0, 0.0), cfg)
-        score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom)
+        score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom, alpha=1e-6)
         assert score <= limit
         assert trace.mean_fraction[0] > 0.5
 

@@ -303,8 +303,8 @@ class TestSweep:
             sweep(SystemConfig(), "cell_pitch", [])
 
     def test_failure_names_the_offending_value(self):
-        with pytest.raises(ParameterError, match=r"D = -1"):
-            sweep(SystemConfig(), "D", [0.01, -1.0])
+        with pytest.raises(ParameterError, match=r"cell_pitch = -1"):
+            sweep(SystemConfig(), "cell_pitch", [0.2, -1.0])
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         cs = [0.2, 0.3, 0.4]
@@ -344,6 +344,11 @@ class TestOptimizeRadius:
         opt_bers = [results[a][0] for a in (1.0, 2.0, 4.0)]
         assert max(opt_bers) <= 2.0 * min(opt_bers)
         assert results[4.0][0] < 0.1 * results[4.0][1]
+
+    def test_failure_names_the_radius(self):
+        # the peak lies past a 1 s search horizon at every radius
+        with pytest.raises(ParameterError, match=r"sweep failed at s_rx = "):
+            optimize_radius(SystemConfig(horizon=1.0), w_max=2)
 
     def test_rejects_bad_grid_parameters(self):
         with pytest.raises(ParameterError):
