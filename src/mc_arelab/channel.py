@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError, SearchError, is_finite_real, is_integer
 from .gridgeom import GridLayout
-from .specfun import _log_poisson_pmf, _poisson_ladder, erf
+from .specfun import _CHUNK, _log_poisson_pmf, _poisson_ladder, erf
 
 __all__ = [
     "ChannelSummary",
@@ -33,8 +33,6 @@ GAMMA_FORMS = ("lower", "regularized")
 
 # Relative bound on the radial-series mass dropped past the chosen order.
 SERIES_RTOL = 1e-16
-# Most elements (points x series orders) in one radial-series temporary.
-_CHUNK = 1 << 15
 # exp(-_FAR^2) is below half the smallest double.
 _FAR = math.sqrt(746.0)
 # Points evaluated inside each edge bracket per zoom of peak_time.
@@ -140,7 +138,7 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
         b = slice(i, i + rows)
         k = np.arange(int(top[b].max()) + 1)
         _, log_tail = _poisson_ladder(sigma[b], top[b])
-        terms = np.exp(_log_poisson_pmf(rho[b], k[-1], power=extra) + log_tail)
+        terms = np.exp(_log_poisson_pmf(rho[b], k, power=extra) + log_tail)
         partial = np.cumsum(terms, axis=-1)
         q = rs[b, None] / ((k + 1.0) ** extra * (k + 2.0))
         stop = ((k >= k_min) & (q <= 0.5) & (terms <= SERIES_RTOL * partial)) | (k == top[b, None])

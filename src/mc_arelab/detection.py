@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, SearchError, check_elements, is_finite_real, is_integer
-from .specfun import _log_factorials, _log_poisson_pmf
+from .specfun import _CHUNK, _log_factorials, _log_poisson_pmf, _log_sum_exp
 
 __all__ = [
     "DetectorSpec",
@@ -40,8 +40,8 @@ __all__ = [
 
 RING_MERGE_REL = 1e-9
 
-# Largest temporary, in elements, of a Poisson mixture or a convolution.
-_CHUNK = 1 << 15
+# Most atoms collapse_iui builds.
+ATOM_CAP = 10**6
 
 # Scan points of the threshold-set balance whose bounds do not clear zero
 # by this margin are summed over the atoms, so rounding cannot flip a sign.
@@ -117,7 +117,7 @@ def _merge_rings(ring_basis) -> list[tuple[float, int]]:
     return [(float(c), int(n)) for c, n in merged]
 
 
-def collapse_iui(ring_basis, atom_cap: int = 10**6) -> IuiSpectrum:
+def collapse_iui(ring_basis) -> IuiSpectrum:
     """Collapse per-interferer on/off patterns into per-ring activity counts.
 
     Rings whose means agree within 1e-9 relative are merged first. Each
@@ -129,9 +129,9 @@ def collapse_iui(ring_basis, atom_cap: int = 10**6) -> IuiSpectrum:
     n_atoms = 1
     for _, count in merged:
         n_atoms *= count + 1
-    if n_atoms > atom_cap:
+    if n_atoms > ATOM_CAP:
         raise ParameterError(
-            f"collapse would produce {n_atoms} atoms (cap {atom_cap}); "
+            f"collapse would produce {n_atoms} atoms (cap {ATOM_CAP}); "
             "merge nearby rings or raise the ring merge tolerance"
         )
 
@@ -146,42 +146,24 @@ def collapse_iui(ring_basis, atom_cap: int = 10**6) -> IuiSpectrum:
 
 def _half_binomial_log_pmf(count: int) -> np.ndarray:
     """ln Binomial(count, k; 1/2) for k = 0..count: how many of a ring are active."""
-    lgamma = _log_factorials(count)
+    lgamma = _log_factorials(np.arange(count + 1))
     return lgamma[-1] - lgamma - lgamma[::-1] - count * math.log(2.0)
 
 
-def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
-    """ln sum exp along one axis, -inf where no term is finite; overwrites ``terms``."""
-    top = terms.max(axis=axis, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    terms -= top
-    np.exp(terms, out=terms)
-    with np.errstate(divide="ignore"):
-        return np.log(terms.sum(axis=axis)) + np.squeeze(top, axis)
+def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, exponents: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """ln sum_a w_a e^_log_poisson_pmf(lam_a, e, power) at each exponent e >= 0.
 
-
-def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """ln sum_a w_a lam_a^e e^-lam_a / Gamma(e + 1) at each exponent e >= 0.
-
-    At an integer e this is the mixture's Poisson pmf at count e; 0^0 = 1
-    at e = 0. The atoms are taken in blocks of at most _CHUNK elements,
-    each filled into one reused buffer as ((e ln lam) - lam) - ln Gamma(e + 1)
-    + ln w; each block's log-sum-exp is folded into the running value.
+    Power 1 gives the mixture's Poisson pmf at the counts e; power 0 its log
+    moment ln E[lam^e e^-lam] at real e. The atoms are taken in blocks of at
+    most _CHUNK elements; each block's log-sum-exp is folded into the
+    running value.
     """
     n = exponents.size
     out = np.full(n, -math.inf)
     block = max(1, _CHUNK // n)
-    # math.lgamma(e + 1.0), as _log_factorials takes it at an integer e
-    log_gamma = np.fromiter(map(math.lgamma, (exponents + 1.0).tolist()), float, count=n)
-    buffer = np.empty((min(block, lams.size), n))
     for start in range(0, lams.size, block):
         part = slice(start, start + block)
-        terms = buffer[: lams[part].size]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(exponents, np.log(lams[part])[:, None], out=terms)
-        terms[:, exponents == 0] = 0.0
-        terms -= lams[part, None]
-        terms -= log_gamma
+        terms = _log_poisson_pmf(lams[part], exponents, power)
         terms += log_weights[part, None]
         out = np.logaddexp(out, _log_sum_exp(terms, axis=0))
     return out
@@ -221,11 +203,11 @@ def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarra
     first n entries in value, but not bit for bit: each convolution output
     sums a window whose length follows n, so its rounding moves with n.
     """
-    off = _log_poisson_pmf(np.float64(mu_n), n - 1)
+    off = _log_poisson_pmf(np.float64(mu_n), np.arange(n))
     for cbar, count in _merge_rings(ring_basis):
         ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), np.arange(n))
         off = _log_convolve(off, ring)
-    on = _log_convolve(off, _log_poisson_pmf(np.float64(mu_s), n - 1))
+    on = _log_convolve(off, _log_poisson_pmf(np.float64(mu_s), np.arange(n)))
     return off, on
 
 
@@ -293,7 +275,7 @@ def _balance_bounds(off: np.ndarray, on: np.ndarray, phis: np.ndarray) -> tuple[
         left = g[m] + f * (g[m] - g[np.maximum(m - 1, 0)])
         return np.where(m >= 1, np.maximum(left, right), right), chord
 
-    (lo_0, up_0), (lo_1, up_1) = (bounds(pmf + _log_factorials(pmf.size - 1)) for pmf in (off, on))
+    (lo_0, up_0), (lo_1, up_1) = (bounds(pmf + _log_factorials(np.arange(pmf.size))) for pmf in (off, on))
     lo, hi = lo_1 - up_0, up_1 - lo_0
     exact = phis == np.floor(phis)
     k = phis[exact].astype(np.int64)
@@ -354,12 +336,13 @@ class _CountDistribution:
                 raise SearchError(f"the likelihood balance at phi = {phis[tuple(points[0])]} needs the atoms: {exc}") from exc
             rows, cols = points.T
             phi = phis[rows, cols]
-            log_on = _log_mixture(self.mu_s + spectrum.values + self.mu_n, spectrum.log_weights, phi)
-            log_off = _log_mixture(spectrum.values + self.mu_n, spectrum.log_weights, phi)
-            balance = log_on - log_off  # Gamma(phi + 1) cancels
-            # a zero balance is not positive, but in the row's own interval it is a crossing
-            positive[rows, cols] = (balance > 0) | ((balance == 0) & ((cols > 0) | (phi == 0)))
-            negative[rows, cols] = ~(balance > 0)
+            # ln M_1(phi) - ln M_0(phi), each log moment summed over the atoms
+            balance = _log_mixture(self.mu_s + spectrum.values + self.mu_n, spectrum.log_weights, phi, 0.0)
+            balance -= _log_mixture(spectrum.values + self.mu_n, spectrum.log_weights, phi, 0.0)
+            # a zero in the row's own interval is a crossing; outside it, it has no sign
+            tie = (balance == 0) & ((cols > 0) | (phi == 0))
+            positive[rows, cols] = (balance > 0) | tie
+            negative[rows, cols] = (balance < 0) | tie
         return (np.flatnonzero(positive.any(1) & negative.any(1)) + 1).tolist()
 
 

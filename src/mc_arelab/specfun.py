@@ -18,6 +18,8 @@ from .errors import ParameterError, is_finite_real, is_integer
 # How far, in nats, the pmf falls below P(N = n + 1) before a tail sum stops.
 _LADDER_NATS = 41.0
 _LOG_FACTORIALS = np.array([math.lgamma(j + 1.0) for j in range(4096)])
+# Largest temporary, in elements, of a blocked array computation.
+_CHUNK = 1 << 15
 
 __all__ = [
     "erf",
@@ -52,19 +54,37 @@ def _check_point(x: float) -> float:
     return float(x)
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """ln j! for j = 0..n."""
-    if n < len(_LOG_FACTORIALS):
-        return _LOG_FACTORIALS[: n + 1]
-    return np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+def _log_factorials(j: np.ndarray) -> np.ndarray:
+    """ln j! of each element of a 1-D integer array j >= 0."""
+    if j.size and j.max() >= len(_LOG_FACTORIALS):
+        return np.fromiter(map(math.lgamma, (j + 1.0).tolist()), float, count=j.size)
+    return _LOG_FACTORIALS[j]
 
 
-def _log_poisson_pmf(x: np.ndarray, n: int, power: float = 1.0) -> np.ndarray:
-    """ln(x^j e^-x / j!^power), j = 0..n, on a new last axis (power 1: the Poisson pmf)."""
+def _log_poisson_pmf(x: np.ndarray, exponents: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """ln(x^e e^-x / e!^power) at each exponent e, on a new last axis; 0^0 = 1 where e = 0.
+
+    Power 1 is the Poisson pmf at the counts e. Power 0 is the log moment
+    ln(x^e e^-x), which takes real exponents; every other power takes
+    integer exponents. The result is built in place, one array per call.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        j_log_x = np.arange(n + 1) * np.log(x)[..., None]
-    j_log_x[..., 0] = 0.0
-    return j_log_x - x[..., None] - power * _log_factorials(n)
+        out = np.multiply(exponents, np.log(x)[..., None])
+    out[..., exponents == 0] = 0.0
+    out -= x[..., None]
+    if power:
+        out -= power * _log_factorials(exponents)
+    return out
+
+
+def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
+    """ln sum exp along one axis, -inf where no term is finite; overwrites ``terms``."""
+    top = terms.max(axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    terms -= top
+    np.exp(terms, out=terms)
+    with np.errstate(divide="ignore"):
+        return np.log(terms.sum(axis=axis)) + np.squeeze(top, axis)
 
 
 def _poisson_ladder(x: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +105,9 @@ def _poisson_ladder(x: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
         start = np.maximum(n + 1, np.ceil(2.0 * x))
         steps = np.ceil(_LADDER_NATS / np.log((start + 1.0) / x))
         top = np.where(x <= n + 1, start + np.maximum(steps, 1.0), n).astype(np.int64)
-        log_pmf = _log_poisson_pmf(x, max(int(top.max(initial=0)), width))
-        log_pmf[np.arange(log_pmf.shape[-1]) > top[..., None]] = -np.inf
+        orders = np.arange(max(int(top.max(initial=0)), width) + 1)
+        log_pmf = _log_poisson_pmf(x, orders)
+        log_pmf[orders > top[..., None]] = -np.inf
         scale = log_pmf.max(axis=-1, keepdims=True)
         pmf = np.exp(log_pmf - scale)
         log_cdf = np.log(np.cumsum(pmf[..., :width], axis=-1)) + scale
@@ -113,11 +134,7 @@ def regularized_gamma_p(a: int, x: float) -> float:
 
 def log_sum_exp(terms: Sequence[float] | np.ndarray) -> float:
     """ln of the sum of exponentials, stabilized by the usual max shift."""
-    arr = np.asarray(terms, dtype=float)
+    arr = np.array(terms, dtype=float)
     if arr.size == 0:
         raise ParameterError("log_sum_exp of an empty sequence")
-    m = float(arr.max())
-    if not math.isfinite(m):
-        # all terms -inf (empty sum, log 0), or a genuine +inf term
-        return m
-    return m + math.log(float(np.exp(arr - m).sum()))
+    return float(_log_sum_exp(arr.ravel(), 0))

@@ -11,8 +11,8 @@ edges of the peak with array calls; the site oracle scans the lattice at
 the asked pitch on every call, where the library scans it once per (kind,
 count) at unit pitch; the error-probability oracles expand small sums by hand, and the detection
 oracles evaluate every likelihood as a log-sum-exp over the
-atoms of the collapsed interference spectrum, where the library works
-from the convolved count distribution.
+atoms of the collapsed interference spectrum, with a log-sum-exp of their
+own, where the library works from the convolved count distribution.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from scipy import integrate, special, stats
 from mc_arelab.channel import PhysicalParams, ReceiverGeometry, cir
 from mc_arelab.errors import ParameterError, SearchError
 from mc_arelab.gridgeom import GridKind, GridLayout, TxSite, cell_area
-from mc_arelab.specfun import log_sum_exp
+
+# Most elements (scan points x atoms) in one oracle temporary.
+_BLOCK = 1 << 20
 
 
 def cir_quadrature(t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry) -> float:
@@ -225,28 +227,45 @@ def exhaustive_iui_spectrum(ring_basis: list[tuple[float, int]]) -> list[tuple[f
     return sorted(outcomes.items())
 
 
-def _log_poisson_score(phi: float, lam: np.ndarray) -> np.ndarray:
-    """phi ln(lam) - lam elementwise, with the 0^0 = 1 convention at lam = 0."""
-    out = np.full(lam.shape, -math.inf)
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """ln sum exp along the last axis, shifted by the largest finite term of each row."""
+    top = terms.max(axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(terms - top).sum(axis=-1)) + top[..., 0]
+
+
+def _log_moments(phis, lam: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """ln sum_a w_a lam_a^phi e^-lam_a at each phi, with 0^0 = 1 at lam = 0, in blocks of phis."""
+    phis = np.asarray(phis, dtype=float).reshape(-1)
     pos = lam > 0
-    out[pos] = phi * np.log(lam[pos]) - lam[pos]
-    if phi == 0:
-        out[~pos] = 0.0
+    log_lam = np.log(np.where(pos, lam, 1.0))
+    out = np.empty(phis.size)
+    rows = max(1, _BLOCK // lam.size)
+    for start in range(0, phis.size, rows):
+        phi = phis[start : start + rows, None]
+        score = np.where(pos, phi * log_lam - lam, np.where(phi == 0, 0.0, -np.inf))
+        out[start : start + rows] = _log_sum_exp(score + log_w)
     return out
+
+
+def _balances(phis, mu_s: float, spectrum, mu_n: float) -> np.ndarray:
+    """ln moment of the bit-1 mixture minus that of the bit-0 mixture at each phi."""
+    lhs = _log_moments(phis, mu_s + spectrum.values + mu_n, spectrum.log_weights)
+    rhs = _log_moments(phis, spectrum.values + mu_n, spectrum.log_weights)
+    with np.errstate(invalid="ignore"):
+        return np.where(lhs == rhs, 0.0, np.where(np.isneginf(rhs), np.inf, lhs - rhs))
 
 
 def atom_optimal_threshold(mu_s: float, spectrum, mu_n: float, theta_cap: int | None = None) -> int:
     """First integer count whose log-likelihood over the atoms favours bit 1."""
     if theta_cap is None:
         theta_cap = 10 * math.ceil(mu_s + spectrum.max_value + mu_n) + 50
-    lam_on = mu_s + spectrum.values + mu_n
-    lam_off = spectrum.values + mu_n
-    for theta in range(theta_cap + 1):
-        on = log_sum_exp(_log_poisson_score(theta, lam_on) + spectrum.log_weights)
-        off = log_sum_exp(_log_poisson_score(theta, lam_off) + spectrum.log_weights)
-        if on >= off:
-            return theta
-    raise SearchError(f"no threshold up to {theta_cap} flips the likelihood ratio; raise theta_cap")
+    # the ln theta! of both likelihoods cancels
+    flips = np.flatnonzero(_balances(np.arange(theta_cap + 1), mu_s, spectrum, mu_n) >= 0)
+    if not flips.size:
+        raise SearchError(f"no threshold up to {theta_cap} flips the likelihood ratio; raise theta_cap")
+    return int(flips[0])
 
 
 def atom_decision_curves(theta_max: int, mu_s: float, spectrum, mu_n: float):
@@ -281,56 +300,40 @@ def atom_decision_curves(theta_max: int, mu_s: float, spectrum, mu_n: float):
 
 def atom_ml_decide(r: int, mu_s: float, spectrum, mu_n: float) -> int:
     """Maximum-likelihood bit decision for a count r, each likelihood a log-sum-exp over the atoms."""
-    on = log_sum_exp(_log_poisson_score(r, mu_s + spectrum.values + mu_n) + spectrum.log_weights)
-    off = log_sum_exp(_log_poisson_score(r, spectrum.values + mu_n) + spectrum.log_weights)
-    return 1 if on >= off else 0
+    return 1 if _balances([r], mu_s, spectrum, mu_n)[0] >= 0 else 0
 
 
 def atom_balance(phi: float, mu_s: float, spectrum, mu_n: float) -> float:
     """ln E[lam^phi e^-lam] of the bit-1 mixture minus that of the bit-0 mixture, over the atoms."""
-    log_w = spectrum.log_weights
-    lhs = log_sum_exp(_log_poisson_score(phi, mu_s + spectrum.values + mu_n) + log_w)
-    rhs = log_sum_exp(_log_poisson_score(phi, spectrum.values + mu_n) + log_w)
-    if lhs == rhs:
-        return 0.0
-    if math.isinf(rhs) and rhs < 0:
-        return math.inf
-    return lhs - rhs
+    return float(_balances([phi], mu_s, spectrum, mu_n)[0])
 
 
 def atom_threshold_set(mu_s: float, spectrum, mu_n: float, phi_max: float | None = None) -> list[int]:
-    """Likelihood-balance crossings with every scan point a log-sum-exp over the atoms, bisected to 1e-9."""
+    """Likelihood-balance crossings with every scan point a log-sum-exp over the atoms, bisected to 1e-9.
+
+    All scan points, a quarter apart up to phi_max, are summed in one array;
+    bisection runs only inside an interval whose ends have opposite nonzero
+    signs. An exact zero at a scan point is a root of its own.
+    """
     if phi_max is None:
         phi_max = float(10 * math.ceil(mu_s + spectrum.max_value + mu_n) + 50)
-
-    def balance(phi: float) -> float:
-        return atom_balance(phi, mu_s, spectrum, mu_n)
-
-    roots: list[float] = []
     step = 0.25
-    prev_phi = 0.0
-    prev_val = balance(0.0)
-    if prev_val == 0.0:
-        roots.append(0.0)
-    for i in range(1, int(math.ceil(phi_max / step)) + 1):
-        phi = min(i * step, phi_max)
-        val = balance(phi)
-        if val == 0.0:
-            roots.append(phi)
-        elif (val > 0) != (prev_val > 0):
-            lo, hi, lo_val = prev_phi, phi, prev_val
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                mid_val = balance(mid)
-                if mid_val == 0.0:
-                    lo = hi = mid
-                    break
-                if (mid_val > 0) == (lo_val > 0):
-                    lo, lo_val = mid, mid_val
-                else:
-                    hi = mid
-                if hi - lo < 1e-9:
-                    break
-            roots.append(0.5 * (lo + hi))
-        prev_phi, prev_val = phi, val
+    phis = np.minimum(step * np.arange(int(math.ceil(phi_max / step)) + 1), phi_max)
+    vals = _balances(phis, mu_s, spectrum, mu_n)
+    roots = phis[vals == 0].tolist()
+    for i in np.flatnonzero((vals[:-1] != 0) & (vals[1:] != 0) & ((vals[:-1] > 0) != (vals[1:] > 0))).tolist():
+        lo, hi, lo_val = phis[i], phis[i + 1], vals[i]
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            mid_val = atom_balance(mid, mu_s, spectrum, mu_n)
+            if mid_val == 0.0:
+                lo = hi = mid
+                break
+            if (mid_val > 0) == (lo_val > 0):
+                lo, lo_val = mid, mid_val
+            else:
+                hi = mid
+            if hi - lo < 1e-9:
+                break
+        roots.append(0.5 * (lo + hi))
     return sorted({max(1, math.ceil(root)) for root in roots})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import stats
 
 from mc_arelab.channel import cir
 
@@ -45,3 +46,44 @@ def max_chernoff_score(trace, cfg, offset, params, geom, alpha, records=None):
         for k, ref in zip(records, expected.tolist())
     ]
     return max(scores), math.log(2.0 * len(scores) / alpha)
+
+
+def ber_band(result, analytic, alpha):
+    """Lower and upper edges of each sampled BER, missed with probability at most ``alpha`` per row.
+
+    ``analytic`` is the exact BER at each row of ``result``. A stochastic
+    row counts its errors, which are exactly Binomial(samples, BER): the
+    edges are its exact quantiles, alpha / 2 on each tail. A semi-analytic
+    row is a mean of per-sample error probabilities in [0, 1], so
+    Hoeffding's bound 2 e^(-2 n eps^2) gives the edges BER -+ eps.
+    """
+    n = result.samples
+    if result.mode == "stochastic":
+        return stats.binom.ppf(alpha / 2, n, analytic) / n, stats.binom.isf(alpha / 2, n, analytic) / n
+    eps = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    return analytic - eps, analytic + eps
+
+
+def ber_failures(result, analytic, theta, alpha):
+    """How a Monte Carlo BER curve strays from the exact curve ``analytic``; empty if it does not.
+
+    For exact code some line appears with probability at most the
+    family-wise ``alpha``. Half of it goes to the row at ``theta``. The
+    other half is split over all theta_max + 1 rows: with the rest every
+    row lies in its band at once, so best.ber lies in the band of its own
+    row and under every row's upper edge. That bounds both best.ber and
+    how far best.theta may sit from the analytic minimum.
+    """
+    n = result.samples
+    ber = np.array([row.ber for row in result.per_threshold_ber])
+    failures = []
+    lo, hi = ber_band(result, analytic[theta], alpha / 2)
+    if not lo <= ber[theta] <= hi:
+        failures.append(f"ber {ber[theta]:.6f} at theta {theta} outside [{lo:.6f}, {hi:.6f}] (n = {n})")
+    lo, hi = ber_band(result, analytic, alpha / 2 / ber.size)
+    best = result.best
+    if not lo[best.theta] <= best.ber <= hi.min():
+        failures.append(
+            f"best ber {best.ber:.6f} at theta {best.theta} outside [{lo[best.theta]:.6f}, {hi.min():.6f}] (n = {n})"
+        )
+    return failures

@@ -14,9 +14,10 @@ from mc_arelab.config import MC_MODES, SystemConfig, map_chunks
 from mc_arelab.detection import IuiSpectrum, optimal_threshold
 from mc_arelab.errors import ParameterError
 from mc_arelab.montecarlo import CHUNK, _draw_iui, run
-from mc_arelab.perf import error_probs
+from mc_arelab.perf import error_curves
 
 from oracles import atom_decision_curves
+from stochastic import ber_failures
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,18 @@ def default_summary():
 @pytest.fixture(scope="module")
 def default_run(default_summary):
     return run(default_summary, 200_000, seed=1)
+
+
+@pytest.fixture(scope="module")
+def semi_analytic_run(default_summary):
+    return run(default_summary, 200_000, seed=1, mode="semi-analytic")
+
+
+def analytic_ber(summary, result):
+    """Exact BER of every row of ``result``, and the optimal threshold."""
+    theta_opt = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
+    p, q = error_curves(len(result.per_threshold_ber) - 1, summary.mu_s, summary.cbar, summary.mu_n)
+    return 0.5 * (p + q), theta_opt
 
 
 class TestRun:
@@ -59,13 +72,19 @@ class TestRun:
             assert row.ber == pytest.approx(0.5, abs=0.02)
 
     def test_consistent_with_analytic_error_rates(self, default_summary, default_run):
-        basis = default_summary.cbar
-        theta_opt = optimal_threshold(default_summary.mu_s, basis, default_summary.mu_n)
-        pair = error_probs(theta_opt, default_summary.mu_s, basis, default_summary.mu_n)
-        analytic_ber = 0.5 * (pair.p + pair.q)
-        row = default_run.per_threshold_ber[theta_opt]
-        assert abs(row.ber - analytic_ber) <= 3.0 * row.stderr
-        assert abs(default_run.best.ber - analytic_ber) <= 3.0 * row.stderr
+        # family-wise false-failure probability 1e-3
+        ber, theta_opt = analytic_ber(default_summary, default_run)
+        assert ber_failures(default_run, ber, theta_opt, 1e-3) == []
+
+    @pytest.mark.parametrize("mode", MC_MODES)
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_ber_check_rejects_a_scaled_analytic_curve(
+        self, default_summary, default_run, semi_analytic_run, mode, scale
+    ):
+        # both checks, at the stated alpha, see a 10% error in the reference curve
+        result = default_run if mode == "stochastic" else semi_analytic_run
+        ber, theta_opt = analytic_ber(default_summary, result)
+        assert len(ber_failures(result, scale * ber, theta_opt, 1e-3)) == 2
 
     def test_best_is_curve_minimum(self, default_run):
         bers = [row.ber for row in default_run.per_threshold_ber]
@@ -107,15 +126,11 @@ class TestRun:
         sampled = run(summary, 400_000, theta_max=60, seed=5).best.theta
         assert exact[6] <= exact[36] <= sampled + 1
 
-    def test_semi_analytic_mode_matches_analytic_curve(self, default_summary):
-        result = run(default_summary, 200_000, seed=1, mode="semi-analytic")
-        basis = default_summary.cbar
-        theta_opt = optimal_threshold(default_summary.mu_s, basis, default_summary.mu_n)
-        pair = error_probs(theta_opt, default_summary.mu_s, basis, default_summary.mu_n)
-        analytic_ber = 0.5 * (pair.p + pair.q)
-        row = result.per_threshold_ber[theta_opt]
-        assert abs(row.ber - analytic_ber) <= 3.0 * row.stderr
-        assert result.best.theta == pytest.approx(theta_opt, abs=1)
+    def test_semi_analytic_mode_matches_analytic_curve(self, default_summary, semi_analytic_run):
+        # family-wise false-failure probability 1e-3
+        ber, theta_opt = analytic_ber(default_summary, semi_analytic_run)
+        assert ber_failures(semi_analytic_run, ber, theta_opt, 1e-3) == []
+        assert semi_analytic_run.best.theta == pytest.approx(theta_opt, abs=1)
 
     def test_semi_analytic_memory_does_not_grow_with_the_chunk_count(self, monkeypatch, default_summary):
         # 40 chunks fold into one running tally, so the peak is about one

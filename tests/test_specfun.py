@@ -148,6 +148,18 @@ class TestLogSumExp:
         with pytest.raises(ParameterError):
             log_sum_exp([])
 
+    @given(terms=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_plain_math_sum(self, terms):
+        want = math.log(math.fsum(math.exp(t) for t in terms))
+        assert log_sum_exp(terms) == pytest.approx(want, rel=1e-14, abs=1e-13)
+
+    def test_leaves_its_input_unchanged(self):
+        # the shared kernel overwrites its argument, so it gets a copy
+        terms = np.array([0.5, -1.0, 2.0])
+        log_sum_exp(terms)
+        assert terms.tolist() == [0.5, -1.0, 2.0]
+
     def test_neg_inf_terms_drop_out(self):
         assert log_sum_exp([-math.inf, 0.0]) == pytest.approx(0.0, abs=1e-15)
         assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
