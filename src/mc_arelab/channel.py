@@ -115,6 +115,15 @@ class ChannelSummary:
         return sum(count for _, count in self.cbar)
 
 
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True at each element that starts a run of equal neighbours in all ``keys`` (1-D, one size)."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
 def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.ndarray:
     """sum_k w_k P(k+1, sigma), w_k = e^-rho rho^k / k!^extra, on 1-D arrays.
 
@@ -125,24 +134,39 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
     the first h with (h+1)^(extra+1) >= 2 rho sigma on, and m more orders
     shrink a term by q_h^m <= SERIES_RTOL. Running sums keep each element
     independent of the others; blocks of elements keep each ladder (at most
-    2 top + 64 orders) within _CHUNK elements.
+    2 top + 64 orders) within _CHUNK elements. A ladder row depends only on
+    (sigma, top), and its bits not on the other rows of its call, so each
+    run of neighbours with equal (sigma, top) gets one row: a block ends
+    where a run starts, unless a single run fills it.
     """
     rs = rho * sigma
     half = np.ceil((2.0 * rs) ** (1.0 / (extra + 1.0)))
     with np.errstate(divide="ignore"):
         fall = np.ceil(math.log(SERIES_RTOL) / np.log(rs / ((half + 1.0) ** extra * (half + 2.0))))
     top = np.maximum(k_min, half + np.maximum(fall, 1.0)).astype(np.int64)
+    new = _run_starts(sigma, top)
     out = np.empty_like(rs)
     rows = _CHUNK // (2 * int(top.max(initial=0)) + 64) or 1
-    for i in range(0, rs.size, rows):
-        b = slice(i, i + rows)
+    start = 0
+    while start < rs.size:
+        stop = start + rows
+        # end the block at the last run start in (start, stop]
+        cuts = np.flatnonzero(new[start + 1 : stop + 1])
+        if stop < rs.size and cuts.size:
+            stop = start + 1 + int(cuts[-1])
+        b = slice(start, stop)
+        heads = new[b].copy()
+        heads[0] = True
         k = np.arange(int(top[b].max()) + 1)
-        _, log_tail = _poisson_ladder(sigma[b], top[b])
-        terms = np.exp(_log_poisson_pmf(rho[b], k, power=extra) + log_tail)
+        _, log_tail = _poisson_ladder(sigma[b][heads], top[b][heads])
+        terms = _log_poisson_pmf(rho[b], k, power=extra)
+        terms += log_tail[np.cumsum(heads) - 1]
+        np.exp(terms, out=terms)
         partial = np.cumsum(terms, axis=-1)
         q = rs[b, None] / ((k + 1.0) ** extra * (k + 2.0))
-        stop = ((k >= k_min) & (q <= 0.5) & (terms <= SERIES_RTOL * partial)) | (k == top[b, None])
-        out[b] = partial[np.arange(len(partial)), stop.argmax(axis=-1)]
+        stop_at = ((k >= k_min) & (q <= 0.5) & (terms <= SERIES_RTOL * partial)) | (k == top[b, None])
+        out[b] = partial[np.arange(len(partial)), stop_at.argmax(axis=-1)]
+        start = stop
     return out
 
 
@@ -185,22 +209,26 @@ def cir(
 
     value = np.zeros(t_arr.shape)
     flat = value.reshape(-1)
-    for start in range(0, flat.size, _CHUNK // 64):
-        window = slice(start, start + _CHUNK // 64)
+    for start in range(0, flat.size, _CHUNK // 16):
+        window = slice(start, start + _CHUNK // 16)
         t_w, r_w = t_arr.flat[window], r_arr.flat[window]
-        four_dt = 4.0 * params.D * t_w
-        root = np.sqrt(four_dt)
-        axial = 0.5 * (erf((params.v * t_w - geom.z_s) / root) - erf((params.v * t_w - geom.z_e) / root))
+        # the axial factor depends on t alone: one erf pair per run of equal times
+        new = _run_starts(t_w)
+        run = np.cumsum(new) - 1
+        t_h = t_w[new]
+        root_h = np.sqrt(4.0 * params.D * t_h)
+        axial = 0.5 * (erf((params.v * t_h - geom.z_s) / root_h) - erf((params.v * t_h - geom.z_e) / root_h))
         # the radial factor is at most exp(-(r_i - S_RX)^2 / 4Dt), which
         # rounds to 0 past _FAR diffusion lengths, as do all its terms
-        live = np.flatnonzero((axial != 0.0) & (r_w - params.s_rx <= _FAR * root))
-        sigma = params.s_rx * params.s_rx / four_dt[live]
-        rho = r_w[live] * r_w[live] / four_dt[live]
+        live = np.flatnonzero((axial[run] != 0.0) & (r_w - params.s_rx <= _FAR * root_h[run]))
+        four_dt = 4.0 * params.D * t_w[live]
+        sigma = params.s_rx * params.s_rx / four_dt
+        rho = r_w[live] * r_w[live] / four_dt
         # at rho = 0 the series is its first term, P(1, sigma) = 1 - e^-sigma
         radial = -np.expm1(-sigma)
         off = rho > 0.0
         radial[off] = _radial(rho[off], sigma[off], k_max, extra)
-        flat[start + live] = axial[live] * radial
+        flat[start + live] = axial[run[live]] * radial
     np.clip(value, 0.0, 1.0, out=value)
     return float(value) if value.ndim == 0 else value
 

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,20 @@ CONFIG_FLAGS = (
     ("--record-every", "pbs_record_every", "record step in units of dt"),
     ("--seed", "seed", "random number generator seed"),
 )
+
+# rows per formatting call of a float table
+_FLOAT_BLOCK = 256
+
+
+class FloatTable(NamedTuple):
+    """A table section of float columns of equal length: 1-D arrays, or 2-D arrays of several columns.
+
+    ``_emit`` writes it a block of rows at a time, with the bytes that
+    ``csv.writer`` gives the same rows as Python floats.
+    """
+
+    columns: tuple
+
 
 SWEEP_COLUMNS = (
     "axis_value",
@@ -144,11 +159,8 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
     times = _record_times(cfg, cfg.horizon, "horizon")
     distances = np.array([layout.sites[i].radial_distance for i in indices])
     values = cir(times[:, None], distances, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
-    # one Python row at a time: a fine trace as lists of floats would be
-    # several times the size of its array
-    rows = map(np.ndarray.tolist, np.column_stack([times, values]))
     columns = ["t_s"] + [f"cir_tx{i}" for i in indices]
-    return tuple(columns), [(None, rows)]
+    return tuple(columns), [(None, FloatTable((times, values)))]
 
 
 def cmd_detect(cfg: SystemConfig, args) -> tuple:
@@ -227,8 +239,8 @@ def cmd_pbs_validate(cfg: SystemConfig, args) -> tuple:
         seed=cfg.seed,
     )
     trace = simulate_cir(cfg.params(), cfg.geometry(), offset, pcfg)
-    rows = [list(row) for row in zip(trace.times, trace.mean_fraction, trace.stderr)]
-    return ("t_s", "cir_hat", "stderr"), [(None, rows)]
+    table = FloatTable((trace.times, trace.mean_fraction, trace.stderr))
+    return ("t_s", "cir_hat", "stderr"), [(None, table)]
 
 
 def cmd_optimize_radius(cfg: SystemConfig, args) -> tuple:
@@ -237,11 +249,14 @@ def cmd_optimize_radius(cfg: SystemConfig, args) -> tuple:
     return columns, [(None, [[s_opt] + _report_cells(report)])]
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, built once and shared as a parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="PATH", help="key = value file; flags override it")
     parser.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
     for flag, field, text in CONFIG_FLAGS:
         parser.add_argument(flag, dest=field, metavar="V", help=text)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mc-arelab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
 
     def add(name: str, handler, text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=text, allow_abbrev=False)
-        _add_common_flags(p)
+        p = sub.add_parser(name, help=text, allow_abbrev=False, parents=[common])
         p.set_defaults(handler=handler)
         return p
 
@@ -310,6 +325,16 @@ def _resolve_config(args) -> SystemConfig:
     return cfg
 
 
+def _write_floats(stream, table: FloatTable) -> None:
+    """Write a float table as CSV rows: each float is its repr, as ``csv.writer`` writes it."""
+    columns = [np.asarray(column, dtype=float) for column in table.columns]
+    columns = [column if column.ndim == 2 else column[:, None] for column in columns]
+    line = ",".join(["%r"] * sum(column.shape[1] for column in columns)) + "\n"
+    for start in range(0, len(columns[0]), _FLOAT_BLOCK):
+        block = np.hstack([column[start : start + _FLOAT_BLOCK] for column in columns])
+        stream.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def _emit(args, cfg: SystemConfig, columns: tuple, sections: list) -> None:
     stream = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
@@ -322,7 +347,10 @@ def _emit(args, cfg: SystemConfig, columns: tuple, sections: list) -> None:
         for tag, rows in sections:
             if tag is not None:
                 stream.write(f"# {tag}\n")
-            writer.writerows(rows)
+            if isinstance(rows, FloatTable):
+                _write_floats(stream, rows)
+            else:
+                writer.writerows(rows)
     finally:
         if args.out is not None:
             stream.close()

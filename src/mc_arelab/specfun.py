@@ -61,19 +61,28 @@ def _log_factorials(j: np.ndarray) -> np.ndarray:
     return _LOG_FACTORIALS[j]
 
 
-def _log_poisson_pmf(x: np.ndarray, exponents: np.ndarray, power: float = 1.0) -> np.ndarray:
+def _log_poisson_pmf(
+    x: np.ndarray,
+    exponents: np.ndarray,
+    power: float = 1.0,
+    log_norm: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """ln(x^e e^-x / e!^power) at each exponent e, on a new last axis; 0^0 = 1 where e = 0.
 
     Power 1 is the Poisson pmf at the counts e. Power 0 is the log moment
     ln(x^e e^-x), which takes real exponents; every other power takes
-    integer exponents. The result is built in place, one array per call.
+    integer exponents. The result is built in place, in ``out`` if given
+    (shape x.shape + exponents.shape), else in one new array. A caller that
+    evaluates many blocks at the same exponents passes ``log_norm`` =
+    power * ln e!, formed once, in place of forming it per call.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.multiply(exponents, np.log(x)[..., None])
+        out = np.multiply(exponents, np.log(x)[..., None], out=out)
     out[..., exponents == 0] = 0.0
     out -= x[..., None]
     if power:
-        out -= power * _log_factorials(exponents)
+        out -= power * _log_factorials(exponents) if log_norm is None else log_norm
     return out
 
 
@@ -106,13 +115,18 @@ def _poisson_ladder(x: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
         steps = np.ceil(_LADDER_NATS / np.log((start + 1.0) / x))
         top = np.where(x <= n + 1, start + np.maximum(steps, 1.0), n).astype(np.int64)
         orders = np.arange(max(int(top.max(initial=0)), width) + 1)
-        log_pmf = _log_poisson_pmf(x, orders)
-        log_pmf[orders > top[..., None]] = -np.inf
-        scale = log_pmf.max(axis=-1, keepdims=True)
-        pmf = np.exp(log_pmf - scale)
-        log_cdf = np.log(np.cumsum(pmf[..., :width], axis=-1)) + scale
-        log_above = np.log(np.cumsum(pmf[..., :0:-1], axis=-1)[..., ::-1]) + scale
-        log_tail = np.where(log_cdf > -math.log(2.0), log_above[..., :width], np.log(-np.expm1(log_cdf)))
+        # one pmf array, scaled by its largest term and exponentiated in place
+        pmf = _log_poisson_pmf(x, orders)
+        pmf[orders > top[..., None]] = -np.inf
+        scale = pmf.max(axis=-1, keepdims=True)
+        pmf -= scale
+        np.exp(pmf, out=pmf)
+        log_cdf = np.cumsum(pmf[..., :width], axis=-1)
+        np.log(log_cdf, out=log_cdf)
+        log_cdf += scale
+        log_above = np.log(np.cumsum(pmf[..., :0:-1], axis=-1)[..., : -width - 1 : -1])
+        log_above += scale
+        log_tail = np.where(log_cdf > -math.log(2.0), log_above, np.log(-np.expm1(log_cdf)))
     return log_cdf, log_tail
 
 

@@ -179,6 +179,35 @@ class TestCirSeries:
             for i, t_i in enumerate(t.tolist()):
                 for j, r_j in enumerate(r.tolist()):
                     assert grid[i, j] == cir(t_i, r_j, params, geom, k_max=3, gamma_form=gamma_form)
+            # three sites per time: the window edge at element 2048 cuts the
+            # run of time 682, whose axial factor is then formed twice
+            t_long = np.geomspace(0.05, 15.0, 800)
+            grid = cir(t_long[:, None], r[2:5], params, geom, k_max=3, gamma_form=gamma_form)
+            for i in range(670, 700):
+                for j, r_j in enumerate(r[2:5].tolist()):
+                    assert grid[i, j] > 0.0
+                    assert grid[i, j] == cir(t_long[i], r_j, params, geom, k_max=3, gamma_form=gamma_form)
+            # one (sigma, order) run longer than a block of the radial series
+            row = cir(2.0, np.full(1000, 1.52), params, geom, k_max=3, gamma_form=gamma_form)
+            assert (row == cir(2.0, 1.52, params, geom, k_max=3, gamma_form=gamma_form)).all()
+
+    def test_one_ladder_row_per_run_of_equal_sigma_and_order(self, monkeypatch):
+        # t-major elements: the three ring-1 sites of a time share sigma and
+        # their order, the ring-2 site may need another order
+        rows = []
+        ladder = channel._poisson_ladder
+
+        def counting(x, n):
+            rows.extend(zip(x.tolist(), n.tolist()))
+            return ladder(x, n)
+
+        monkeypatch.setattr("mc_arelab.channel._poisson_ladder", counting)
+        t = np.linspace(0.01, 15.0, 3000)
+        cir(t[:, None], [0.2, 0.2, 0.2, 0.2 * math.sqrt(3.0)], DEFAULTS, GEOM)
+        sigmas = {x for x, _ in rows}
+        assert len(sigmas) > 2500
+        assert len(set(rows)) == len(rows)
+        assert len(rows) <= 2 * len(sigmas)
 
     @pytest.mark.parametrize("gamma_form", ["lower", "regularized"])
     @pytest.mark.parametrize("s_rx", [1e-4, 0.1, 1.0])

@@ -1,14 +1,18 @@
+import csv
+import io
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import mc_arelab
 from mc_arelab import perf
 from mc_arelab.channel import summarize
-from mc_arelab.cli import main
+from mc_arelab.cli import FloatTable, _write_floats, main
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import characterize
 
@@ -133,6 +137,51 @@ class TestCir:
         code, _, err = run_cli(capsys, "cir", "--tx-index", "99")
         assert code == 2
         assert "tx-index" in err
+
+    def test_failing_run_creates_no_out_file(self, capsys, tmp_path):
+        path = tmp_path / "p"
+        code, _, err = run_cli(capsys, "cir", "--tx-index", "999", "--out", str(path))
+        assert code == 2
+        assert "tx-index" in err
+        assert not path.exists()
+
+    def test_fine_trace_stays_small_in_memory(self, tmp_path):
+        # 15,000 record times at 4 sites: the trace is 0.48 MB, and one more
+        # copy of it with its time column (0.6 MB) would cross the bound
+        argv = ["cir", "--record-every", "1", "--out", str(tmp_path / "trace.csv")]
+        for site in (0, 1, 5, 12):
+            argv += ["--tx-index", str(site)]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6e6
+
+
+class TestFloatTable:
+    VALUES = [0.0, -0.0, 5e-324, 1e-05, 0.009000000000000001, 1e16, 1.0]
+
+    def test_bytes_match_csv_writer(self):
+        # 700 rows: two full blocks of rows and a partial one
+        first = np.resize(self.VALUES, 700)
+        rest = np.column_stack([np.roll(first, 1), -np.roll(first, 3)])
+        stream = io.StringIO()
+        _write_floats(stream, FloatTable((first, rest)))
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(np.column_stack([first, rest]).tolist())
+        assert stream.getvalue() == expected.getvalue()
+        firsts = [line.split(",")[0] for line in stream.getvalue().splitlines()[:7]]
+        assert firsts == ["0.0", "-0.0", "5e-324", "1e-05", "0.009000000000000001", "1e+16", "1.0"]
+
+    def test_tuples_of_floats_are_columns(self):
+        stream = io.StringIO()
+        _write_floats(stream, FloatTable((tuple(self.VALUES), tuple(self.VALUES[::-1]))))
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(zip(self.VALUES, self.VALUES[::-1]))
+        assert stream.getvalue() == expected.getvalue()
 
 
 class TestAnalysisCommands:
