@@ -10,13 +10,14 @@ at time t; it factorizes into an axial erf difference and a radial series.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, SearchError, is_finite_real, is_integer
-from .gridgeom import GridLayout
+from .gridgeom import GridLayout, cell_area
 from .specfun import _CHUNK, _log_poisson_pmf, _poisson_ladder, erf
 
 __all__ = [
@@ -35,8 +36,12 @@ GAMMA_FORMS = ("lower", "regularized")
 SERIES_RTOL = 1e-16
 # exp(-_FAR^2) is below half the smallest double.
 _FAR = math.sqrt(746.0)
-# Points evaluated inside each edge bracket per zoom of peak_time.
+# Points of the peak_time scan, and points evaluated inside each edge
+# bracket per zoom.
+_SCAN = 1000
 _ZOOM = 32
+# Simpson intervals of the tail estimate in summarize.
+_TAIL_INTERVALS = 64
 
 
 @dataclass(frozen=True)
@@ -98,13 +103,15 @@ class ChannelSummary:
     """Expected molecule counts at the sampling time.
 
     ``cbar`` holds one (expected count, multiplicity) pair per interferer
-    ring, in increasing ring-distance order.
+    ring, in increasing ring-distance order. ``tail_mean`` estimates the
+    mean interference from the sites beyond the outermost ring.
     """
 
     t_m: float
     mu_s: float
     cbar: tuple[tuple[float, int], ...]
     mu_n: float
+    tail_mean: float = 0.0
 
     @property
     def cbar_sum(self) -> float:
@@ -170,6 +177,39 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
     return out
 
 
+def _axial(t: np.ndarray, D: float, v: float, z_s: float, z_e: float) -> np.ndarray:
+    """Axial factor of the response: the erf difference over z_s..z_e at times ``t`` (1-D)."""
+    root = np.sqrt(4.0 * D * t)
+    return 0.5 * (erf((v * t - z_s) / root) - erf((v * t - z_e) / root))
+
+
+def _zero_offset(t: np.ndarray, axial: np.ndarray, params: PhysicalParams) -> np.ndarray:
+    """cir(t, 0.0, ...) bit for bit, given the axial factor at ``t``: axial times 1 - e^-sigma."""
+    return np.clip(axial * -np.expm1(-params.s_rx * params.s_rx / (4.0 * params.D * t)), 0.0, 1.0)
+
+
+def _check_times(t_arr: np.ndarray, t) -> None:
+    """Reject any time in ``t_arr`` that is not positive and finite, naming the argument ``t``."""
+    if not (np.isfinite(t_arr) & (t_arr > 0)).all():
+        raise ParameterError(f"t must be positive and finite, got {t}")
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_axial(D: float, v: float, z_s: float, z_e: float, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The peak_time scan grid of (0, horizon] and its axial factor, as read-only arrays.
+
+    The axial factor does not depend on S_RX, so every point of a sweep
+    that keeps the transport, the receiver's axial span and the horizon
+    shares one scan.
+    """
+    grid = horizon * np.arange(1, _SCAN + 1) / _SCAN
+    _check_times(grid, grid)
+    axial = _axial(grid, D, v, z_s, z_e)
+    grid.setflags(write=False)
+    axial.setflags(write=False)
+    return grid, axial
+
+
 def cir(
     t,
     r_i,
@@ -197,8 +237,7 @@ def cir(
     tabulated reference constants used by the acceptance suite.
     """
     t_arr, r_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r_i, dtype=float))
-    if not (np.isfinite(t_arr) & (t_arr > 0)).all():
-        raise ParameterError(f"t must be positive and finite, got {t}")
+    _check_times(t_arr, t)
     if not (np.isfinite(r_arr) & (r_arr >= 0)).all():
         raise ParameterError(f"r_i must be nonnegative and finite, got {r_i}")
     if not is_integer(k_max) or k_max < 0:
@@ -217,7 +256,7 @@ def cir(
         run = np.cumsum(new) - 1
         t_h = t_w[new]
         root_h = np.sqrt(4.0 * params.D * t_h)
-        axial = 0.5 * (erf((params.v * t_h - geom.z_s) / root_h) - erf((params.v * t_h - geom.z_e) / root_h))
+        axial = _axial(t_h, params.D, params.v, geom.z_s, geom.z_e)
         # the radial factor is at most exp(-(r_i - S_RX)^2 / 4Dt), which
         # rounds to 0 past _FAR diffusion lengths, as do all its terms
         live = np.flatnonzero((axial[run] != 0.0) & (r_w - params.s_rx <= _FAR * root_h[run]))
@@ -262,19 +301,25 @@ def peak_time(
     zoom evaluates _ZOOM points in both brackets in one array call, raises
     the running maximum, and narrows each bracket to the neighbors of the
     first and the last point at the peak, until both are narrower than
-    ``tol``.
+    ``tol``. The zero-offset response is cir(t, 0.0, ...) bit for bit,
+    formed directly as axial times 1 - e^-sigma; the scan's axial factor
+    comes from a cache keyed by the transport, the axial span and the
+    horizon.
     """
     if not (is_finite_real(search_horizon) and search_horizon > 0):
         raise ParameterError(f"search_horizon must be positive and finite, got {search_horizon!r}")
     if not (is_finite_real(tol) and tol > 0):
         raise ParameterError(f"tol must be positive and finite, got {tol!r}")
 
-    n = 1000
-    grid = search_horizon * np.arange(1, n + 1) / n
-    vals = cir(grid, 0.0, params, geom)
+    n = _SCAN
+    grid, axial = _scan_axial(*map(float, (params.D, params.v, geom.z_s, geom.z_e, search_horizon)))
+    vals = _zero_offset(grid, axial, params)
     peak = vals.max()
     if peak <= 0.0:
-        raise SearchError(f"response vanishes everywhere on (0, {search_horizon}]; widen the horizon")
+        raise SearchError(
+            f"response vanishes at all {n} scan points of (0, {search_horizon}], {search_horizon / n:.3g} s apart; "
+            "its peak lies past the horizon (widen it) or between two scan points (narrow it)"
+        )
     if vals.argmax() == n - 1:
         raise SearchError(f"response still rising at t = {search_horizon}; widen the horizon")
     near = np.flatnonzero(vals >= peak * (1.0 - 1e-12))
@@ -287,7 +332,7 @@ def peak_time(
     edges = np.array([[grid[lo - 1] if lo > 0 else grid[0] * 1e-3, grid[lo]], [grid[hi], grid[hi + 1]]])
     while (edges[:, 1] - edges[:, 0]).max() >= tol:
         t = np.linspace(edges[:, 0], edges[:, 1], _ZOOM + 2, axis=-1).ravel()
-        vals = cir(t, 0.0, params, geom)
+        vals = _zero_offset(t, _axial(t, params.D, params.v, geom.z_s, geom.z_e), params)
         peak = max(peak, vals.max())
         near = np.flatnonzero(vals >= peak * (1.0 - 1e-12))
         first, last = near[0], near[-1]
@@ -307,11 +352,33 @@ def summarize(
     t_m: float | None = None,
     search_horizon: float = 15.0,
 ) -> ChannelSummary:
-    """Expected signal, per-ring interference, and noise counts at the peak time."""
+    """Expected signal, per-ring interference, noise and tail counts at the peak time.
+
+    The tail estimate is a continuum approximation: site density 1/A_cell
+    beyond the outermost ring, integrated against the response at t_m by
+    the composite Simpson rule on _TAIL_INTERVALS intervals out to 8
+    diffusion lengths plus 2 S_RX past that ring. The rings and the
+    Simpson nodes share one response call.
+    """
     if t_m is None:
         t_m = peak_time(params, geom, search_horizon=search_horizon)
-    distances = np.array([0.0] + [dist for dist, _ in layout.ring_sizes])
-    means = (params.n_mol * cir(t_m, distances, params, geom, k_max=k_max, gamma_form=gamma_form)).tolist()
+    distances = [0.0] + [dist for dist, _ in layout.ring_sizes]
+    nodes = np.empty(0)
+    if layout.ring_sizes:
+        r_out = distances[-1]
+        r_end = r_out + 8.0 * math.sqrt(4.0 * params.D * t_m) + 2.0 * params.s_rx
+        if r_end > r_out:
+            nodes = np.linspace(r_out, r_end, _TAIL_INTERVALS + 1)
+    response = cir(t_m, np.concatenate((distances, nodes)), params, geom, k_max=k_max, gamma_form=gamma_form)
+    means = (params.n_mol * response[: len(distances)]).tolist()
     cbar = tuple((mean, count) for mean, (_, count) in zip(means[1:], layout.ring_sizes))
     mu_n = params.c_noise * geom.volume
-    return ChannelSummary(t_m=t_m, mu_s=means[0], cbar=cbar, mu_n=mu_n)
+    tail_mean = 0.0
+    if nodes.size:
+        # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1
+        weights = np.tile([2.0, 4.0], _TAIL_INTERVALS // 2 + 1)[: nodes.size]
+        weights[[0, -1]] = 1.0
+        a_cell = cell_area(layout.kind, layout.pitch)
+        integrand = params.n_mol * response[len(distances) :] * 2.0 * math.pi * nodes / a_cell
+        tail_mean = float(np.sum(weights * integrand)) * (nodes[1] - nodes[0]) / 3.0
+    return ChannelSummary(t_m=t_m, mu_s=means[0], cbar=cbar, mu_n=mu_n, tail_mean=tail_mean)

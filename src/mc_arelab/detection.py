@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, SearchError, check_elements, is_finite_real, is_integer
 from .specfun import _CHUNK, _log_factorials, _log_poisson_pmf, _log_sum_exp
@@ -184,8 +184,10 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.size < b.size:
         a, b = b, a
     size = min(n, a.size + b.size - 1)
-    padded = np.concatenate((np.full(b.size - 1, -math.inf), a, np.full(size - a.size, -math.inf)))
-    windows = sliding_window_view(padded, b.size)
+    padded = np.full(size + b.size - 1, -math.inf)
+    padded[b.size - 1 : b.size - 1 + a.size] = a
+    step = padded.strides[0]
+    windows = as_strided(padded, (size, b.size), (step, step), writeable=False)
     out = np.full(n, -math.inf)
     rows = max(1, _CHUNK // b.size)
     for start in range(0, size, rows):

@@ -1,11 +1,12 @@
 """Link and area performance: error probabilities, rates, sweeps.
 
 The detection-side inputs (signal mean, per-ring interference means,
-noise mean) come from channel.summarize; this module turns them into
-error probabilities, mutual information, and area rate efficiency, and
-drives parameter sweeps over those numbers. The error probabilities of
-the threshold rule are cumulative sums of the exact count distribution,
-built from the ring basis without enumerating interference atoms.
+noise mean, and the tail estimate behind the truncation warning) come
+from channel.summarize; this module turns them into error probabilities,
+mutual information, and area rate efficiency, and drives parameter
+sweeps over those numbers. The error probabilities of the threshold
+rule are cumulative sums of the exact count distribution, built from
+the ring basis without enumerating interference atoms.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PhysicalParams, ReceiverGeometry, cir, summarize
+from .channel import summarize
 from .config import SystemConfig, map_workers
 from .detection import _check_means, _count_pmfs, _CountDistribution, sinr_worst, suboptimal_threshold
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
-from .gridgeom import GridLayout
 
 __all__ = [
     "ErrorPair",
@@ -140,46 +140,12 @@ def spatial_rate(cell_area: float) -> float:
     return 1.0 / cell_area
 
 
-def _neglected_tail(
-    params: PhysicalParams,
-    geom: ReceiverGeometry,
-    layout: GridLayout,
-    t_m: float,
-    gamma_form: str,
-) -> float:
-    """Estimated mean interference from sites beyond the outermost ring.
-
-    Continuum approximation: site density 1/A_cell outside the enumerated
-    region, integrated against the channel response at the decision time
-    by the composite Simpson rule on 64 intervals, with one response call
-    over all nodes.
-    """
-    from .gridgeom import cell_area as _cell_area
-
-    r_out = layout.ring_sizes[-1][0]
-    a_cell = _cell_area(layout.kind, layout.pitch)
-    width = math.sqrt(4.0 * params.D * t_m)
-    r_end = r_out + 8.0 * width + 2.0 * params.s_rx
-    if r_end <= r_out:
-        return 0.0
-
-    nodes = np.linspace(r_out, r_end, 65)
-    weights = np.tile([2.0, 4.0], 33)[:65]  # Simpson: 1, 4, 2, 4, ..., 2, 4, 1
-    weights[[0, -1]] = 1.0
-    response = cir(t_m, nodes, params, geom, gamma_form=gamma_form)
-    integrand = params.n_mol * response * 2.0 * math.pi * nodes / a_cell
-    return float(np.sum(weights * integrand)) * (nodes[1] - nodes[0]) / 3.0
-
-
 def evaluate(config: SystemConfig) -> PerfReport:
     """Analytic performance of one configuration at the peak-CIR decision time."""
-    params = config.params()
-    geom = config.geometry()
-    layout = config.layout()
     summary = summarize(
-        params,
-        geom,
-        layout,
+        config.params(),
+        config.geometry(),
+        config.layout(),
         k_max=config.k_max,
         gamma_form=config.gamma_form,
         search_horizon=config.horizon,
@@ -197,9 +163,8 @@ def evaluate(config: SystemConfig) -> PerfReport:
     area = config.cell_area
     srate = spatial_rate(area)
 
-    tail = _neglected_tail(params, geom, layout, summary.t_m, config.gamma_form)
     modeled = summary.mu_s + summary.cbar_sum
-    warn = tail > TRUNCATION_WARN_FRACTION * modeled if modeled > 0 else False
+    warn = summary.tail_mean > TRUNCATION_WARN_FRACTION * modeled if modeled > 0 else False
 
     return PerfReport(
         theta_used=theta_used,

@@ -7,7 +7,9 @@ evaluates), take the radial factor from SciPy's noncentral chi-square cdf
 or sum its series exactly with SciPy's incomplete gamma; the peak-time
 oracle refines its scan by golden-section search and plateau bisection
 with one scalar response call per step, where the library zooms on both
-edges of the peak with array calls; the site oracle scans the lattice at
+edges of the peak with array calls; the tail oracle evaluates the
+response at its Simpson nodes alone, where the library evaluates them in
+one call with the ring distances; the site oracle scans the lattice at
 the asked pitch on every call, where the library scans it once per (kind,
 count) at unit pitch; the error-probability oracles expand small sums by hand, and the detection
 oracles evaluate every likelihood as a log-sum-exp over the
@@ -105,7 +107,10 @@ def oracle_peak_time(
     vals = cir(np.array(grid), 0.0, params, geom).tolist()
     peak = max(vals)
     if peak <= 0.0:
-        raise SearchError(f"response vanishes everywhere on (0, {search_horizon}]; widen the horizon")
+        raise SearchError(
+            f"response vanishes at all {n} scan points of (0, {search_horizon}], {search_horizon / n:.3g} s apart; "
+            "its peak lies past the horizon (widen it) or between two scan points (narrow it)"
+        )
     i_max = vals.index(peak)
     if i_max == n - 1:
         raise SearchError(f"response still rising at t = {search_horizon}; widen the horizon")
@@ -157,6 +162,35 @@ def oracle_peak_time(
             d_ = a + inv_phi * (b - a)
             fd = f(d_)
     return 0.5 * (a + b)
+
+
+def neglected_tail(
+    params: PhysicalParams,
+    geom: ReceiverGeometry,
+    layout: GridLayout,
+    t_m: float,
+    gamma_form: str,
+    k_max: int = 20,
+) -> float:
+    """Mean interference from sites beyond the outermost ring, from a response call of its own.
+
+    Continuum approximation: site density 1/A_cell outside the enumerated
+    region, integrated against the channel response at the decision time
+    by the composite Simpson rule on 64 intervals.
+    """
+    r_out = layout.ring_sizes[-1][0]
+    a_cell = cell_area(layout.kind, layout.pitch)
+    width = math.sqrt(4.0 * params.D * t_m)
+    r_end = r_out + 8.0 * width + 2.0 * params.s_rx
+    if r_end <= r_out:
+        return 0.0
+
+    nodes = np.linspace(r_out, r_end, 65)
+    weights = np.tile([2.0, 4.0], 33)[:65]  # Simpson: 1, 4, 2, 4, ..., 2, 4, 1
+    weights[[0, -1]] = 1.0
+    response = cir(t_m, nodes, params, geom, k_max=k_max, gamma_form=gamma_form)
+    integrand = params.n_mol * response * 2.0 * math.pi * nodes / a_cell
+    return float(np.sum(weights * integrand)) * (nodes[1] - nodes[0]) / 3.0
 
 
 def scan_sites(kind: GridKind, pitch: float, n_interferers: int) -> GridLayout:

@@ -223,19 +223,29 @@ class TestCirSeries:
             assert abs(value - ref) <= 1e-13 * ref, (t_i, value, ref)
 
     def test_peak_time_sums_no_series_at_zero_offset(self, monkeypatch):
-        calls = []
+        # peak_time forms the zero-offset response itself: no cir call and
+        # no series; summarize sends its rings and tail nodes through one cir
+        radial_sizes, cir_offsets = [], []
         radial = channel._radial
 
         def offset_only(rho, *args):
             assert (rho > 0).all()
-            calls.append(rho.size)
+            radial_sizes.append(rho.size)
             return radial(rho, *args)
 
+        def counting(t, r_i, *args, **kwargs):
+            cir_offsets.append(np.size(r_i))
+            return cir(t, r_i, *args, **kwargs)
+
         monkeypatch.setattr("mc_arelab.channel._radial", offset_only)
+        monkeypatch.setattr("mc_arelab.channel.cir", counting)
+        channel._scan_axial.cache_clear()
         peak_time(DEFAULTS, GEOM)
-        assert calls and sum(calls) == 0
+        assert radial_sizes == [] and cir_offsets == []
         summarize(DEFAULTS, GEOM, enumerate_sites(GridKind.HEXAGONAL, 0.2, 6))
-        assert sum(calls) == 1
+        # the paired link, one ring and 65 Simpson nodes; all but the first are offset
+        assert cir_offsets == [1 + 1 + 65]
+        assert radial_sizes == [1 + 65]
 
     def test_scalar_call_returns_float(self):
         assert type(cir(2.0, 0.2, DEFAULTS, GEOM)) is float
@@ -348,15 +358,78 @@ class TestPeakTime:
 
     def test_refines_with_few_array_calls(self, monkeypatch):
         times = []
+        axial = channel._axial
 
-        def counting(t, *args, **kwargs):
+        def counting(t, *args):
             times.append(t)
-            return cir(t, *args, **kwargs)
+            return axial(t, *args)
 
-        monkeypatch.setattr("mc_arelab.channel.cir", counting)
+        monkeypatch.setattr("mc_arelab.channel._axial", counting)
+        channel._scan_axial.cache_clear()
         peak_time(DEFAULTS, GEOM)
         assert len(times) <= 5
         assert all(np.ndim(t) == 1 for t in times)
+        # a second search reuses the scan and evaluates only its zooms
+        zooms = len(times) - 1
+        peak_time(DEFAULTS, GEOM)
+        assert len(times) == 1 + 2 * zooms
+
+    @pytest.mark.parametrize("gamma_form", ["lower", "regularized"])
+    def test_zero_offset_response_equals_cir_bit_for_bit(self, gamma_form):
+        rng = np.random.default_rng(20)
+        cases = [
+            ({}, 15.0),
+            ({"v": 0.0}, 15.0),
+            ({"D": 1e-9}, 15.0),  # a plateau at 1
+            ({"D": 1e-9, "v": 0.1}, 15.0),
+            ({"v": 1e3}, 1e-3),
+            ({"v": 1e6, "D": 1e-6}, 1e-6),
+        ]
+        for _ in range(40):
+            change = {
+                "D": float(10 ** rng.uniform(-9, 0)),
+                "v": float(rng.choice([0.0, 10 ** rng.uniform(-3, 3)])),
+                "d": float(10 ** rng.uniform(-2, 1)),
+                "s_rx": float(10 ** rng.uniform(-4, 0)),
+                "l_rx": float(10 ** rng.uniform(-3, 0)),
+            }
+            cases.append((change, float(10 ** rng.uniform(-3, 2))))
+        live = []
+        for change, horizon in cases:
+            params = replace(DEFAULTS, **change)
+            geom = ReceiverGeometry.centered(params)
+            t = np.concatenate((horizon * np.arange(1, 1001) / 1000, horizon * rng.uniform(1e-6, 1.0, 68)))
+            lean = channel._zero_offset(t, channel._axial(t, params.D, params.v, geom.z_s, geom.z_e), params)
+            assert np.array_equal(lean, cir(t, 0.0, params, geom, gamma_form=gamma_form)), change
+            live.append(lean.max())
+        assert live[2] == live[3] == 1.0
+        assert sum(value > 0.0 for value in live) > len(cases) // 2
+
+    def test_scan_cache_is_read_only_and_changes_nothing(self):
+        cases = [(params, ReceiverGeometry.centered(params)) for params in (DEFAULTS, replace(DEFAULTS, v=0.0))]
+        channel._scan_axial.cache_clear()
+        fresh = [peak_time(params, geom) for params, geom in cases]
+        cached = [peak_time(params, geom) for params, geom in cases]
+        assert fresh == cached
+        assert channel._scan_axial.cache_info().hits == 2
+        # S_RX is not in the key: a sweep over radii shares one scan
+        peak_time(replace(DEFAULTS, s_rx=0.05), GEOM)
+        assert channel._scan_axial.cache_info().hits == 3
+        for array in channel._scan_axial(DEFAULTS.D, DEFAULTS.v, GEOM.z_s, GEOM.z_e, 15.0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("change, horizon", [({}, 1e300), ({"v": 1e6}, 15.0)])
+    def test_peak_between_scan_points_names_the_step(self, change, horizon):
+        # the peak is near 2.5 s, or the pulse passes at about 5e-7 s: both
+        # fall between two scan points
+        params = replace(DEFAULTS, **change)
+        with pytest.raises(SearchError, match="scan points") as info:
+            peak_time(params, ReceiverGeometry.centered(params), search_horizon=horizon)
+        message = str(info.value)
+        assert f"{horizon / 1000:.3g} s apart" in message
+        assert "past the horizon" in message and "between two scan points" in message
 
     def test_rejects_bad_arguments(self):
         for name, value in [

@@ -426,6 +426,25 @@ class TestValidationCommands:
         assert name in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, step",
+        [
+            # the peak near 2.5 s falls between two scan points
+            (("detect", "--horizon", "1e300"), "1e+297 s apart"),
+            # the pulse passes at about 5e-7 s, inside the first scan step
+            (("detect", "--v", "1e6"), "0.015 s apart"),
+            # the horizon ends before the pulse arrives
+            (("detect", "--horizon", "0.01"), "1e-05 s apart"),
+        ],
+    )
+    def test_a_scan_that_misses_the_peak_names_its_step(self, capsys, argv, step):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert step in err
+        assert "past the horizon" in err and "between two scan points" in err
+        assert "Traceback" not in err
+
     def test_semi_analytic_mode_draws_no_poisson_count(self, capsys):
         code, out, err = run_cli(capsys, "mc-validate", "--mode", "semi-analytic", "--samples", "10", "--noise", "1e300")
         assert code == 0, err

@@ -15,6 +15,7 @@ from mc_arelab.config import SystemConfig
 from mc_arelab.detection import collapse_iui
 from mc_arelab.errors import ConfigError, ParameterError, SearchError
 from mc_arelab.perf import (
+    TRUNCATION_WARN_FRACTION,
     ErrorPair,
     error_curves,
     error_probs,
@@ -24,6 +25,8 @@ from mc_arelab.perf import (
     spatial_rate,
     sweep,
 )
+
+from oracles import neglected_tail
 
 
 def oracle_error_probs(theta, mu_s, spectrum, mu_n):
@@ -248,6 +251,36 @@ class TestEvaluate:
         assert report.theta_used in (report.theta_opt, report.theta_sub)
         # infinite only without interference
         assert report.sinr_worst > 0.0
+
+
+class TestNeglectedTail:
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.5])
+    @pytest.mark.parametrize("gamma_form", ["lower", "regularized"])
+    @pytest.mark.parametrize("grid", ["hex", "square"])
+    def test_summary_tail_matches_its_own_response_call(self, grid, gamma_form, c):
+        config = SystemConfig(grid=grid, gamma_form=gamma_form, c=c)
+        params, geom, layout = config.params(), config.geometry(), config.layout()
+        summary = summarize(params, geom, layout, gamma_form=gamma_form)
+        assert summary.tail_mean > 0.0
+        assert summary.tail_mean == neglected_tail(params, geom, layout, summary.t_m, gamma_form)
+
+    def test_tail_honors_the_minimum_order(self):
+        config = SystemConfig(k_max=3)
+        params, geom, layout = config.params(), config.geometry(), config.layout()
+        summary = summarize(params, geom, layout, k_max=3)
+        assert summary.tail_mean == neglected_tail(params, geom, layout, summary.t_m, "lower", k_max=3)
+
+    def test_criterion_7_warnings_unchanged(self):
+        pitches = [float(v) for v in np.geomspace(0.1, 1.0, 20)]
+        warnings = []
+        for pitch in pitches:
+            config = SystemConfig(c=pitch)
+            params, geom, layout = config.params(), config.geometry(), config.layout()
+            summary = summarize(params, geom, layout)
+            tail = neglected_tail(params, geom, layout, summary.t_m, config.gamma_form)
+            warnings.append(tail > TRUNCATION_WARN_FRACTION * (summary.mu_s + summary.cbar_sum))
+        assert warnings == [True] * 6 + [False] * 14
+        assert [report.truncation_warning for report in sweep(SystemConfig(), "cell_pitch", pitches)] == warnings
 
 
 class TestSweep:
