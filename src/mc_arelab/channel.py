@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ _FAR = math.sqrt(746.0)
 # Points of the peak_time scan, and points evaluated inside each edge
 # bracket per zoom.
 _SCAN = 1000
+# horizons whose scan, horizon * k / _SCAN for k = 1.._SCAN, is all normal floats
+_HORIZONS = (_SCAN * sys.float_info.min, sys.float_info.max / _SCAN)
 _ZOOM = 32
 # Simpson intervals of the tail estimate in summarize.
 _TAIL_INTERVALS = 64
@@ -200,10 +203,10 @@ def _scan_axial(D: float, v: float, z_s: float, z_e: float, horizon: float) -> t
 
     The axial factor does not depend on S_RX, so every point of a sweep
     that keeps the transport, the receiver's axial span and the horizon
-    shares one scan.
+    shares one scan. peak_time passes only horizons in _HORIZONS, so the
+    grid holds normal floats only.
     """
     grid = horizon * np.arange(1, _SCAN + 1) / _SCAN
-    _check_times(grid, grid)
     axial = _axial(grid, D, v, z_s, z_e)
     grid.setflags(write=False)
     axial.setflags(write=False)
@@ -306,8 +309,11 @@ def peak_time(
     comes from a cache keyed by the transport, the axial span and the
     horizon.
     """
-    if not (is_finite_real(search_horizon) and search_horizon > 0):
-        raise ParameterError(f"search_horizon must be positive and finite, got {search_horizon!r}")
+    if not (is_finite_real(search_horizon) and _HORIZONS[0] <= search_horizon <= _HORIZONS[1]):
+        raise ParameterError(
+            f"search_horizon must lie in [{_HORIZONS[0]!r}, {_HORIZONS[1]!r}], where the {_SCAN}-point "
+            f"peak scan of (0, horizon] holds normal floats only, got {search_horizon!r}"
+        )
     if not (is_finite_real(tol) and tol > 0):
         raise ParameterError(f"tol must be positive and finite, got {tol!r}")
 

@@ -164,7 +164,7 @@ def evaluate(config: SystemConfig) -> PerfReport:
     srate = spatial_rate(area)
 
     modeled = summary.mu_s + summary.cbar_sum
-    warn = summary.tail_mean > TRUNCATION_WARN_FRACTION * modeled if modeled > 0 else False
+    warn = bool(summary.tail_mean > TRUNCATION_WARN_FRACTION * modeled) if modeled > 0 else False
 
     return PerfReport(
         theta_used=theta_used,

@@ -431,11 +431,26 @@ class TestPeakTime:
         assert f"{horizon / 1000:.3g} s apart" in message
         assert "past the horizon" in message and "between two scan points" in message
 
+    @pytest.mark.parametrize("end, outward", zip(channel._HORIZONS, (0.0, math.inf)))
+    def test_horizon_range_ends_at_the_normal_floats(self, end, outward):
+        # each end scans normal floats only (and misses the peak near 2.5 s);
+        # the next float outward is rejected before any scan
+        grid = end * np.arange(1, 1001) / 1000
+        assert np.isfinite(grid).all() and grid.min() >= np.finfo(float).tiny
+        with pytest.raises(SearchError, match="scan points"):
+            peak_time(DEFAULTS, GEOM, search_horizon=end)
+        with pytest.raises(ParameterError, match="search_horizon"):
+            peak_time(DEFAULTS, GEOM, search_horizon=math.nextafter(end, outward))
+
     def test_rejects_bad_arguments(self):
         for name, value in [
             ("search_horizon", -1.0),
             ("search_horizon", math.nan),
             ("search_horizon", math.inf),
+            # scan grids that overflow, underflow to 0 and hold subnormals
+            ("search_horizon", 1e308),
+            ("search_horizon", 5e-324),
+            ("search_horizon", 1e-320),
             ("tol", 0.0),
             ("tol", math.nan),
             ("tol", math.inf),

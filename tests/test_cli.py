@@ -445,6 +445,19 @@ class TestValidationCommands:
         assert "past the horizon" in err and "between two scan points" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("horizon", ["1e308", "5e-324", "1e-320"])
+    def test_a_scan_grid_past_the_normal_floats_names_the_horizon(self, capsys, horizon):
+        # the grids overflow, underflow to 0 and hold subnormals; each fails
+        # its check before it is formed, so no RuntimeWarning (an error
+        # under this suite's warning filter) is raised
+        code, out, err = run_cli(capsys, "detect", "--horizon", horizon)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "search_horizon must lie in" in err and err.rstrip().endswith(f"got {float(horizon)!r}")
+        # no array dump
+        assert len(err) < 300 and "inf" not in err
+
     def test_semi_analytic_mode_draws_no_poisson_count(self, capsys):
         code, out, err = run_cli(capsys, "mc-validate", "--mode", "semi-analytic", "--samples", "10", "--noise", "1e300")
         assert code == 0, err

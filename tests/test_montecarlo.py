@@ -10,10 +10,10 @@ from scipy import stats
 
 from mc_arelab import montecarlo
 from mc_arelab.channel import ChannelSummary, summarize
-from mc_arelab.config import MC_MODES, SystemConfig, map_chunks
+from mc_arelab.config import MC_MODES, SystemConfig
 from mc_arelab.detection import IuiSpectrum, optimal_threshold
 from mc_arelab.errors import ParameterError
-from mc_arelab.montecarlo import CHUNK, _draw_iui, run
+from mc_arelab.montecarlo import CHUNK, _draw_iui, _interference_mixture, _tally_tree, run
 from mc_arelab.perf import error_curves
 
 from oracles import atom_decision_curves
@@ -55,13 +55,18 @@ class TestRun:
     def test_thread_count_does_not_change_results(self, monkeypatch, default_summary, default_run):
         # a ring of 130 draws three words of activity bits per sample
         wide = ChannelSummary(t_m=1.0, mu_s=20.0, cbar=((0.9, 6), (0.04, 130)), mu_n=1.0)
+        # 22 rings, of which the tally tree covers the first few
+        early = early_stop_summary()
+        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
         serial = run(default_summary, 250_000, seed=1, mode="semi-analytic")
         wide_serial = {mode: run(wide, 250_000, seed=3, mode=mode) for mode in MC_MODES}
+        early_serial = {mode: run(early, 250_000, seed=4, mode=mode) for mode in MC_MODES}
         monkeypatch.setenv("MC_ARELAB_THREADS", "4")
         assert run(default_summary, 200_000, seed=1) == default_run
         assert run(default_summary, 250_000, seed=1, mode="semi-analytic") == serial
         for mode in MC_MODES:
             assert run(wide, 250_000, seed=3, mode=mode) == wide_serial[mode]
+            assert run(early, 250_000, seed=4, mode=mode) == early_serial[mode]
 
     def test_silent_transmitter_always_misses(self):
         summary = ChannelSummary(t_m=1.0, mu_s=0.0, cbar=(), mu_n=0.0)
@@ -154,12 +159,10 @@ class TestRun:
         samples, theta_max, seed = 30_000, 400, 4
         result = run(summary, samples, theta_max=theta_max, seed=seed, mode="semi-analytic")
 
-        draws = np.concatenate(
-            list(map_chunks(lambda size, rng: _draw_iui(summary.cbar, size, rng), samples, CHUNK, seed))
-        )
-        values, tallies = np.unique(draws, return_counts=True)
+        values, tallies = _interference_mixture(summary.cbar, samples, seed)
+        assert tallies.sum() == samples
         assert values.size > 2**15 // theta_max
-        assert values[0] == 0.0
+        assert 0.0 in values
         mixture = IuiSpectrum(values=values, log_weights=np.log(tallies / samples), ring_basis=())
         q_ref, p_ref = atom_decision_curves(theta_max, summary.mu_s, mixture, summary.mu_n)
         p_hat = np.array([row.p_hat for row in result.per_threshold_ber])
@@ -246,14 +249,97 @@ class TestRingSampling:
         n = 50_000
         active = _draw_iui([(1.0, count)], n, np.random.default_rng(count)).astype(int)
         assert active.min() >= 0 and active.max() <= count
-        observed = np.bincount(active, minlength=count + 1)
-        expected = n * stats.binom.pmf(np.arange(count + 1), count, 0.5)
-        # pool each tail into one bin so that every bin expects 5 draws or more
-        core = np.flatnonzero(expected >= 5.0)
-        lo, hi = core[0], core[-1]
+        assert binomial_half_p_value(np.bincount(active, minlength=count + 1)) > 0.001
 
-        def pooled(x):
-            return np.concatenate(([x[: lo + 1].sum()], x[lo + 1 : hi], [x[hi:].sum()]))
 
-        _, p_value = stats.chisquare(pooled(observed), pooled(expected))
+def binomial_half_p_value(observed):
+    """Chi-square p-value of active-count tallies 0..count against Binomial(count, 1/2)."""
+    count = observed.size - 1
+    expected = observed.sum() * stats.binom.pmf(np.arange(count + 1), count, 0.5)
+    # pool each tail into one bin so that every bin expects 5 draws or more
+    core = np.flatnonzero(expected >= 5.0)
+    lo, hi = core[0], core[-1]
+
+    def pooled(x):
+        return np.concatenate(([x[: lo + 1].sum()], x[lo + 1 : hi], [x[hi:].sum()]))
+
+    _, p_value = stats.chisquare(pooled(observed), pooled(expected))
+    return p_value
+
+
+def early_stop_summary():
+    config = SystemConfig(n_interferers=200)
+    return summarize(config.params(), config.geometry(), config.layout())
+
+
+class TestTallyTree:
+    @pytest.mark.parametrize("count", [1, 12, 130, 2000])
+    def test_binomial_pmf(self, count):
+        pmf = montecarlo._binom_half_pmf(count)
+        np.testing.assert_allclose(pmf, stats.binom.pmf(np.arange(count + 1), count, 0.5), rtol=1e-10, atol=0.0)
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_ring_marginal_is_binomial_half(self):
+        # each ring's active count sits in its own 8 bits of the value, so
+        # every leaf decodes exactly into its per-ring counts
+        n = 50_000
+        rings = [(1.0, 6), (256.0, 130), (65536.0, 12)]
+        values, tallies, covered = _tally_tree(np.zeros(1), np.array([n]), rings, np.random.default_rng(5))
+        assert covered == len(rings)
+        assert tallies.sum() == n and tallies.min() >= 1
+        codes = values.astype(np.int64)
+        assert (codes == values).all()
+        for shift, (_, count) in zip((0, 8, 16), rings):
+            active = (codes >> shift) & 0xFF
+            assert active.max() <= count
+            assert binomial_half_p_value(np.bincount(active, weights=tallies, minlength=count + 1)) > 0.001
+
+    def test_stops_before_a_ring_past_its_cell_budget(self):
+        # 100 samples allow 10 cells: two leaves of a 6-member ring make 14,
+        # one leaf makes 7, and the several leaves it splits into then make 14 or more
+        n = 100
+        rings = [(1.0, 6), (0.5, 6), (0.25, 6)]
+        values, tallies, covered = _tally_tree(np.zeros(2), np.array([40, 60]), rings, np.random.default_rng(1))
+        assert covered == 0 and tallies.tolist() == [40, 60]
+        values, tallies, covered = _tally_tree(np.zeros(1), np.array([n]), rings, np.random.default_rng(1))
+        assert covered == 1 and tallies.sum() == n
+
+    def test_default_tree_covers_every_ring(self, default_summary):
+        samples = SystemConfig().mc_samples
+        rings = default_summary.cbar
+        _, tallies, covered = _tally_tree(np.zeros(1), np.array([samples]), rings, np.random.default_rng(2))
+        assert covered == len(rings)
+        assert tallies.sum() == samples
+
+    @pytest.mark.parametrize("samples", [SystemConfig().mc_samples, 4_000_000])
+    def test_default_semi_analytic_run_neither_sorts_nor_merges(self, monkeypatch, default_summary, samples):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        expected = run(default_summary, samples, seed=3, mode="semi-analytic")
+        monkeypatch.setattr(montecarlo, "_merge", forbidden)
+        monkeypatch.setattr(montecarlo.np, "unique", forbidden)
+        assert run(default_summary, samples, seed=3, mode="semi-analytic") == expected
+
+    def test_early_stop_mixture_agrees_in_law_with_per_sample_draws(self):
+        summary = early_stop_summary()
+        samples = 200_000
+        _, _, covered = _tally_tree(np.zeros(1), np.array([samples]), summary.cbar, np.random.default_rng(0))
+        assert 0 < covered < len(summary.cbar)
+        values, tallies = _interference_mixture(summary.cbar, samples, 9)
+        assert tallies.sum() == samples
+        assert (np.diff(values) > 0).all()
+        draws = _draw_iui(summary.cbar, samples, np.random.default_rng(10))
+        # 20 bins at the per-sample draws' quantiles; a bin edge shared by
+        # equal quantiles is kept once
+        edges = np.unique(np.quantile(draws, np.linspace(0.0, 1.0, 21)[1:-1]))
+        table = np.array(
+            [
+                np.bincount(np.searchsorted(edges, values, side="right"), weights=tallies, minlength=edges.size + 1),
+                np.bincount(np.searchsorted(edges, draws, side="right"), minlength=edges.size + 1),
+            ]
+        )
+        assert table.min() >= 5
+        _, p_value, _, _ = stats.chi2_contingency(table)
         assert p_value > 0.001
+        assert values @ tallies / samples == pytest.approx(draws.mean(), rel=0.01)

@@ -200,6 +200,10 @@ class TestEvaluate:
         assert not evaluate(SystemConfig(c=0.2)).truncation_warning
         assert evaluate(SystemConfig(c=0.1)).truncation_warning
 
+    @pytest.mark.parametrize("c", [0.1, 0.2])
+    def test_truncation_flag_is_a_python_bool(self, c):
+        assert type(evaluate(SystemConfig(c=c)).truncation_warning) is bool
+
     def test_no_interference_composition(self):
         # Z-channel composition: p = 0 and q = e^{-mu_s} at theta = 1
         pair = error_probs(1, 20.0, [], 0.0)
