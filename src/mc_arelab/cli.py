@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 from typing import NamedTuple
 
@@ -366,6 +367,12 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         columns, sections = args.handler(cfg, args)
         _emit(args, cfg, columns, sections)
+        # a reader that has closed the pipe fails here, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stop quietly; the flush at interpreter exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParameterError, SearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

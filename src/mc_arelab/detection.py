@@ -7,11 +7,9 @@ likelihood comes from the ring basis, one (mean, count) pair per ring:
 the exact count distribution is the convolution of Poisson noise, one
 Binomial(count, 1/2)-mixed Poisson pmf per ring and, for a 1-bit, the
 signal pmf, carried in log space. It gives the optimal threshold, the ML
-decision and, in perf, the error curves. The threshold set needs the
-likelihood balance at real exponents; it is read from the count
-distribution at integers and bracketed by convexity in between. Only a
-scan point those brackets cannot sign falls back to the atoms of
-collapse_iui, one per multiplicity tuple across rings.
+decision, the threshold set (the counts where that decision flips) and,
+in perf, the error curves. collapse_iui, one atom per multiplicity tuple
+across rings, is the paper's interference spectrum; no decision reads it.
 """
 
 from __future__ import annotations
@@ -42,10 +40,6 @@ RING_MERGE_REL = 1e-9
 
 # Most atoms collapse_iui builds.
 ATOM_CAP = 10**6
-
-# Scan points of the threshold-set balance whose bounds do not clear zero
-# by this margin are summed over the atoms, so rounding cannot flip a sign.
-BALANCE_RECHECK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,23 +144,22 @@ def _half_binomial_log_pmf(count: int) -> np.ndarray:
     return lgamma[-1] - lgamma - lgamma[::-1] - count * math.log(2.0)
 
 
-def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, exponents: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """ln sum_a w_a e^_log_poisson_pmf(lam_a, e, power) at each exponent e >= 0.
+def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """ln sum_a w_a Poisson(lam_a; r) at each integer count r >= 0.
 
-    Power 1 gives the mixture's Poisson pmf at the counts e; power 0 its log
-    moment ln E[lam^e e^-lam] at real e. The atoms are taken in blocks of at
-    most _CHUNK elements, all built in one buffer with one power * ln e!
-    row; each block's log-sum-exp is folded into the running value.
+    The atoms are taken in blocks of at most _CHUNK elements, all built in
+    one buffer with one ln r! row; each block's log-sum-exp is folded into
+    the running value.
     """
-    n = exponents.size
+    n = counts.size
     out = np.full(n, -math.inf)
     block = max(1, _CHUNK // n)
-    log_norm = power * _log_factorials(exponents) if power else None
+    log_norm = _log_factorials(counts)
     buffer = np.empty((min(block, lams.size), n))
     for start in range(0, lams.size, block):
         part = slice(start, start + block)
         terms = buffer[: len(lams[part])]
-        _log_poisson_pmf(lams[part], exponents, power, log_norm, out=terms)
+        _log_poisson_pmf(lams[part], counts, log_norm=log_norm, out=terms)
         terms += log_weights[part, None]
         np.logaddexp(out, _log_sum_exp(terms, axis=0), out=out)
     return out
@@ -255,100 +248,45 @@ def _crossing(mu_s: float, lam: float) -> float:
     return mu_s / ratio
 
 
-def _balance_bounds(off: np.ndarray, on: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the likelihood balance B at each phi >= 0.
-
-    B(phi) = ln M_1(phi) - ln M_0(phi), with M_b(phi) = E[lam^phi e^-lam]
-    over bit b's mixture of Poisson means. M_b(k) = k! P(k | b) at an
-    integer k, where both bounds are the count log-likelihood ratio. ln M_b
-    is convex for phi > 0, a log-sum-exp of affine functions, so at
-    phi = m + f, with m = ceil(phi) - 1 and 0 < f <= 1, the chord through m
-    and m + 1 bounds it from above and the larger secant extension of
-    (m - 1, m) and (m + 1, m + 2) from below (only the right one at m = 0).
-    An integer phi, the end of its unit interval, reads no count past
-    phi + 1. A lam = 0 atom (mu_n = 0) adds to M_0(0) alone, which keeps
-    the chord above. The bit-0 mixture needs an atom with lam > 0, so that
-    every ln M_b(k) is finite. ``off`` and ``on`` are the log count pmfs of
-    both bits, to at least ceil(max phi) + 2 counts.
-    """
-    m = np.maximum(np.ceil(phis) - 1, 0).astype(np.int64)
-    f = phis - m
-
-    def bounds(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        chord = (1 - f) * g[m] + f * g[m + 1]
-        right = g[m + 1] - (1 - f) * (g[m + 2] - g[m + 1])
-        left = g[m] + f * (g[m] - g[np.maximum(m - 1, 0)])
-        return np.where(m >= 1, np.maximum(left, right), right), chord
-
-    (lo_0, up_0), (lo_1, up_1) = (bounds(pmf + _log_factorials(np.arange(pmf.size))) for pmf in (off, on))
-    lo, hi = lo_1 - up_0, up_1 - lo_0
-    exact = phis == np.floor(phis)
-    k = phis[exact].astype(np.int64)
-    lo[exact] = hi[exact] = on[k] - off[k]
-    return lo, hi
-
-
 class _CountDistribution:
     """The received-count distribution of one configuration, built once to the flip bound.
 
     ``bound`` is ceil(phi*), with phi* the crossing at the all-active mean
-    lam_max = mu_n + cbar_sum. At exponent phi, the Poisson(x + mu_s) term
-    over the Poisson(x) term is exp(phi ln(1 + mu_s / x) - mu_s), at least
-    1 from the crossing at x on, and that crossing grows with x. Every
-    interference atom x lies at or below lam_max, so past phi* both
-    P(r | 1) >= P(r | 0) and the balance is positive: the optimal
-    threshold and the ceiling of every crossing of the threshold set are
-    at most ceil(phi*). So is the suboptimal threshold, the crossing at
-    cbar_sum / 2 + mu_n. ``off`` and ``on``, ln P(r | bit 0) and
-    ln P(r | bit 1) for r = 0..bound + 2, answer all of these questions.
+    lam_max = mu_n + cbar_sum. At count r, the Poisson(x + mu_s) pmf over
+    the Poisson(x) pmf is exp(r ln(1 + mu_s / x) - mu_s), at least 1 from
+    the crossing at x on, and that crossing grows with x. Every
+    interference atom x lies at or below lam_max, so past phi*
+    P(r | 1) >= P(r | 0): the optimal threshold and every count of the
+    threshold set are at most ceil(phi*). So is the suboptimal threshold,
+    the crossing at cbar_sum / 2 + mu_n. ``off`` and ``on``, ln P(r | bit 0)
+    and ln P(r | bit 1) for r = 0..bound + 2, answer all of these questions.
     """
 
     def __init__(self, mu_s: float, ring_basis, mu_n: float) -> None:
         _check_means(mu_s, mu_n)
-        self.mu_s, self.mu_n = mu_s, mu_n
-        self.merged = _merge_rings(ring_basis)
-        self.cbar_sum = math.fsum(cbar * count for cbar, count in self.merged)
+        merged = _merge_rings(ring_basis)
+        self.cbar_sum = math.fsum(cbar * count for cbar, count in merged)
         lam_max = mu_n + self.cbar_sum
         self.bound = math.ceil(_crossing(mu_s, lam_max)) if lam_max > 0 else 0
         check_elements(self.bound + 3, f"the count pmf to the flip bound of mu_s = {mu_s!r} and mu_n = {mu_n!r}")
-        self.off, self.on = _count_pmfs(mu_s, self.merged, mu_n, self.bound + 3)
-
-    def theta_opt(self) -> int:
-        """The first r >= 1 with P(r | 1) >= P(r | 0), among the first bound + 2 counts.
-
-        r = 0 never flips (see ml_decide), even where rounding ties its log pmfs.
-        """
-        n = self.bound + 2
-        flips = np.flatnonzero(self.on[1:n] >= self.off[1:n])
-        if not flips.size:
-            raise SearchError(f"no count up to {n - 1} flips the likelihood ratio, past the bound {self.bound}")
-        return int(flips[0]) + 1
+        self.off, self.on = _count_pmfs(mu_s, merged, mu_n, self.bound + 3)
 
     def threshold_set(self) -> list[int]:
-        """The scan of threshold_set, one table row per unit interval."""
-        if self.mu_n == 0 and all(cbar == 0 for cbar, _ in self.merged):
-            # the bit-0 count is surely 0: B(0) = -mu_s and B = +inf beyond
-            return [1]
+        """The counts r >= 1 whose ML decision, P(r | 1) >= P(r | 0), differs from the one at r - 1.
 
-        phis = np.arange(self.bound + 1)[:, None] + (0, 0.25, 0.5, 0.75, 1)
-        lo, hi = _balance_bounds(self.off, self.on, phis)
-        positive, negative = lo > BALANCE_RECHECK, hi < -BALANCE_RECHECK
-        points = np.argwhere(~(positive | negative) & ~(positive.any(1) & negative.any(1))[:, None])
-        if points.size:
-            try:
-                spectrum = collapse_iui(self.merged)
-            except ParameterError as exc:
-                raise SearchError(f"the likelihood balance at phi = {phis[tuple(points[0])]} needs the atoms: {exc}") from exc
-            rows, cols = points.T
-            phi = phis[rows, cols]
-            # ln M_1(phi) - ln M_0(phi), each log moment summed over the atoms
-            balance = _log_mixture(self.mu_s + spectrum.values + self.mu_n, spectrum.log_weights, phi, 0.0)
-            balance -= _log_mixture(spectrum.values + self.mu_n, spectrum.log_weights, phi, 0.0)
-            # a zero in the row's own interval is a crossing; outside it, it has no sign
-            tie = (balance == 0) & ((cols > 0) | (phi == 0))
-            positive[rows, cols] = (balance > 0) | tie
-            negative[rows, cols] = (balance < 0) | tie
-        return (np.flatnonzero(positive.any(1) & negative.any(1)) + 1).tolist()
+        The decisions are read at r = 0..bound + 1. r = 0 decides 0 (see
+        ml_decide), even where rounding ties its log pmfs.
+        """
+        decide = self.on[: self.bound + 2] >= self.off[: self.bound + 2]
+        decide[0] = False
+        return (np.flatnonzero(decide[1:] != decide[:-1]) + 1).tolist()
+
+    def theta_opt(self) -> int:
+        """The first count of the threshold set: the first r >= 1 with P(r | 1) >= P(r | 0)."""
+        flips = self.threshold_set()
+        if not flips:
+            raise SearchError(f"no count up to {self.bound + 1} flips the likelihood ratio, past the bound {self.bound}")
+        return flips[0]
 
 
 def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
@@ -362,25 +300,21 @@ def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
 
 
 def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
-    """Integer ceilings of all real crossings of the likelihood balance.
+    """The counts r >= 1 at which the maximum-likelihood decision flips.
 
-    The balance compares both likelihood mixtures at a real exponent phi.
-    It is scanned as a table: row k - 1 holds phi = k - 1, k - 0.75, k - 0.5,
-    k - 0.25 and k, for k up to one past the flip bound ceil(phi*), so that
-    a crossing whose rounded balance at the bound is not yet positive stays.
-    k is in the set iff its row shows both signs or an exact zero in
-    (k - 1, k], or in [0, 1] for k = 1. The signs come from _balance_bounds;
-    a point they leave within BALANCE_RECHECK of zero is summed over the
-    interference atoms while its row lacks a sign. If the atoms do not
-    fit, a SearchError names the first such point.
+    ML decides 1 where P(r | 1) >= P(r | 0), and 0 at r = 0. The set holds
+    every r whose decision differs from the one at r - 1, read over
+    r = 0..ceil(phi*) + 1 (see _CountDistribution), past which every count
+    decides 1. One entry means ML detection is a single-threshold rule,
+    and that entry is the optimal threshold.
 
-    Limit: the balance is a difference of double-precision log moments, so
-    a crossing within about 1e-14 of an integer k can land on either side
-    of k, and the set then holds k where the exact ceiling is k + 1, or the
-    other way round. On 1,500 one-atom bases tuned to put a crossing there,
-    129 sets had one threshold off by one against 60-digit arithmetic (for
-    example mu_s = 0.10370409686981134, mu_n = 14.948207698960324 gives [15]
-    for the root 15.0000000000000068).
+    Limit: each decision compares two double-precision log pmfs, so where
+    the exact log-likelihood ratio at a count k is within rounding of zero,
+    k can decide either way and a flip moves by one count. On 1,500
+    one-atom bases tuned to put the root of the ratio within a few ulps of
+    a quarter-integer, 122 sets were off by one against 60-digit arithmetic
+    (for example mu_s = 0.10370409686981134, mu_n = 14.948207698960324 gives
+    [15] for the root 15.0000000000000068).
     """
     return _CountDistribution(mu_s, ring_basis, mu_n).threshold_set()
 

@@ -1,9 +1,10 @@
 """Special-function primitives behind the analytic formulas.
 
-Everything here is pure and thread-safe. The incomplete gamma functions
-are only ever needed at positive integer order, where they are the cdf
-and the tail of a Poisson count; ``_poisson_ladder`` gives both on arrays,
-in log space, for the gamma functions and the channel's radial series.
+Everything here is pure and thread-safe, and every log Poisson term is
+taken at integer counts. The incomplete gamma functions are only ever
+needed at positive integer order, where they are the cdf and the tail of
+a Poisson count; ``_poisson_ladder`` gives both on arrays, in log space,
+for the gamma functions and the channel's radial series.
 """
 
 from __future__ import annotations
@@ -68,21 +69,19 @@ def _log_poisson_pmf(
     log_norm: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """ln(x^e e^-x / e!^power) at each exponent e, on a new last axis; 0^0 = 1 where e = 0.
+    """ln(x^e e^-x / e!^power) at each integer exponent e >= 0, on a new last axis; 0^0 = 1.
 
-    Power 1 is the Poisson pmf at the counts e. Power 0 is the log moment
-    ln(x^e e^-x), which takes real exponents; every other power takes
-    integer exponents. The result is built in place, in ``out`` if given
-    (shape x.shape + exponents.shape), else in one new array. A caller that
-    evaluates many blocks at the same exponents passes ``log_norm`` =
+    Power 1 is the Poisson pmf at the counts e, power 2 the channel's
+    regularized radial series. The result is built in place, in ``out`` if
+    given (shape x.shape + exponents.shape), else in one new array. A caller
+    that evaluates many blocks at the same exponents passes ``log_norm`` =
     power * ln e!, formed once, in place of forming it per call.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.multiply(exponents, np.log(x)[..., None], out=out)
     out[..., exponents == 0] = 0.0
     out -= x[..., None]
-    if power:
-        out -= power * _log_factorials(exponents) if log_norm is None else log_norm
+    out -= power * _log_factorials(exponents) if log_norm is None else log_norm
     return out
 
 

@@ -337,6 +337,20 @@ def atom_ml_decide(r: int, mu_s: float, spectrum, mu_n: float) -> int:
     return 1 if _balances([r], mu_s, spectrum, mu_n)[0] >= 0 else 0
 
 
+def atom_flip_set(mu_s: float, spectrum, mu_n: float, r_max: int | None = None) -> list[int]:
+    """Counts r >= 1 whose atom ML decision differs from the one at r - 1, up to r_max.
+
+    At an integer count the balance is the count log-likelihood ratio (the
+    ln r! of both likelihoods cancels), so each decision is one sign of it;
+    r = 0 decides 0, since P(0 | 1) = e^-mu_s P(0 | 0).
+    """
+    if r_max is None:
+        r_max = 10 * math.ceil(mu_s + spectrum.max_value + mu_n) + 50
+    decide = _balances(np.arange(r_max + 1), mu_s, spectrum, mu_n) >= 0
+    decide[0] = False
+    return (np.flatnonzero(decide[1:] != decide[:-1]) + 1).tolist()
+
+
 def atom_balance(phi: float, mu_s: float, spectrum, mu_n: float) -> float:
     """ln E[lam^phi e^-lam] of the bit-1 mixture minus that of the bit-0 mixture, over the atoms."""
     return float(_balances([phi], mu_s, spectrum, mu_n)[0])

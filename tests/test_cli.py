@@ -80,6 +80,28 @@ class TestPlumbing:
         assert out == ""
         assert path.read_text().splitlines()[0] == "# mc-arelab 0.1.0"
 
+    def test_out_into_a_missing_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "grid", "--interferers", "6", "--out", str(tmp_path / "nope" / "grid.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "No such file" in err
+
+    def test_closed_pipe_stops_quietly(self):
+        # the trace is about 770 kB, far past a pipe's buffer, so the writer
+        # is still writing when the reader closes after one line
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mc_arelab.__file__)))
+        with subprocess.Popen(
+            [sys.executable, "-m", "mc_arelab.cli", "cir", "--dt", "0.0001"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b"# mc-arelab 0.1.0\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        assert (code, err) == (1, b"")
+
     def test_config_round_trip_reproduces_output(self, capsys, tmp_path):
         args = ("mc-validate", "--nmol", "50", "--samples", "5000", "--theta-max", "20", "--seed", "3")
         _, first, _ = run_cli(capsys, *args)

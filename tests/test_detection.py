@@ -5,17 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mc_arelab.channel import summarize
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import (
-    BALANCE_RECHECK,
     DetectorSpec,
     IuiSpectrum,
-    _balance_bounds,
     _count_pmfs as count_pmfs,
+    _log_mixture as log_mixture,
     _CountDistribution,
     characterize,
     collapse_iui,
@@ -31,6 +30,7 @@ from mc_arelab.perf import error_curves
 from oracles import (
     atom_balance,
     atom_decision_curves,
+    atom_flip_set,
     atom_ml_decide,
     atom_optimal_threshold,
     atom_threshold_set,
@@ -443,7 +443,7 @@ def oracle_cases():
 
 
 class TestAgainstAtomOracles:
-    """The count-distribution paths and the balance bounds against log-sum-exp over atoms."""
+    """The count-distribution paths against log-sum-exp over atoms."""
 
     def test_optimal_threshold_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
@@ -451,7 +451,7 @@ class TestAgainstAtomOracles:
 
     def test_threshold_set_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
-            assert threshold_set(mu_s, sp.ring_basis, mu_n) == atom_threshold_set(mu_s, sp, mu_n)
+            assert threshold_set(mu_s, sp.ring_basis, mu_n) == atom_flip_set(mu_s, sp, mu_n)
 
     def test_characterize_matches_the_single_questions(self, oracle_cases):
         # one shared count distribution answers both questions as the
@@ -468,37 +468,91 @@ class TestAgainstAtomOracles:
         several = 0
         for _ in range(100):
             mu_s, sp, mu_n = wide_range_setup(rng)
-            want = atom_threshold_set(mu_s, sp, mu_n)
+            want = atom_flip_set(mu_s, sp, mu_n)
             assert threshold_set(mu_s, sp.ring_basis, mu_n) == want
             assert optimal_threshold(mu_s, sp.ring_basis, mu_n) == atom_optimal_threshold(mu_s, sp, mu_n)
             several += len(want) > 1
         assert several >= 25
+
+    def test_threshold_set_builds_no_atoms(self, monkeypatch):
+        # the count rule reads the count pmfs alone: no interference atoms,
+        # and every Poisson mixture at integer counts
+        rng = np.random.default_rng(77)
+        cases = [wide_range_setup(rng) for _ in range(100)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("collapse_iui called")
+
+        def integer_counts(lams, log_weights, counts):
+            assert np.issubdtype(counts.dtype, np.integer), counts.dtype
+            return log_mixture(lams, log_weights, counts)
+
+        monkeypatch.setattr("mc_arelab.detection.collapse_iui", refuse)
+        monkeypatch.setattr("mc_arelab.detection._log_mixture", integer_counts)
+        for mu_s, sp, mu_n in cases:
+            assert threshold_set(mu_s, sp.ring_basis, mu_n)
+
+    def test_count_set_within_the_balance_crossings(self):
+        # the paper states the threshold rule for the balance B at real
+        # exponents; at integers B is the count log-likelihood ratio, so a
+        # flip at k is a crossing in (k - 1, k]. A crossing the counts drop
+        # leaves B(k - 1) and B(k) of one sign: it crosses back inside
+        rng = np.random.default_rng(11)
+        for setup in (random_detection_setup, wide_range_setup):
+            for _ in range(100):
+                mu_s, sp, mu_n = setup(rng)
+                got = threshold_set(mu_s, sp.ring_basis, mu_n)
+                crossings = atom_threshold_set(mu_s, sp, mu_n)
+                assert set(got) <= set(crossings), (mu_s, sp.ring_basis, mu_n)
+                for k in set(crossings) - set(got):
+                    assert (atom_balance(k - 1, mu_s, sp, mu_n) >= 0) == (atom_balance(k, mu_s, sp, mu_n) >= 0)
+
+    @pytest.mark.parametrize(
+        "mu_s, basis, mu_n, crossings, flips",
+        [
+            (0.5085817100131589, [(1.2271455481260687, 3)], 0.0, [1, 2], [2]),
+            (0.7167039554573821, [(2.8644386252970615, 6)], 0.0, [1, 9], [9]),
+            (
+                0.5464748123867654,
+                [(0.02967975913752025, 1), (1.462846935925557, 1), (1.9518320617248517, 2)],
+                0.0,
+                [1, 3],
+                [3],
+            ),
+            (1.3068204398634788, [(2.1110641900872293, 2)], 0.0, [1, 2], [1]),
+            (
+                0.4633872235054296,
+                [(0.007795826242749664, 1), (0.029367840710203368, 2), (3.6189026751345073, 1)],
+                0.24095422639933112,
+                [1, 4],
+                [1],
+            ),
+            (
+                6.116999788899901,
+                [(7.584656872852422, 2), (0.10289155475772734, 2), (0.5620684964654286, 1)],
+                0.0,
+                [4, 11],
+                [11],
+            ),
+            (0.43439141443332785, [(1.3783921430186286, 2), (2.1913295971191413, 2)], 0.0, [1, 4], [4]),
+            (0.8319917081755183, [(0.01587582458802265, 2), (2.5361273628305776, 2)], 0.012557421230983582, [1, 3], [1]),
+        ],
+    )
+    def test_crossings_no_count_realizes(self, mu_s, basis, mu_n, crossings, flips):
+        # the seed-5 bases (3,000 each of random_detection_setup and
+        # wide_range_setup) whose balance crossings and count flips differ:
+        # B crosses twice inside one unit interval, which no count sees
+        sp = collapse_iui(basis)
+        assert threshold_set(mu_s, basis, mu_n) == atom_flip_set(mu_s, sp, mu_n) == flips
+        assert atom_threshold_set(mu_s, sp, mu_n) == crossings
+        for k in set(crossings) - set(flips):
+            assert (atom_balance(k - 1, mu_s, sp, mu_n) >= 0) == (atom_balance(k, mu_s, sp, mu_n) >= 0)
 
     def test_ml_decide_identical(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
             theta = optimal_threshold(mu_s, sp.ring_basis, mu_n)
             for r in range(3 * theta + 6):
                 assert ml_decide(r, mu_s, sp.ring_basis, mu_n) == atom_ml_decide(r, mu_s, sp, mu_n)
-
-    @given(
-        basis=st.lists(st.tuples(st.floats(0.01, 5.0), st.integers(1, 7)), max_size=4),
-        mu_s=st.floats(0.3, 100.0),
-        mu_n=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-        extra=st.lists(st.floats(0.0, 150.0), max_size=4),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_balance_bounds_contain_the_atom_balance(self, basis, mu_s, mu_n, extra):
-        # the bounds sign a scan point once they clear zero by
-        # BALANCE_RECHECK, so they may miss the atom balance by rounding only
-        sp = collapse_iui(basis)
-        assume(mu_n > 0 or sp.max_value > 0)
-        top = mu_s + sp.max_value + mu_n + 10.0
-        phis = np.concatenate((0.25 * np.arange(int(top / 0.25) + 1), extra))
-        off, on = count_pmfs(mu_s, sp.ring_basis, mu_n, math.ceil(phis.max()) + 2)
-        lo, hi = _balance_bounds(off, on, phis)
-        slack = 0.1 * BALANCE_RECHECK
-        for phi, low, high in zip(phis.tolist(), lo.tolist(), hi.tolist()):
-            assert low - slack <= atom_balance(phi, mu_s, sp, mu_n) <= high + slack, phi
 
     def test_error_curves_agree(self, oracle_cases):
         for mu_s, sp, mu_n in oracle_cases:
@@ -509,30 +563,30 @@ class TestAgainstAtomOracles:
             np.testing.assert_allclose(0.5 * (p + q), 0.5 * (p_ref + q_ref), rtol=0.0, atol=1e-12)
 
     def test_terms_beyond_the_double_range(self):
-        # at phi = 0 the all-active atom's term is e^-900 relative to the
-        # largest; it dominates the balance from phi ~ 900 on. The last
-        # crossing, near 948.24, has ceiling 949, just under the bound
-        # phi* = 949.15: a scan ending a unit short of the bound misses it
+        # at r = 0 the all-active atom's term is e^-900 relative to the
+        # largest; it dominates the likelihoods from r ~ 900 on. The last
+        # flip, at r = 949 (the balance crosses near 948.24), lies just under
+        # the bound phi* = 949.15: a read ending a count short of it misses it
         sp = collapse_iui([(150.0, 6), (0.01, 3)])
         got = threshold_set(100.0, sp.ring_basis, 0.0)
-        assert got == atom_threshold_set(100.0, sp, 0.0, phi_max=1500.3)
+        assert got == atom_flip_set(100.0, sp, 0.0, r_max=1500)
         assert len(got) > 1
         assert got[-1] == 949 == math.ceil(100.0 / math.log1p(100.0 / 900.03)) - 1
 
     @pytest.mark.parametrize("mu_n,want", [(1.5414940825367975, [2]), (2.5277264731571285, [3])])
     def test_balance_near_zero_on_the_scan_grid(self, mu_n, want):
-        # one atom: the balance phi ln(1 + 1/mu_n) - 1 is within rounding of
-        # zero at a scan point, where the ladder's last bits decide the sign.
-        # The second balance has its one root at 2.99999999999999948 (60
-        # digits), so its set is [3]; a zero at phi = 3 is read in row 2 only
+        # one atom: the count log-likelihood ratio r ln(1 + 1/mu_n) - 1 is
+        # within rounding of zero at a count, where the pmfs' last bits
+        # decide it. The second ratio has its one root at 2.99999999999999948
+        # (60 digits), so r = 3 decides 1 and its set is [3]
         sp = collapse_iui([])
         assert threshold_set(1.0, sp.ring_basis, mu_n) == want
-        assert atom_threshold_set(1.0, sp, mu_n, phi_max=20.0) == want
+        assert atom_flip_set(1.0, sp, mu_n, r_max=20) == want
 
     def test_one_crossing_gives_one_threshold(self):
-        # one atom with mu_n tuned so that the balance's one root lies within
-        # a few ulps of a quarter-grid phi, often exactly on an integer: an
-        # exact zero at a row's left end must not add the next integer
+        # one atom with mu_n tuned so that the count log-likelihood ratio's
+        # one root lies within a few ulps of a quarter-integer, often an
+        # integer: a ratio linear in r flips once, whatever its rounding
         rng = np.random.default_rng(7)
         for _ in range(300):
             mu_s = float(10 ** rng.uniform(-1, 2))
@@ -545,7 +599,8 @@ class TestAgainstAtomOracles:
     def test_empty_spectrum(self):
         for mu_s in (100.0, 1000.0):
             sp = collapse_iui([])
-            assert threshold_set(mu_s, sp.ring_basis, 0.0) == atom_threshold_set(mu_s, sp, 0.0) == [1]
+            # P(r | 0) = 0 for r >= 1, so every count from 1 on decides 1
+            assert threshold_set(mu_s, sp.ring_basis, 0.0) == atom_flip_set(mu_s, sp, 0.0) == [1]
             # P(1 | 0) is exactly 0 here, so an underflowed P(1 | 1) still flips
             assert optimal_threshold(mu_s, [], 0.0) == atom_optimal_threshold(mu_s, sp, 0.0) == 1
 
@@ -560,8 +615,8 @@ class TestAgainstAtomOracles:
     def test_threshold_set_memory_is_chunked(self):
         # mu_n = 3000 puts the bound at 3148, so the pmfs run to 3151
         # counts; one window per count would take a 3151 x 3151 array
-        # (79 MB). mu_n = 0 has no bit-0 mass past r = 0 and returns before
-        # any pmf; mu_n = 3000 convolves two full-length pmfs
+        # (79 MB). mu_n = 0 puts the bound at 0, so the pmfs run to 3
+        # counts; mu_n = 3000 convolves two full-length pmfs
         for mu_n in (0.0, 3000.0):
             tracemalloc.start()
             try:
@@ -570,4 +625,4 @@ class TestAgainstAtomOracles:
             finally:
                 tracemalloc.stop()
             assert peak < 8e6
-            assert got == atom_threshold_set(300.0, collapse_iui([]), mu_n, phi_max=4000.0)
+            assert got == atom_flip_set(300.0, collapse_iui([]), mu_n, r_max=4000)
