@@ -5,14 +5,20 @@ threshold rule [r >= theta] at every threshold up to a cap, so the
 empirically best threshold and its error rates can be compared against
 the analytic results. Each interferer's activity is one fair random
 bit, so a ring's active count has the Binomial(count, 1/2) law of the
-model.
+model. McResult.best is the ThresholdBer row of least BER.
 
-The interference states of all samples are drawn as one law, not one
-sample at a time. The tallies of n iid states are Multinomial(n, product
-of the rings' Binomial(count, 1/2) pmfs), and the rings are independent,
-so one multinomial draw per ring, over the tallies of the states so far,
-gives every distinct state and its tally (a leaf) exactly in law. This
-tree runs serially on its own RNG substream. It stops before a ring that
+Stochastic mode draws each bit class's tally over the count clipped at
+theta_max by multinomial splits, one independent term of the count at a
+time (_count_tallies). Nothing is drawn per sample, so the cost follows
+rings x count x theta_max, and each error count is still exactly
+Binomial(samples, BER). It runs serially on one SeedSequence(seed) stream.
+
+Semi-analytic mode draws the interference states of all samples as one
+law too. The tallies of n iid states are Multinomial(n, product of the
+rings' Binomial(count, 1/2) pmfs), and the rings are independent, so one
+multinomial draw per ring, over the tallies of the states so far, gives
+every distinct state and its tally (a leaf) exactly in law. This tree
+runs serially on its own RNG substream. It stops before a ring that
 would split the leaves into more than min(samples / 10, TREE_CELLS)
 cells; the rings past the stop are drawn per sample, as the popcount of
 their bits in words of at most 64, over CHUNK-sample slices of the
@@ -20,8 +26,7 @@ leaf-ordered sample list, one RNG substream per slice. Only the order of
 the samples differs from drawing them one at a time, and no result
 depends on that order. The outcome depends on the seed and sample count
 only, never on how chunks are scheduled. Chunk results fold into one
-running tally, in chunk order, as they finish. McResult.best is the
-ThresholdBer row of least BER.
+running tally, in chunk order, as they finish.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .config import MC_MODES, map_workers
 from .detection import _log_mixture
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
 from .perf import _threshold_curves
-from .specfun import _log_factorials
+from .specfun import _log_factorials, _log_poisson_pmf
 
 __all__ = ["McResult", "ThresholdBer", "run"]
 
@@ -47,8 +52,10 @@ CHUNK = 100_000
 TREE_CELLS = 400_000
 # samples per block of interferer words in _draw_iui
 BLOCK = 25_000
-# largest mean Generator.poisson samples: int64 max less ten of its square roots
-POISSON_LAM_MAX = 9.223372006484771e18
+# most elements of one multinomial draw of the stochastic sampler
+DRAW_CELLS = 1 << 17
+# a probability under e^-746 is below half the least subnormal double, so it rounds to 0
+UNDERFLOW_NATS = 746.0
 
 
 class ThresholdBer(NamedTuple):
@@ -104,9 +111,15 @@ def _draw_iui(rings, size: int, rng: np.random.Generator, iui: np.ndarray | None
 
 
 def _binom_half_pmf(count: int) -> np.ndarray:
-    """Binomial(count, 1/2) pmf over 0..count."""
+    """Binomial(count, 1/2) pmf over 0..count, as multinomial draws take it.
+
+    A multinomial draw raises when the cells but the last sum past 1;
+    where rounding lifts them past 1 (the ln k! of large counts carry
+    absolute errors of many ulps), the cells scale down.
+    """
     log_k_factorial = _log_factorials(np.arange(count + 1))
-    return np.exp(log_k_factorial[-1] - log_k_factorial - log_k_factorial[::-1] - count * math.log(2.0))
+    pmf = np.exp(log_k_factorial[-1] - log_k_factorial - log_k_factorial[::-1] - count * math.log(2.0))
+    return pmf / max(1.0, pmf[:-1].sum())
 
 
 def _tally_tree(values: np.ndarray, tallies: np.ndarray, rings, rng: np.random.Generator):
@@ -164,15 +177,15 @@ def run(
 
     Each sample draws the desired bit, one fair activity bit per
     interferer (counted per ring), and (in stochastic mode) the Poisson
-    observation. The bits sent split as Binomial(samples, 1/2), and the
-    interference states of each bit's samples come from the tally tree,
-    so the samples are iid in law and a stochastic error count is exactly
-    Binomial(samples, BER).
-    mode="semi-analytic" draws only the interference states and averages
-    the exact conditional error probabilities over them, which removes
-    the counting noise; when the tree covers every ring, its leaves are
-    the mixture. The reported stderr is the binomial-scale value
-    sqrt(ber (1 - ber) / samples) in both modes.
+    observation. Stochastic mode splits the bits sent as Binomial(samples,
+    1/2) and draws each bit class's clipped-count tally as multinomial
+    splits, serially and with no sampling chunks, so it takes any finite
+    means and a stochastic error count is exactly Binomial(samples, BER).
+    mode="semi-analytic" draws only the interference states, from the
+    tally tree, and averages the exact conditional error probabilities
+    over them, which removes the counting noise; when the tree covers
+    every ring, its leaves are the mixture. The reported stderr is the
+    binomial-scale value sqrt(ber (1 - ber) / samples) in both modes.
     """
     if not (is_integer(samples) and samples >= 1):
         raise ParameterError(f"samples must be a positive integer, got {samples!r}")
@@ -194,13 +207,6 @@ def run(
     mu_n = float(summary.mu_n)
     rings = [(float(cbar), int(count)) for cbar, count in summary.cbar]
     check_elements(int(theta_max) + 1, f"theta_max = {theta_max!r}")
-    if mode == "stochastic":
-        lam_max = mu_s + math.fsum(cbar * count for cbar, count in rings) + mu_n
-        if not lam_max <= POISSON_LAM_MAX:
-            raise ParameterError(
-                f"the all-active mean mu_s + interference + mu_n = {lam_max!r} is past {POISSON_LAM_MAX}, "
-                "the largest Poisson mean NumPy samples"
-            )
 
     sample = _run_stochastic if mode == "stochastic" else _run_semi_analytic
     ber, p_hat, q_hat = sample(rings, mu_s, mu_n, theta_max, samples, seed)
@@ -215,24 +221,102 @@ def run(
     )
 
 
+def _support(pmf: np.ndarray) -> tuple[int, np.ndarray]:
+    """(first, pvals): the cells of ``pmf`` from its first to its last nonzero double, summing to 1.
+
+    A multinomial draw gives its last cell the remainder of the others;
+    normalized, that is the cell's own mass, not the rounding of the sum.
+    """
+    nonzero = np.flatnonzero(pmf)
+    pvals = pmf[nonzero[0] : nonzero[-1] + 1]
+    return int(nonzero[0]), pvals / pvals.sum()
+
+
+def _clipped_poisson(lam: float, log_norm: np.ndarray) -> tuple[int, np.ndarray]:
+    """(first, pvals): the law of min(N, theta_max) over the cells first.., N ~ Poisson(lam).
+
+    ``log_norm`` is ln r! for r = 0..theta_max. By the Chernoff bound
+    P(N = r) <= exp(-lam h(r / lam - 1)), h(u) = (1 + u) ln(1 + u) - u >=
+    u^2 / 2 (u <= 0) or u^2 / (2 + 2u / 3) (u >= 0), the pmf is under e^-N,
+    N = UNDERFLOW_NATS, and rounds to 0 more than sqrt(2 N lam) below the
+    mean or N / 3 + sqrt(N^2 / 9 + 2 N lam) above it; only the cells in
+    between are formed. Cells past theta_max fold into the clip cell.
+    """
+    theta_max = log_norm.size - 1
+    below = lam - math.sqrt(2.0 * UNDERFLOW_NATS) * math.sqrt(lam)
+    if not below <= theta_max:
+        return theta_max, np.ones(1)
+    lo = max(0, math.floor(below))
+    third = UNDERFLOW_NATS / 3.0
+    hi = math.ceil(lam + third + math.sqrt(third * third + 2.0 * UNDERFLOW_NATS * lam))
+    norm = log_norm[lo : hi + 1]
+    if hi > theta_max:
+        norm = np.concatenate((norm, _log_factorials(np.arange(theta_max + 1, hi + 1))))
+    pmf = np.exp(_log_poisson_pmf(np.array([lam]), np.arange(lo, hi + 1), log_norm=norm)[0])
+    if hi >= theta_max:
+        pmf = np.append(pmf[: theta_max - lo], pmf[theta_max - lo :].sum())
+    first, pvals = _support(pmf)
+    return lo + first, pvals
+
+
+def _spread(hist: np.ndarray, cells: np.ndarray, tallies: np.ndarray, lam: float, log_norm: np.ndarray, rng) -> None:
+    """Add one Poisson(lam) count to each of ``tallies[i]`` samples at ``cells[i]`` of ``hist``.
+
+    ``hist`` holds rows of theta_max + 1 count cells. One multinomial draw
+    per row over the shared clipped Poisson(lam) cells, in blocks of at
+    most DRAW_CELLS elements, moves each sample from r to min(r + a, theta_max).
+    """
+    theta_max = log_norm.size - 1
+    first, pvals = _clipped_poisson(lam, log_norm)
+    shift = np.arange(first, first + pvals.size)
+    r = cells % (theta_max + 1)
+    step = max(1, DRAW_CELLS // pvals.size)
+    for lo in range(0, cells.size, step):
+        draws = rng.multinomial(tallies[lo : lo + step], pvals)
+        row, col = np.nonzero(draws)
+        moved = draws[row, col]
+        row += lo
+        np.add.at(hist, cells[row] - r[row] + np.minimum(r[row] + shift[col], theta_max), moved)
+
+
+def _count_tallies(rings, mu_s, mu_n, theta_max, samples, rng) -> np.ndarray:
+    """Row b: how many of ``samples`` iid samples sent bit b and count r, r = 0..theta_max.
+
+    The last cell holds every count >= theta_max. The bits split as
+    Binomial(samples, 1/2); each class spreads over Poisson(mu_n + b mu_s);
+    each ring splits every cell over its Binomial(count, 1/2) active
+    numbers k and spreads each part over Poisson(k cbar). The count is the
+    sum of these independent terms and a clipped histogram of iid counts
+    is multinomial, so every stage is exact in law.
+    """
+    n_on = int(rng.binomial(samples, 0.5))
+    width = theta_max + 1
+    log_norm = _log_factorials(np.arange(width))
+    # cell b * width + r counts the samples that sent bit b whose count so
+    # far is r; r = theta_max holds every count >= theta_max
+    hist = np.zeros(2 * width, np.int64)
+    _spread(hist, np.array([0]), np.array([samples - n_on]), mu_n, log_norm, rng)
+    _spread(hist, np.array([width]), np.array([n_on]), mu_n + mu_s, log_norm, rng)
+    for cbar, count in rings:
+        # a clipped count stays clipped, so only the other cells move
+        cells = np.flatnonzero(hist)
+        cells = cells[cells % width != theta_max]
+        tallies = hist[cells]
+        hist[cells] = 0
+        first, pmf = _support(_binom_half_pmf(count))
+        step = max(1, DRAW_CELLS // pmf.size)
+        for lo in range(0, cells.size, step):
+            split = rng.multinomial(tallies[lo : lo + step], pmf)
+            for k in np.flatnonzero(split.any(axis=0)):
+                rows = np.flatnonzero(split[:, k])
+                _spread(hist, cells[lo:][rows], split[rows, k], (first + k) * cbar, log_norm, rng)
+    return hist.reshape(2, width)
+
+
 def _run_stochastic(rings, mu_s, mu_n, theta_max, samples, seed):
     """(ber, p_hat, q_hat) per threshold, from counted observations."""
-    tree_seq, chunk_seq = np.random.SeedSequence(seed).spawn(2)
-    tree_rng = np.random.default_rng(tree_seq)
-    n_on = int(tree_rng.binomial(samples, 0.5))
-    n_off = samples - n_on
-    # leaf values are Poisson means; the bit-0 leaves come first
-    lams, tallies, covered = _tally_tree(np.array([mu_n, mu_s + mu_n]), np.array([n_off, n_on]), rings, tree_rng)
-    rest = rings[covered:]
-
-    def chunk_histogram(lams, inside, start, rng):
-        lam = _draw_iui(rest, int(inside.sum()), rng, np.repeat(lams, inside))
-        r = np.minimum(rng.poisson(lam), theta_max)
-        # row b counts the observations of the samples that sent bit b
-        r[max(n_off - start, 0) :] += theta_max + 1
-        return np.bincount(r, minlength=2 * (theta_max + 1)).reshape(2, -1)
-
-    hist = sum(_map_slices(chunk_histogram, lams, tallies, chunk_seq))
+    hist = _count_tallies(rings, mu_s, mu_n, theta_max, samples, np.random.default_rng(seed))
+    n_off, n_on = hist.sum(axis=1).tolist()
     # counts strictly below each threshold
     below_off, below_on = np.cumsum(hist, axis=1) - hist
     false_alarms = n_off - below_off

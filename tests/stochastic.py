@@ -87,3 +87,27 @@ def ber_failures(result, analytic, theta, alpha):
             f"best ber {best.ber:.6f} at theta {best.theta} outside [{lo[best.theta]:.6f}, {hi.min():.6f}] (n = {n})"
         )
     return failures
+
+
+def u_shape_failures(result, analytic, alpha):
+    """How a Monte Carlo BER curve breaks the U shape of ``analytic``, and the steps checked.
+
+    Returns (failures, down, up). With the bands of ber_band at
+    alpha / (theta_max + 1) per row, every row lies in its band at once
+    except with probability at most the family-wise ``alpha``. A step from
+    theta to theta + 1 is checked where the two bands do not overlap: it
+    must go down left of the analytic minimum (``down``) and up right of it
+    (``up``), and in-band rows always do. The best row must be one whose
+    band reaches below every row's upper edge.
+    """
+    ber = np.array([row.ber for row in result.per_threshold_ber])
+    lo, hi = ber_band(result, analytic, alpha / ber.size)
+    middle = int(np.argmin(analytic))
+    down = [t for t in range(middle) if hi[t + 1] < lo[t]]
+    up = [t for t in range(middle, ber.size - 1) if hi[t] < lo[t + 1]]
+    failures = [f"ber rises from theta {t} to {t + 1}" for t in down if not ber[t] > ber[t + 1]]
+    failures += [f"ber falls from theta {t} to {t + 1}" for t in up if not ber[t] < ber[t + 1]]
+    best = result.best.theta
+    if not lo[best] <= hi.min():
+        failures.append(f"best theta {best} has a band above the upper edge {hi.min():.6f}")
+    return failures, down, up

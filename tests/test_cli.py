@@ -437,7 +437,6 @@ class TestValidationCommands:
             (("ber-sweep", "--theta-max", str(10**30)), "theta_max = "),
             (("mc-validate", "--mode", "semi-analytic", "--theta-max", str(10**30)), "theta_max = "),
             (("mc-validate", "--theta-max", str(10**30)), "theta_max = "),
-            (("mc-validate", "--samples", "10", "--noise", "1e300"), "mu_n = "),
         ],
     )
     def test_counts_past_what_an_array_or_a_poisson_draw_holds(self, capsys, argv, name):
@@ -484,3 +483,15 @@ class TestValidationCommands:
         code, out, err = run_cli(capsys, "mc-validate", "--mode", "semi-analytic", "--samples", "10", "--noise", "1e300")
         assert code == 0, err
         assert len(data_lines(out)) == 1 + 101 + 1
+
+    @pytest.mark.parametrize("mode", ["stochastic", "semi-analytic"])
+    def test_a_noise_mean_past_any_poisson_draw_clips_every_count(self, capsys, mode):
+        # every count is at least theta_max, so every threshold says 1
+        code, out, err = run_cli(capsys, "mc-validate", "--mode", mode, "--samples", "10", "--noise", "1e300")
+        assert code == 0, err
+        lines = data_lines(out)
+        assert len(lines) == 1 + 101 + 1
+        header = lines[0].split(",")
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert float(row["p_hat"]) == 1.0 and float(row["q_hat"]) == 0.0, line

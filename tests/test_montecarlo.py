@@ -11,13 +11,14 @@ from scipy import stats
 from mc_arelab import montecarlo
 from mc_arelab.channel import ChannelSummary, summarize
 from mc_arelab.config import MC_MODES, SystemConfig
-from mc_arelab.detection import IuiSpectrum, optimal_threshold
+from mc_arelab.detection import IuiSpectrum, _count_pmfs, optimal_threshold
 from mc_arelab.errors import ParameterError
-from mc_arelab.montecarlo import CHUNK, _draw_iui, _interference_mixture, _tally_tree, run
+from mc_arelab.montecarlo import CHUNK, _count_tallies, _draw_iui, _interference_mixture, _tally_tree, run
 from mc_arelab.perf import error_curves
+from mc_arelab.specfun import _log_factorials
 
 from oracles import atom_decision_curves
-from stochastic import ber_failures
+from stochastic import ber_failures, u_shape_failures
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +103,30 @@ class TestRun:
         assert row.stderr == pytest.approx(want, rel=1e-12)
 
     def test_curve_is_u_shaped_around_the_optimum(self, default_summary, default_run):
-        theta_opt = optimal_threshold(default_summary.mu_s, default_summary.cbar, default_summary.mu_n)
-        bers = [row.ber for row in default_run.per_threshold_ber]
-        assert abs(default_run.best.theta - theta_opt) <= 1
-        for theta in range(5, theta_opt - 2):
-            assert bers[theta] > bers[theta + 1]
-        for theta in range(theta_opt + 2, 40):
-            assert bers[theta] < bers[theta + 1]
+        # family-wise false-failure probability 1e-3
+        ber, theta_opt = analytic_ber(default_summary, default_run)
+        failures, down, up = u_shape_failures(default_run, ber, 1e-3)
+        assert failures == []
+        # the checked steps cover theta = 5 to 3 short of the optimum on the
+        # left, and the optimum + 1 to + 8 on the right
+        assert set(range(5, theta_opt - 2)) <= set(down)
+        assert set(range(theta_opt + 1, theta_opt + 9)) <= set(up)
+
+    @pytest.mark.parametrize("offset", [-6, -3, 2, 6])
+    def test_u_shape_check_sees_two_swapped_rows(self, default_summary, default_run, offset):
+        ber, theta_opt = analytic_ber(default_summary, default_run)
+        rows = list(default_run.per_threshold_ber)
+        theta = theta_opt + offset
+        rows[theta], rows[theta + 1] = rows[theta + 1]._replace(theta=theta), rows[theta]._replace(theta=theta + 1)
+        swapped = dataclasses.replace(default_run, per_threshold_ber=tuple(rows))
+        failures, _, _ = u_shape_failures(swapped, ber, 1e-3)
+        assert len(failures) == 1 and f"theta {theta} to {theta + 1}" in failures[0]
+
+    def test_u_shape_check_sees_a_best_row_off_the_minimum(self, default_summary, default_run):
+        ber, theta_opt = analytic_ber(default_summary, default_run)
+        moved = dataclasses.replace(default_run, best=default_run.per_threshold_ber[theta_opt - 3])
+        failures, _, _ = u_shape_failures(moved, ber, 1e-3)
+        assert len(failures) == 1 and "best theta" in failures[0]
 
     def test_more_interferers_never_lower_the_best_threshold(self):
         best = {}
@@ -255,7 +273,12 @@ class TestRingSampling:
 def binomial_half_p_value(observed):
     """Chi-square p-value of active-count tallies 0..count against Binomial(count, 1/2)."""
     count = observed.size - 1
-    expected = observed.sum() * stats.binom.pmf(np.arange(count + 1), count, 0.5)
+    return chi_square_p_value(observed, stats.binom.pmf(np.arange(count + 1), count, 0.5))
+
+
+def chi_square_p_value(observed, pmf):
+    """Chi-square p-value of tallies over the cells of ``pmf`` against it."""
+    expected = observed.sum() * pmf
     # pool each tail into one bin so that every bin expects 5 draws or more
     core = np.flatnonzero(expected >= 5.0)
     lo, hi = core[0], core[-1]
@@ -265,6 +288,13 @@ def binomial_half_p_value(observed):
 
     _, p_value = stats.chisquare(pooled(observed), pooled(expected))
     return p_value
+
+
+def clipped_count_pmfs(summary, theta_max):
+    """Rows b = 0, 1: P(r | b) for r < theta_max, then P(r >= theta_max | b), from the exact count pmfs."""
+    log_pmfs = _count_pmfs(summary.mu_s, summary.cbar, summary.mu_n, theta_max)
+    pmfs = np.exp(np.array(log_pmfs))
+    return np.column_stack([pmfs, np.maximum(1.0 - pmfs.sum(axis=1), 0.0)])
 
 
 def early_stop_summary():
@@ -278,6 +308,15 @@ class TestTallyTree:
         pmf = montecarlo._binom_half_pmf(count)
         np.testing.assert_allclose(pmf, stats.binom.pmf(np.arange(count + 1), count, 0.5), rtol=1e-10, atol=0.0)
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("count", [5000, 100_000])
+    def test_a_large_ring_pmf_is_a_multinomial_law(self, count):
+        # ln k! rounds by many ulps at these counts; unscaled, the cells but
+        # the last sum past 1 + 1e-12, where a multinomial draw raises
+        pmf = montecarlo._binom_half_pmf(count)
+        assert pmf[:-1].sum() <= 1.0
+        assert np.random.default_rng(0).multinomial(10**6, pmf).sum() == 10**6
+        np.testing.assert_allclose(pmf, stats.binom.pmf(np.arange(count + 1), count, 0.5), rtol=1e-8, atol=1e-300)
 
     def test_each_ring_marginal_is_binomial_half(self):
         # each ring's active count sits in its own 8 bits of the value, so
@@ -343,3 +382,99 @@ class TestTallyTree:
         _, p_value, _, _ = stats.chi2_contingency(table)
         assert p_value > 0.001
         assert values @ tallies / samples == pytest.approx(draws.mean(), rel=0.01)
+
+
+class TestClippedPoisson:
+    # zero, subnormal and small means, means whose pmf underflows at both
+    # ends of the row, means past theta_max, and one that overflows to inf
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 0.37, 12.0, 1000.0, 1e5, 2.1e5, 3e5, 1e300, math.inf])
+    def test_cells_match_the_exact_clipped_law(self, lam):
+        theta_max = 200_000
+        first, pvals = montecarlo._clipped_poisson(lam, _log_factorials(np.arange(theta_max + 1)))
+        cells = np.arange(first, first + pvals.size)
+        assert pvals.size == 1 or pvals[0] > 0.0 and pvals[-1] > 0.0
+        # within the 1e-12 that a multinomial draw allows
+        assert pvals.sum() == pytest.approx(1.0, abs=1e-15)
+        want = stats.poisson.pmf(np.arange(theta_max + 1), lam) if lam < math.inf else np.zeros(theta_max + 1)
+        want[-1] = stats.poisson.sf(theta_max - 1, lam) if lam < math.inf else 1.0
+        # every cell left out has no mass in a double, and the last cell takes the remainder
+        outside = np.ones(theta_max + 1, bool)
+        outside[cells] = False
+        assert not want[outside].any()
+        np.testing.assert_allclose(pvals[:-1], want[cells[:-1]], rtol=1e-9, atol=1e-300)
+        assert 1.0 - pvals[:-1].sum() == pytest.approx(want[cells[-1]], rel=1e-9, abs=1e-15)
+
+
+class TestCountTallies:
+    # family-wise false-failure probability of one law check, over its two
+    # bit classes; a chi-square p-value is asymptotic, so every pooled bin
+    # expects 5 samples or more
+    ALPHA = 1e-3
+    SAMPLES = 1_000_000
+
+    @staticmethod
+    def case(default_summary, name):
+        """(summary, theta_max, ring): a configuration, and the ring whose mean the power gate moves."""
+        if name == "defaults":
+            return default_summary, 100, 0
+        if name == "wide ring":
+            return ChannelSummary(t_m=1.0, mu_s=20.0, cbar=((0.9, 6), (0.04, 130)), mu_n=1.0), 100, 1
+        if name == "loud noise":
+            # the Poisson(1000) pmf underflows to 0 below r = 71, so the noise cells start there
+            return ChannelSummary(t_m=1.0, mu_s=50.0, cbar=((60.0, 6),), mu_n=1000.0), 1500, 0
+        if name == "ring past the underflow":
+            # the Binomial(2000, 1/2) pmf underflows to 0 below k = 198 and above 1802
+            return ChannelSummary(t_m=1.0, mu_s=20.0, cbar=((0.9, 6), (0.01, 2000)), mu_n=1.0), 100, 1
+        # the bulk of both classes lies past theta_max, so the clip cell carries most of the mass
+        return default_summary, 10, 0
+
+    def law_p_values(self, summary, theta_max, rings, seed=11):
+        """Chi-square p-values of each class's tallies, drawn with ``rings``, against the law of ``summary``."""
+        hist = _count_tallies(rings, summary.mu_s, summary.mu_n, theta_max, self.SAMPLES, np.random.default_rng(seed))
+        assert hist.shape == (2, theta_max + 1) and hist.sum() == self.SAMPLES
+        return [chi_square_p_value(h, pmf) for h, pmf in zip(hist, clipped_count_pmfs(summary, theta_max))], hist
+
+    @pytest.mark.parametrize(
+        "name", ["defaults", "wide ring", "ring past the underflow", "loud noise", "clip below the bulk"]
+    )
+    def test_tallies_follow_the_exact_clipped_count_law(self, default_summary, name):
+        summary, theta_max, _ = self.case(default_summary, name)
+        p_values, hist = self.law_p_values(summary, theta_max, summary.cbar)
+        assert min(p_values) > self.ALPHA / 2
+        if name == "clip below the bulk":
+            assert (hist[:, -1] > hist.sum(axis=1) / 2).all()
+
+    def test_draws_in_small_blocks_keep_the_law(self, monkeypatch):
+        # 50 elements hold less than one row of the 130-member ring's split
+        # and of most spreads, so every draw is cut into blocks of rows
+        monkeypatch.setattr(montecarlo, "DRAW_CELLS", 50)
+        summary, theta_max, _ = self.case(None, "wide ring")
+        p_values, _ = self.law_p_values(summary, theta_max, summary.cbar)
+        assert min(p_values) > self.ALPHA / 2
+
+    @pytest.mark.parametrize(
+        "name", ["defaults", "wide ring", "ring past the underflow", "loud noise", "clip below the bulk"]
+    )
+    def test_law_check_sees_a_five_percent_error_in_one_ring_mean(self, default_summary, name):
+        summary, theta_max, ring = self.case(default_summary, name)
+        rings = list(summary.cbar)
+        cbar, count = rings[ring]
+        rings[ring] = (1.05 * cbar, count)
+        p_values, _ = self.law_p_values(summary, theta_max, rings)
+        assert max(p_values) < self.ALPHA / 2
+
+    def test_a_trillion_samples_cost_no_more_than_a_few(self, default_summary):
+        # the tallies, not the samples, are drawn: 10^12 samples fit in a
+        # small fixed peak, and their BER still passes the exact binomial
+        # bands (family-wise false-failure probability 1e-3), which a
+        # 1e-4 relative error in the reference curve fails
+        tracemalloc.start()
+        try:
+            result = run(default_summary, 10**12, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        ber, theta_opt = analytic_ber(default_summary, result)
+        assert ber_failures(result, ber, theta_opt, 1e-3) == []
+        assert len(ber_failures(result, (1.0 + 1e-4) * ber, theta_opt, 1e-3)) == 2

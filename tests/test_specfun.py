@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from mc_arelab.errors import ParameterError
 from mc_arelab.specfun import (
+    _log_factorials,
+    _log_poisson_pmf,
     erf,
     log_sum_exp,
     regularized_gamma_p,
@@ -174,3 +176,47 @@ class TestLogSumExp:
         shifted = log_sum_exp([t + shift for t in terms])
         assert shifted == pytest.approx(base + shift, rel=1e-12, abs=1e-9)
 
+
+class TestLogPoissonPmf:
+    # 0 (where 0^0 = 1), the smallest subnormal, and means past any count
+    MEANS = np.array([0.0, 5e-324, 1e-300, 0.37, 1.0, 42.5, 9999.0, 1e6, 1e20, 1e300])
+    COUNTS = np.array([0, 1, 2, 7, 40, 100, 1000, 4095, 4096, 5000, 10_000])
+
+    @staticmethod
+    def reference(power=1.0):
+        x, e = TestLogPoissonPmf.MEANS[:, None], TestLogPoissonPmf.COUNTS
+        with np.errstate(divide="ignore"):
+            return stats.poisson.logpmf(e, x) - (power - 1.0) * special.gammaln(e + 1.0)
+
+    @staticmethod
+    def assert_close(got, want):
+        # a log pmf of magnitude m carries rounding of about m ulps; -inf must match exactly
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=1e-10)
+
+    def test_matches_scipy(self):
+        got = _log_poisson_pmf(self.MEANS, self.COUNTS)
+        assert got.shape == (self.MEANS.size, self.COUNTS.size)
+        self.assert_close(got, self.reference())
+
+    def test_zero_mean_is_a_point_mass_at_zero(self):
+        got = _log_poisson_pmf(np.zeros(1), self.COUNTS)[0]
+        assert got[0] == 0.0
+        assert np.isneginf(got[1:]).all()
+
+    def test_power_two_divides_by_the_factorial_once_more(self):
+        got = _log_poisson_pmf(self.MEANS, self.COUNTS, power=2)
+        lgamma = np.array([math.lgamma(e + 1.0) for e in self.COUNTS.tolist()])
+        self.assert_close(got, _log_poisson_pmf(self.MEANS, self.COUNTS) - lgamma)
+        self.assert_close(got, self.reference(power=2))
+
+    def test_a_given_log_norm_and_out_give_the_same_values(self):
+        want = _log_poisson_pmf(self.MEANS, self.COUNTS)
+        out = np.full((self.MEANS.size, self.COUNTS.size), np.nan)
+        got = _log_poisson_pmf(self.MEANS, self.COUNTS, log_norm=_log_factorials(self.COUNTS), out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, want)
+        # a log norm is used as given, in place of power * ln e!
+        shifted = _log_poisson_pmf(self.MEANS, self.COUNTS, log_norm=_log_factorials(self.COUNTS) + 1.0)
+        np.testing.assert_array_equal(shifted, want - 1.0)
