@@ -7,28 +7,29 @@ along z. No step size enters, so there is no time discretization error.
 The receiver is transparent, so counting molecules inside the cylinder
 is a pure observation.
 
-A particle can be inside the cylinder only while its z lies in the axial
-span [z_s, z_e], and z moves continuously, so from outside the span it
-must first reach the nearer edge. z is a Brownian motion with drift
-v >= 0 and variance 2D per second, and the time it needs to cover the
-distance a to that edge has a closed-form law. From below, where the
-drift points at the edge, it is inverse Gaussian IG(a / v, a^2 / (2D)).
-From above, the edge is reached at all only with probability
-exp(-v a / D), and then after the same IG time. At v = 0 it is Levy,
-a^2 / (2D N^2). So a particle that is outside the span draws that
-passage time T and is not advanced again until the first record at or
-after T. There, by the strong Markov property, its z is the edge plus
-Normal(v (t - T), 2D (t - T)). Its (x, y) is drawn only where its z is in
-the span, in one jump Normal(0, 2D (t - t_last)) per axis from the last
-time it was drawn. The lateral and axial motions are independent
-Brownian motions, so the recorded in-receiver indicators have exactly
-the joint law of advancing all three coordinates at every time: skipping
-is no approximation and carries no error bound.
+A particle can be inside only while its z lies in the axial span
+[z_s, z_e] and its distance rho from the axis is at most S_RX, and from
+outside either one it must first cover the distance a to it. z moves
+with drift v >= 0 and variance 2D per second, so the time to the nearer
+edge is inverse Gaussian IG(a / v, a^2 / (2D)) from below; from above
+the edge is reached only with probability exp(-v a / D), then after the
+same IG time; at v = 0 it is Levy, a^2 / (2D N^2). Laterally, with u the
+unit vector toward the axis, the disk lies beyond the line at distance
+a = rho - S_RX along u, and the motion along u is a Brownian motion with
+variance 2D per second, so the particle cannot enter before the Levy
+time T = a^2 / (2D N^2). The motion across u is independent of it, so
+at T the particle sits on that line, Normal(0, 2D T) from the foot of u.
+By the strong Markov property it continues from either passage's end as
+a fresh Brownian motion, and at every record before that end it is
+outside with certainty, so advancing it only at the records after both
+gives the recorded indicators exactly the joint law of advancing every
+coordinate at every time: skipping carries no error bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -39,11 +40,6 @@ from .errors import ParameterError, is_finite_real, is_integer
 __all__ = ["CirTrace", "PbsConfig", "simulate_cir"]
 
 REALIZATION_CHUNK = 100
-# Records advanced together: one cumulative sum draws a due particle's z across them.
-BLOCK_RECORDS = 16
-# Due particles advanced together; a block's temporaries hold BLOCK_RECORDS
-# entries for each, whatever the record count.
-BLOCK_PARTICLES = 1024
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,11 @@ class PbsConfig:
 
     def __post_init__(self) -> None:
         times = self.times
-        if not (isinstance(times, tuple) and times and all(is_finite_real(t) for t in times)):
+        kinds = set(map(type, times)) if isinstance(times, tuple) else {object}
+        values = np.array(times if all(k is not bool and issubclass(k, Real) for k in kinds) else (), dtype=float)
+        if not (values.size and np.isfinite(values).all()):
             raise ParameterError(f"times must be a non-empty tuple of finite floats, got {times!r:.80}")
-        if not (times[0] > 0 and all(a < b for a, b in zip(times, times[1:]))):
+        if not (values[0] > 0 and (values[1:] > values[:-1]).all()):
             raise ParameterError("times must be positive and strictly increasing")
         for name in ("realizations", "particles"):
             value = getattr(self, name)
@@ -80,9 +78,10 @@ class CirTrace:
     def __post_init__(self) -> None:
         if not (len(self.times) == len(self.mean_fraction) == len(self.stderr)):
             raise ParameterError("trace fields must have equal lengths")
-        if any(not (0.0 <= m <= 1.0) for m in self.mean_fraction):
+        mean = np.array(self.mean_fraction, dtype=float)
+        if not ((mean >= 0.0) & (mean <= 1.0)).all():
             raise ParameterError("mean_fraction entries must lie in [0, 1]")
-        if any(s < 0.0 for s in self.stderr):
+        if (np.array(self.stderr, dtype=float) < 0.0).any():
             raise ParameterError("stderr entries must be nonnegative")
 
 
@@ -114,6 +113,21 @@ def _passage_times(a: np.ndarray, drift: np.ndarray, D: float, rng: np.random.Ge
     return x
 
 
+def _lateral_waits(a: np.ndarray, D: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Levy times T for a lateral walk to cover the distances a > 0 toward the axis, and its offsets across.
+
+    One (2, n) normal draw (N, W) gives T = a^2 / (2D N^2) and the offset
+    Normal(0, 2D T) = W sqrt(2D T). At N = 0, T is inf and the offset 0.
+    """
+    n, w = rng.standard_normal((2, a.size))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reach = a / np.abs(n)  # sqrt(2D T)
+        w *= reach
+        wait = reach * reach / (2.0 * D)
+    w[np.isinf(reach)] = 0.0
+    return wait, w
+
+
 def simulate_cir(
     params: PhysicalParams,
     geom: ReceiverGeometry,
@@ -124,130 +138,111 @@ def simulate_cir(
 
     One realization releases ``cfg.particles`` particles at the offset
     transmitter position at t = 0 and records the in-cylinder fraction at
-    each of ``cfg.times``. A particle is due at the first record where it
-    can be inside: the first record at or after its passage time to the
-    axial span, or the next record while its z was in the span at the last
-    one. The records go in blocks of ``BLOCK_RECORDS``, and a block draws
-    the z path of each particle due within it from its due record to the
-    block's end, then the lateral jumps at the path's in-span records, in
-    groups of ``BLOCK_PARTICLES`` particles. Each of these particles that
-    ends the block outside the span draws its next passage time; a run of
-    records where no particle is due is skipped. Mean and standard error
-    are taken across realizations, in chunks of ``REALIZATION_CHUNK`` with
-    one RNG substream each (``config.map_chunks``), so the trace depends
-    only on the seed and the sizes, not on the thread count.
+    each of ``cfg.times``. Each step of the loop advances every live
+    particle by one event, at its own due record: the next one, or after
+    a passage the first one after it ends. There z is drawn, then rho
+    where z is in the span, and the particle is counted where both are
+    inside; a z outside the span draws the next axial passage, a rho past
+    S_RX the next lateral one. A particle with no record left drops out.
+    The disk and the lateral motion are symmetric about the axis, so rho
+    alone is Markov and no angle is kept: a jump by Normal(0, s^2) per
+    axis lands at |(rho + s N1, s N2)|, a lateral passage at
+    |(S_RX, offset)|. Mean and standard error are taken across
+    realizations, in chunks of ``REALIZATION_CHUNK`` with one RNG
+    substream each (``config.map_chunks``), so the trace depends only on
+    the seed and the sizes, not on the thread count.
     """
     if len(tx_offset) != 2 or not all(is_finite_real(u) for u in tx_offset):
         raise ParameterError(f"tx_offset must be two finite coordinates, got {tx_offset!r}")
-    x0, y0 = float(tx_offset[0]), float(tx_offset[1])
-    times = np.array(cfg.times)
+    rho0 = float(np.hypot(tx_offset[0], tx_offset[1]))
+    times = np.array(cfg.times, dtype=float)
     n_rec = times.size
-    times_before = np.r_[0.0, times[:-1]]
-    D, v = params.D, params.v
+    D, v, s_rx = params.D, params.v, params.s_rx
     z_s, z_e = geom.z_s, geom.z_e
-    s2 = params.s_rx * params.s_rx
 
     def chunk_sums(size: int, rng: np.random.Generator):
         n_part = size * cfg.particles
-        x = np.full(n_part, x0)
-        y = np.full(n_part, y0)
-        t_xy = np.zeros(n_part)
-        # z at time t_z: the last record for a particle in the span there, else
-        # the nearer edge at the passage time, inf if it is never reached
-        z = np.zeros(n_part)
-        t_z = np.zeros(n_part)
+        # rows: the time t_xy and the distance from the axis then, and the time
+        # t_z and z then, of the live particles. After a passage they hold its end:
+        # the time the lateral walk meets the disk's tangent and the distance
+        # there, or the time z gets to the nearer axial edge, inf if it never
+        # does, and the edge. `due` is the record a particle is next advanced
+        # at, `row` the offset of its realization in the tally.
+        state = np.zeros((4, n_part))
+        state[1] = rho0
+        t_xy, rho, t_z, z = state
+        due = np.zeros(n_part, dtype=np.intp)  # set again once both passages at the release are drawn
+        row = np.repeat(np.arange(0, size * n_rec, n_rec, dtype=np.intp), cfg.particles)
+        tally = np.zeros(size * n_rec, dtype=np.min_scalar_type(cfg.particles))
+        one = tally.dtype.type(1)  # np.add.at takes its fast path only at the tally's own dtype
+
+        def reschedule(p, row_t, t, end):
+            # particles p wait for the first record after the times t, where their
+            # passages end; state rows row_t and row_t + 1 take the time and the end
+            state[row_t, p] = t
+            state[row_t + 1, p] = end
+            due[p] = times.searchsorted(t, "right")
 
         def leave(p, t):
-            # particles p, outside the span at time t, wait at the nearer edge
-            zp = z[p]
+            # particles p, outside the span at times t, wait at the nearer edge
+            zp = state[3, p]
             below = zp < z_s
             edge = np.where(below, z_s, z_e)
-            t_z[p] = t + _passage_times(np.abs(zp - edge), np.where(below, v, -v), D, rng)
-            z[p] = edge
+            reschedule(p, 2, t + _passage_times(np.abs(zp - edge), np.where(below, v, -v), D, rng), edge)
 
-        def advance(p, k, end):
-            # z of particles p at records k..end - 1, a row per record, from the
-            # first record at or after t_z; then (x, y) where z is in the span.
-            # Returns the (record, particle) indices of the in-receiver entries.
-            # The cumulative sums run row by row: np.cumsum along the short
-            # record axis is several times slower.
-            rec = times[k:end, None]
-            t0 = t_z[p]
-            valid = rec >= t0
-            # a step spans the time since the record before, or since t_z;
-            # there is none before t_z
-            g = rec - np.maximum(times_before[k:end, None], t0)
-            np.maximum(g, 0.0, out=g)
-            path = np.zeros(g.shape)
-            path[valid] = rng.standard_normal(np.count_nonzero(valid))
-            scale = np.sqrt(2.0 * D * g)
-            path *= scale
-            g *= v  # the drift of each step
-            path += g
-            path[0] += z[p]
-            for j in range(1, end - k):
-                path[j] += path[j - 1]
-            span = valid & (path >= z_s) & (path <= z_e)
-            z[p] = path[-1]
-            t_z[p] = times[end - 1]
-            gone = p[~span[-1]]
+        def wait(p, r, t):
+            # particles p at distances r > S_RX at times t wait at the disk's tangent
+            dt, w = _lateral_waits(r - s_rx, D, rng)
+            reschedule(p, 0, t + dt, np.hypot(s_rx, w))
 
-            # a lateral jump spans the time since the last in-span record
-            t_last = path  # z is stored; its buffer is reused
-            np.copyto(t_last, t_xy[p])
-            np.copyto(t_last, rec, where=span)
-            for j in range(1, end - k):
-                np.maximum(t_last[j], t_last[j - 1], out=t_last[j])
-            scale[0] = rec[0] - t_xy[p]
-            np.subtract(rec[1:], t_last[:-1], out=scale[1:])
-            scale *= 2.0 * D
-            np.sqrt(scale, out=scale)
-            t_xy[p] = t_last[-1]
-            lateral = np.zeros((2,) + g.shape)
-            entries = np.flatnonzero(span)
-            jumps = rng.standard_normal((2, entries.size))
-            for plane, jump, start in zip(lateral, jumps, (x[p], y[p])):
-                plane.ravel()[entries] = jump
-                plane *= scale
-                plane[0] += start
-                for j in range(1, end - k):
-                    plane[j] += plane[j - 1]
-            x[p] = lateral[0, -1]
-            y[p] = lateral[1, -1]
-            leave(gone, times[end - 1])
-            lateral **= 2
-            return np.nonzero(span & (lateral[0] + lateral[1] <= s2))
-
+        everyone = np.arange(n_part)
         if not z_s <= 0.0 <= z_e:
-            leave(np.arange(n_part), 0.0)
-        sums = np.zeros((2, n_rec))
-        k = 0
-        while (k := max(k, int(np.searchsorted(times, t_z.min())))) < n_rec:
-            end = min(k + BLOCK_RECORDS, n_rec)
-            p = np.flatnonzero(t_z <= times[end - 1])
-            counts = np.zeros(size * (end - k), dtype=np.intp)
-            for i in range(0, p.size, BLOCK_PARTICLES):
-                piece = p[i : i + BLOCK_PARTICLES]
-                recs, parts = advance(piece, k, end)
-                counts += np.bincount(piece[parts] // cfg.particles * (end - k) + recs, minlength=counts.size)
-            frac = counts.reshape(size, end - k) / cfg.particles
-            sums[0, k:end] = frac.sum(axis=0)
-            sums[1, k:end] = (frac * frac).sum(axis=0)
-            k = end
-        return sums
+            leave(everyone, 0.0)
+        if rho0 > s_rx:
+            wait(everyone, rho, 0.0)
+        due = times.searchsorted(np.maximum(t_xy, t_z), "right")
+        while (live := due < n_rec).any():
+            if not live.all():
+                state, row, due = state[:, live], row[live], due[live]
+                t_xy, rho, t_z, z = state
+            t = times[due]
+            gap = t - t_z
+            z += rng.standard_normal(due.size) * np.sqrt(2.0 * D * gap) + v * gap
+            t_z[:] = t
+            span = (z >= z_s) & (z <= z_e)
+            p = span.nonzero()[0]
+            t_p = t[p]
+            jump = rng.standard_normal((2, p.size))
+            jump *= np.sqrt(2.0 * D * (t_p - t_xy[p]))
+            jump[0] += rho[p]
+            rho_p = np.hypot(jump[0], jump[1])
+            rho[p] = rho_p
+            t_xy[p] = t_p
+            far = rho_p > s_rx
+            hit = p[~far]
+            np.add.at(tally, row[hit] + due[hit], one)
+            due += 1
+            # in the tail of the loop most steps have no passage to draw
+            if p.size < due.size:
+                out = (~span).nonzero()[0]
+                leave(out, t[out])
+            if hit.size < p.size:
+                wait(p[far], rho_p[far], t_p[far])
+
+        counts = tally.reshape(size, n_rec)
+        # einsum casts the narrow tally in buffered blocks, with no full-size copy
+        return np.stack((counts.sum(axis=0, dtype=float), np.einsum("ij,ij->j", counts, counts, dtype=float)))
 
     chunks = map_chunks(chunk_sums, cfg.realizations, REALIZATION_CHUNK, cfg.seed)
     sum_m, sum_m2 = sum(chunks, np.zeros((2, n_rec)))
 
     n = cfg.realizations
+    sum_m /= cfg.particles
+    sum_m2 /= cfg.particles**2
     mean = sum_m / n
     if n > 1:
         var = np.maximum(sum_m2 - sum_m * sum_m / n, 0.0) / (n - 1)
         stderr = np.sqrt(var / n)
     else:
         stderr = np.zeros(n_rec)
-    return CirTrace(
-        times=tuple(float(t) for t in cfg.times),
-        mean_fraction=tuple(float(m) for m in mean),
-        stderr=tuple(float(s) for s in stderr),
-    )
+    return CirTrace(times=tuple(times.tolist()), mean_fraction=tuple(mean.tolist()), stderr=tuple(stderr.tolist()))

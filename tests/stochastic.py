@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, special, stats
 
 from mc_arelab.channel import cir
 
@@ -45,6 +45,49 @@ def max_chernoff_score(trace, cfg, offset, params, geom, alpha, records=None):
         n_total * bernoulli_kl(round(trace.mean_fraction[k] * n_total) / n_total, ref)
         for k, ref in zip(records, expected.tolist())
     ]
+    return max(scores), math.log(2.0 * len(scores) / alpha)
+
+
+def spread_rate(y, values, log_pmf):
+    """The Cramer rate sup_l (l y - ln E e^(l Y)) of a mean of copies of Y at y.
+
+    Y takes ``values`` with the log probabilities ``log_pmf``. Every l
+    gives a valid lower bound on the rate, so a maximizer that stops short
+    of the supremum only makes a check built on it more lenient.
+    """
+
+    def loss(lam):
+        return special.logsumexp(lam * values + log_pmf) - lam * y
+
+    width = float(np.ptp(values[np.isfinite(log_pmf)]))
+    if width == 0.0:
+        return 0.0 if abs(y - values[np.argmax(log_pmf)]) <= 1e-12 else math.inf
+    bound = 1e6 / width
+    return max(0.0, -optimize.minimize_scalar(loss, bounds=(-bound, bound), method="bounded").fun)
+
+
+def max_dispersion_score(trace, cfg, offset, params, geom, alpha, records=None):
+    """The largest R * I(observed spread about cir) over the checked records, and its bound.
+
+    At one record the R = realizations in-receiver counts X_r are
+    independent Binomial(P, c), P = particles and c = cir(t), so
+    Y = (X / P - c)^2 takes P + 1 known values with binomial weights. A
+    trace's mean m and stderr s give the mean of the R copies exactly:
+    (R - 1) s^2 + (m - c)^2. By the Cramer-Chernoff bound that mean lies
+    past y on either side of E Y with probability at most e^(-R I(y))
+    (``spread_rate``), so a score past ln(2 n / alpha) happens at any of
+    the n checked records with probability at most the family-wise
+    ``alpha``. It fails a stderr off by a factor where the mean is right.
+    """
+    if records is None:
+        records = range(len(trace.times))
+    n, p = cfg.realizations, cfg.particles
+    counts = np.arange(p + 1)
+    times = np.array([trace.times[k] for k in records])
+    scores = []
+    for k, ref in zip(records, cir(times, offset, params, geom).tolist()):
+        y = (n - 1) * trace.stderr[k] ** 2 + (trace.mean_fraction[k] - ref) ** 2
+        scores.append(n * spread_rate(y, (counts / p - ref) ** 2, stats.binom.logpmf(counts, p, ref)))
     return max(scores), math.log(2.0 * len(scores) / alpha)
 
 

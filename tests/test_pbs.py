@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from scipy import stats
 from mc_arelab import config, pbs
 from mc_arelab.channel import PhysicalParams, ReceiverGeometry, peak_time
 from mc_arelab.errors import ParameterError
-from mc_arelab.pbs import CirTrace, PbsConfig, _passage_times, simulate_cir
-from stochastic import max_chernoff_score
+from mc_arelab.pbs import CirTrace, PbsConfig, _lateral_waits, _passage_times, simulate_cir
+from stochastic import max_chernoff_score, max_dispersion_score
 
 
 def record_grid(t_sim, dt=1e-3, record_every=10):
@@ -30,9 +32,10 @@ def nearest_index(trace, t):
 class CountingGenerator:
     """A Generator stand-in that counts the draws made through it.
 
-    The particle code draws the lateral jumps as one (2, n) array, and one
-    normal and two uniforms for each passage time; its other normals, one
-    per (record, particle) pair where z is advanced, are the z steps.
+    The particle code draws the lateral jumps and the lateral waits as
+    (2, n) arrays, and one normal and two uniforms for each passage time;
+    its other normals, one per (record, particle) pair where z is advanced,
+    are the z steps.
     """
 
     def __init__(self, rng):
@@ -55,9 +58,11 @@ class CountingGenerator:
         return draw
 
 
-def count_draws(monkeypatch, params, geom, cfg):
-    """Passage times, z steps and lateral normals drawn by simulate_cir in all its chunks."""
+def count_draws(monkeypatch, params, geom, cfg, offset=(0.0, 0.0)):
+    """Passage times, z steps, lateral jumps and lateral waits drawn by simulate_cir in all its chunks."""
     proxies = []
+    waits = []
+    lateral_waits = pbs._lateral_waits
 
     def counting_map_chunks(fn, total, chunk, seed):
         def counted(size, rng):
@@ -67,12 +72,17 @@ def count_draws(monkeypatch, params, geom, cfg):
 
         return config.map_chunks(counted, total, chunk, seed)
 
+    def counting_waits(a, D, rng):
+        waits.append(a.size)
+        return lateral_waits(a, D, rng)
+
     monkeypatch.setattr(pbs, "map_chunks", counting_map_chunks)
-    simulate_cir(params, geom, (0.0, 0.0), cfg)
+    monkeypatch.setattr(pbs, "_lateral_waits", counting_waits)
+    simulate_cir(params, geom, offset, cfg)
     passages = sum(proxy.uniforms for proxy in proxies) // 2
     normals = sum(proxy.normals for proxy in proxies)
-    lateral = sum(proxy.lateral for proxy in proxies)
-    return {"passages": passages, "z": normals - passages, "lateral": lateral}
+    lateral = sum(proxy.lateral for proxy in proxies) // 2
+    return {"passages": passages, "z": normals - passages, "lateral": lateral - sum(waits), "waits": sum(waits)}
 
 
 class TestConfig:
@@ -103,6 +113,13 @@ class TestConfig:
             PbsConfig(times=(1.0,), seed=1.5)
         with pytest.raises(ParameterError, match="seed"):
             PbsConfig(times=(1.0,), seed=True)
+
+    def test_times_of_any_real_type(self):
+        times = (np.float64(0.5), 1, Fraction(3, 2), 2.0)
+        assert PbsConfig(times=times).times == times
+        for bad in ((0.5, True), (np.bool_(True),), (0.5, "1.0"), (0.5, None), (0.5, 1j)):
+            with pytest.raises(ParameterError, match="times"):
+                PbsConfig(times=bad)
 
     def test_trace_validation(self):
         with pytest.raises(ParameterError):
@@ -198,26 +215,34 @@ class TestSimulateCir:
             assert score <= limit, dt
 
     def test_more_particles_shrink_stderr_not_mean(self):
+        # at the peak the realizations' counts are Binomial(particles, cir): the
+        # mean and the spread about cir of each ensemble are checked against it,
+        # at a family-wise alpha = 1e-3 over the four checks. The stderr of the
+        # other ensemble, off by sqrt(10), must fail the spread check
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
-        traces = {}
+        traces, cfgs = {}, {}
         for particles in (20, 200):
-            cfg = PbsConfig(times=record_grid(4.0), realizations=300, particles=particles, seed=29)
-            traces[particles] = simulate_cir(params, geom, (0.0, 0.0), cfg)
-        t_m = peak_time(params, geom)
-        k = nearest_index(traces[20], t_m)
-        small, big = traces[20], traces[200]
-        ratio = small.stderr[k] / big.stderr[k]
-        assert math.sqrt(10.0) * 0.7 <= ratio <= math.sqrt(10.0) * 1.5
-        gap = abs(small.mean_fraction[k] - big.mean_fraction[k])
-        assert gap <= 3.0 * (small.stderr[k] + big.stderr[k])
+            cfgs[particles] = PbsConfig(times=record_grid(4.0), realizations=300, particles=particles, seed=29)
+            traces[particles] = simulate_cir(params, geom, (0.0, 0.0), cfgs[particles])
+        k = nearest_index(traces[20], peak_time(params, geom))
+        for particles, other in ((20, 200), (200, 20)):
+            trace, cfg = traces[particles], cfgs[particles]
+            for check in (max_chernoff_score, max_dispersion_score):
+                score, limit = check(trace, cfg, 0.0, params, geom, alpha=2.5e-4, records=[k])
+                assert score <= limit, (particles, check.__name__)
+            planted = dataclasses.replace(trace, stderr=traces[other].stderr)
+            score, limit = max_dispersion_score(planted, cfg, 0.0, params, geom, alpha=2.5e-4, records=[k])
+            assert score > limit, particles
 
     @pytest.mark.parametrize("v", [0.0, 0.2])
-    @pytest.mark.parametrize("offset", [0.0, 0.2])
+    @pytest.mark.parametrize("offset", [0.0, 0.2, 0.4, 0.1])
     def test_whole_trace_within_chernoff_bound(self, v, offset):
         # every particle is independent, so each record's in-receiver count
         # is Binomial(N, cir(t)); N * D(observed || cir) > ln(2 n / alpha)
-        # happens at any of the n records with probability at most alpha
+        # happens at any of the n records with probability at most alpha.
+        # A release at 0.4 m waits laterally from the start; 0.1 m is S_RX,
+        # the rim, where the first wait follows the first step out of the disk
         params = PhysicalParams(v=v)
         geom = ReceiverGeometry.centered(params)
         cfg = PbsConfig(times=FULL_GRID, realizations=200, particles=100, seed=41)
@@ -268,33 +293,97 @@ class TestPassageTimes:
         assert stats.kstest(times[reached], stats.invgauss(mu / lam, scale=lam).cdf).pvalue > 1e-3
 
 
+class ZeroGenerator:
+    """A Generator stand-in whose normals are all exactly 0."""
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+
+class TestLateralWaits:
+    def test_levy_time_and_normal_offset_across(self):
+        # alpha = 1e-3 per KS check, as for the axial passage times
+        rng = np.random.default_rng(10)
+        a, D, n = 0.3, 0.01, 20_000
+        wait, across = _lateral_waits(np.full(n, a), D, rng)
+        assert stats.kstest(wait, stats.levy(scale=a * a / (2.0 * D)).cdf).pvalue > 1e-3
+        # given the time T the offset is Normal(0, 2D T), in either half of the times
+        unit = across / np.sqrt(2.0 * D * wait)
+        short = wait < np.median(wait)
+        for part in (unit[short], unit[~short]):
+            assert stats.kstest(part, "norm").pvalue > 1e-3
+
+    def test_a_walk_that_never_arrives_has_no_offset(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wait, across = _lateral_waits(np.array([0.3, 1e-300, 1e300]), 1e-12, ZeroGenerator())
+        assert np.all(wait == np.inf)
+        assert np.all(across == 0.0)
+
+    @pytest.mark.parametrize("defect", ["level rho", "no offset across"])
+    @pytest.mark.parametrize("v", [0.0, 0.2])
+    @pytest.mark.parametrize("offset", [0.4, 0.1])
+    def test_planted_wait_defects_fail_the_chernoff_check(self, monkeypatch, defect, v, offset):
+        # test_whole_trace_within_chernoff_bound at its seed, with a wait for
+        # the level rho in place of rho - S_RX, or with the particle landing
+        # on the line to the axis
+        params = PhysicalParams(v=v)
+        geom = ReceiverGeometry.centered(params)
+        lateral_waits = pbs._lateral_waits
+        if defect == "level rho":
+            monkeypatch.setattr(pbs, "_lateral_waits", lambda a, D, rng: lateral_waits(a + params.s_rx, D, rng))
+        else:
+            monkeypatch.setattr(pbs, "_lateral_waits", lambda a, D, rng: (lateral_waits(a, D, rng)[0], 0.0 * a))
+        cfg = PbsConfig(times=FULL_GRID, realizations=200, particles=100, seed=41)
+        trace = simulate_cir(params, geom, (offset, 0.0), cfg)
+        score, limit = max_chernoff_score(trace, cfg, offset, params, geom, alpha=1e-6)
+        assert score > limit
+
+
 class TestLateralDraws:
     def test_lateral_steps_only_inside_the_axial_span(self, monkeypatch):
         # at vanishing diffusion z = v t: the release passage lands at 2.0 s, and
         # z then meets the span [0.4, 0.6] m at 2.1, 2.5 and 2.9 s only. z is
-        # advanced from 2.1 s to the end of that record block; the exit passage
+        # drawn there and at 3.1 s, where it has left the span; the exit passage
         # drawn there has return probability exp(-v a / D) = 0, so none of the
-        # later records draws anything
+        # later records draws anything. The particle stays on the axis, inside
+        # the disk, so it never waits laterally
         params = PhysicalParams(D=1e-12)
         geom = ReceiverGeometry.centered(params)
-        times = (0.5, 1.0, 1.9, 2.1, 2.5, 2.9, 3.1) + tuple(4.0 + k for k in range(3 * pbs.BLOCK_RECORDS))
+        times = (0.5, 1.0, 1.9, 2.1, 2.5, 2.9, 3.1) + tuple(4.0 + k for k in range(48))
         cfg = PbsConfig(times=times, realizations=150, particles=7, seed=3)
         n_total = cfg.realizations * cfg.particles
         draws = count_draws(monkeypatch, params, geom, cfg)
-        assert draws == {"passages": 2 * n_total, "z": pbs.BLOCK_RECORDS * n_total, "lateral": 2 * 3 * n_total}
+        assert draws == {"passages": 2 * n_total, "z": 4 * n_total, "lateral": 3 * n_total, "waits": 0}
+
+    @pytest.mark.parametrize("d", [0.5, 0.05])
+    def test_a_release_beyond_the_disk_waits_once(self, monkeypatch, d):
+        # at vanishing diffusion a release 0.3 m outside the disk needs a Levy
+        # time of order 0.3^2 / (2D) = 4.5e10 s to reach it, so after its one
+        # wait no record is due: neither z nor (x, y) is ever drawn. At d = 0.05
+        # the release lies in the axial span and draws no passage either
+        params = PhysicalParams(D=1e-12, d=d)
+        geom = ReceiverGeometry.centered(params)
+        cfg = PbsConfig(times=record_grid(5.0), realizations=150, particles=7, seed=3)
+        n_total = cfg.realizations * cfg.particles
+        passages = n_total if geom.z_s > 0.0 else 0
+        draws = count_draws(monkeypatch, params, geom, cfg, offset=(0.4, 0.0))
+        assert draws == {"passages": passages, "z": 0, "lateral": 0, "waits": n_total}
 
     def test_no_lateral_steps_when_the_span_is_never_met(self, monkeypatch):
         params = PhysicalParams(D=1e-12, v=0.0)
         geom = ReceiverGeometry.centered(params)
         cfg = PbsConfig(times=record_grid(2.0), realizations=150, particles=7, seed=3)
         n_total = cfg.realizations * cfg.particles
-        assert count_draws(monkeypatch, params, geom, cfg) == {"passages": n_total, "z": 0, "lateral": 0}
+        assert count_draws(monkeypatch, params, geom, cfg) == {"passages": n_total, "z": 0, "lateral": 0, "waits": 0}
 
     def test_z_is_drawn_at_few_of_the_records(self, monkeypatch):
-        # at the defaults a particle is within reach of the axial span at
-        # about 7.5% of the (record, particle) pairs
+        # at the defaults a particle is advanced at about 1.1% of the (record,
+        # particle) pairs, 16 of 1,500 records, and 9.3 of those find it inside
         params = PhysicalParams()
         geom = ReceiverGeometry.centered(params)
         cfg = PbsConfig(times=FULL_GRID, realizations=100, particles=100, seed=5)
-        z_steps = count_draws(monkeypatch, params, geom, cfg)["z"]
-        assert z_steps < 0.15 * len(FULL_GRID) * cfg.realizations * cfg.particles
+        draws = count_draws(monkeypatch, params, geom, cfg)
+        pairs = len(FULL_GRID) * cfg.realizations * cfg.particles
+        assert draws["z"] < 0.015 * pairs
+        assert draws["lateral"] < draws["z"]
