@@ -201,12 +201,18 @@ def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarra
     first n entries in value, but not bit for bit: each convolution output
     sums a window whose length follows n, so its rounding moves with n.
     """
-    off = _log_poisson_pmf(np.float64(mu_n), np.arange(n))
-    for cbar, count in _merge_rings(ring_basis):
-        ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), np.arange(n))
-        off = _log_convolve(off, ring)
+    off = _add_rings(_log_poisson_pmf(np.float64(mu_n), np.arange(n)), ring_basis)
     on = _log_convolve(off, _log_poisson_pmf(np.float64(mu_s), np.arange(n)))
     return off, on
+
+
+def _add_rings(log_pmf: np.ndarray, ring_basis) -> np.ndarray:
+    """``log_pmf`` convolved with one Binomial(count, 1/2)-mixed Poisson(k cbar) log pmf per merged ring."""
+    n = log_pmf.size
+    for cbar, count in _merge_rings(ring_basis):
+        ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), np.arange(n))
+        log_pmf = _log_convolve(log_pmf, ring)
+    return log_pmf
 
 
 def _check_means(mu_s: float, mu_n: float) -> None:

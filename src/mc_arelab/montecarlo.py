@@ -18,20 +18,17 @@ law too. The tallies of n iid states are Multinomial(n, product of the
 rings' Binomial(count, 1/2) pmfs), and the rings are independent, so one
 multinomial draw per ring, over the tallies of the states so far, gives
 every distinct state and its tally (a leaf) exactly in law. This tree
-runs serially on its own RNG substream. It stops before a ring that
-would split the leaves into more than min(samples / 10, TREE_CELLS)
-cells; the rings past the stop are drawn per sample, as the popcount of
-their bits in words of at most 64, over CHUNK-sample slices of the
-leaf-ordered sample list, one RNG substream per slice. Only the order of
-the samples differs from drawing them one at a time, and no result
-depends on that order. The outcome depends on the seed and sample count
-only, never on how chunks are scheduled. Chunk results fold into one
-running tally, in chunk order, as they finish.
+runs on child 0 of SeedSequence(seed) and stops before a ring that would
+split the leaves into more than TREE_CELLS cells. The rings past the stop
+are not sampled: the exact log pmf of their summed count (the ring loop
+of the analytic count pmfs) is convolved into the leaves' count mixture.
+Each row is still an unbiased mean of exact conditional error
+probabilities over iid samples; the exact rings only lower its variance.
+Both modes run serially; neither starts a thread.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -39,19 +36,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSummary
-from .config import MC_MODES, map_workers
-from .detection import _log_mixture
+from .config import MC_MODES
+from .detection import _add_rings, _half_binomial_log_pmf, _log_convolve, _log_mixture
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
 from .perf import _threshold_curves
 from .specfun import _log_factorials, _log_poisson_pmf
 
 __all__ = ["McResult", "ThresholdBer", "run"]
 
-CHUNK = 100_000
 # most cells (leaves times outcomes of the next ring) one split of the tally tree makes
 TREE_CELLS = 400_000
-# samples per block of interferer words in _draw_iui
-BLOCK = 25_000
 # most elements of one multinomial draw of the stochastic sampler
 DRAW_CELLS = 1 << 17
 # a probability under e^-746 is below half the least subnormal double, so it rounds to 0
@@ -77,39 +71,6 @@ class McResult:
     mode: str
 
 
-def _ones(bits: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Number of ones among ``bits`` (at most 64) fair random bits, per sample, as uint8."""
-    return np.bitwise_count(rng.integers(0, 2**bits, size=size, dtype=np.uint64))
-
-
-def _draw_iui(rings, size: int, rng: np.random.Generator, iui: np.ndarray | None = None) -> np.ndarray:
-    """Total interference mean per sample, added into ``iui`` (zeros by default).
-
-    Each interferer sends one fair random bit, so a ring's active count is
-    the popcount of ``count`` random bits, drawn in words of at most 64.
-    The counts add up in the smallest unsigned type that holds ``count``,
-    so they cannot overflow. Words are drawn, and ``cbar * active`` is
-    folded into the total through one reused buffer, ``BLOCK`` samples at
-    a time. A uint64 word is one draw from the stream whatever the block,
-    so the samples equal those of whole-chunk draws; only the temporaries
-    shrink to a block.
-    """
-    if iui is None:
-        iui = np.zeros(size)
-    term = np.empty(min(size, BLOCK))
-    blocks = [slice(lo, lo + BLOCK) for lo in range(0, size, BLOCK)]
-    for cbar, count in rings:
-        active = np.zeros(size, np.min_scalar_type(count))
-        for start in range(0, count, 64):
-            for block in blocks:
-                active[block] += _ones(min(64, count - start), active[block].size, rng)
-        for block in blocks:
-            part = term[: active[block].size]
-            np.multiply(cbar, active[block], out=part)
-            iui[block] += part
-    return iui
-
-
 def _binom_half_pmf(count: int) -> np.ndarray:
     """Binomial(count, 1/2) pmf over 0..count, as multinomial draws take it.
 
@@ -117,8 +78,7 @@ def _binom_half_pmf(count: int) -> np.ndarray:
     where rounding lifts them past 1 (the ln k! of large counts carry
     absolute errors of many ulps), the cells scale down.
     """
-    log_k_factorial = _log_factorials(np.arange(count + 1))
-    pmf = np.exp(log_k_factorial[-1] - log_k_factorial - log_k_factorial[::-1] - count * math.log(2.0))
+    pmf = np.exp(_half_binomial_log_pmf(count))
     return pmf / max(1.0, pmf[:-1].sum())
 
 
@@ -127,43 +87,20 @@ def _tally_tree(values: np.ndarray, tallies: np.ndarray, rings, rng: np.random.G
 
     A leaf is one interference state, with its value (the start value plus
     ``cbar`` times the active count of each ring so far, added in ring
-    order as _draw_iui adds them) and its tally of samples. A ring splits
-    every tally by one multinomial draw over its Binomial(count, 1/2) pmf,
-    and the empty cells are dropped. The split stops before a ring that
-    would make more than min(samples / 10, TREE_CELLS) cells, past which
-    drawing per sample costs less time or memory.
+    order) and its tally of samples. A ring splits every tally by one
+    multinomial draw over its Binomial(count, 1/2) pmf, and the empty cells
+    are dropped. The split stops before a ring that would make more than
+    TREE_CELLS cells, which bounds the tree's memory whatever the sample
+    count; the caller integrates the rings past the stop exactly.
     """
-    limit = min(tallies.sum() / 10, TREE_CELLS)
     for covered, (cbar, count) in enumerate(rings):
-        if tallies.size * (count + 1) > limit:
+        if tallies.size * (count + 1) > TREE_CELLS:
             return values, tallies, covered
         split = rng.multinomial(tallies, _binom_half_pmf(count)).ravel()
         keep = np.flatnonzero(split)
         values = (values[:, None] + cbar * np.arange(count + 1)).ravel()[keep]
         tallies = split[keep]
     return values, tallies, len(rings)
-
-
-def _map_slices(fn, values: np.ndarray, tallies: np.ndarray, seq: np.random.SeedSequence):
-    """Yield fn(values, tallies, start, rng) for each CHUNK-sample slice of the leaf-ordered samples, in order.
-
-    The samples are ``tallies[i]`` copies of leaf i, leaf after leaf. A
-    slice gets the leaves it meets, the tally of each inside it and the
-    index of its first sample; slice i draws from child i of ``seq``, so
-    the results never depend on worker_count().
-    """
-    ends = np.cumsum(tallies)
-    starts = range(0, int(ends[-1]), CHUNK)
-
-    def job(item):
-        start, child = item
-        first = np.searchsorted(ends, start, side="right")
-        last = np.searchsorted(ends, start + CHUNK) + 1
-        leaves = slice(first, last)
-        inside = np.minimum(ends[leaves], start + CHUNK) - np.maximum(ends[leaves] - tallies[leaves], start)
-        return fn(values[leaves], inside, start, np.random.default_rng(child))
-
-    return map_workers(job, zip(starts, seq.spawn(len(starts))))
 
 
 def run(
@@ -181,10 +118,10 @@ def run(
     1/2) and draws each bit class's clipped-count tally as multinomial
     splits, serially and with no sampling chunks, so it takes any finite
     means and a stochastic error count is exactly Binomial(samples, BER).
-    mode="semi-analytic" draws only the interference states, from the
-    tally tree, and averages the exact conditional error probabilities
-    over them, which removes the counting noise; when the tree covers
-    every ring, its leaves are the mixture. The reported stderr is the
+    mode="semi-analytic" draws only the interference states of the rings
+    the tally tree covers and averages the exact conditional error
+    probabilities over them, with the rings past the tree's stop summed
+    exactly, which removes the counting noise. The reported stderr is the
     binomial-scale value sqrt(ber (1 - ber) / samples) in both modes.
     """
     if not (is_integer(samples) and samples >= 1):
@@ -324,43 +261,22 @@ def _run_stochastic(rings, mu_s, mu_n, theta_max, samples, seed):
     return (below_on + false_alarms) / samples, false_alarms / max(n_off, 1), below_on / max(n_on, 1)
 
 
-def _merge(a, b):
-    """Union of two sorted (values, tallies) pairs, adding the tallies of equal values.
-
-    A stable sort of two sorted runs is one linear merge; the tallies of
-    each run of equal values are then summed in place of the run.
-    """
-    values, tallies = (np.concatenate(pair) for pair in zip(a, b))
-    order = np.argsort(values, kind="stable")
-    values, tallies = values[order], tallies[order]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    return values[starts], np.add.reduceat(tallies, starts)
-
-
-def _interference_mixture(rings, samples: int, seed: int):
-    """(values, tallies) of the interference states of ``samples`` iid samples.
-
-    When the tally tree covers every ring, these are its leaves. Otherwise
-    each slice adds the remaining rings per sample and keeps its distinct
-    values, and the slices merge in order into one sorted set.
-    """
-    tree_seq, chunk_seq = np.random.SeedSequence(seed).spawn(2)
-    values, tallies, covered = _tally_tree(np.zeros(1), np.array([samples]), rings, np.random.default_rng(tree_seq))
-    if covered == len(rings):
-        return values, tallies
-    rest = rings[covered:]
-
-    def chunk_values(values, inside, start, rng):
-        return np.unique(_draw_iui(rest, int(inside.sum()), rng, np.repeat(values, inside)), return_counts=True)
-
-    return functools.reduce(_merge, _map_slices(chunk_values, values, tallies, chunk_seq))
-
-
 def _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed):
-    """(ber, p_hat, q_hat) per threshold, exact given the sampled interference."""
-    values, tallies = _interference_mixture(rings, samples, seed)
+    """(ber, p_hat, q_hat) per threshold, exact given the sampled interference.
+
+    The count given the tree's leaves is a Poisson mixture over them; the
+    rings past the stop add a count of exact law, so their log pmf is
+    convolved into both mixtures.
+    """
+    tree_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    values, tallies, covered = _tally_tree(np.zeros(1), np.array([samples]), rings, tree_rng)
     log_weights = np.log(tallies / samples)
-    off = np.exp(_log_mixture(values + mu_n, log_weights, np.arange(theta_max)))
-    on = np.exp(_log_mixture(mu_s + values + mu_n, log_weights, np.arange(theta_max)))
-    p_hat, q_hat = _threshold_curves(theta_max, off, on)
+    counts = np.arange(theta_max)
+    off = _log_mixture(values + mu_n, log_weights, counts)
+    on = _log_mixture(mu_s + values + mu_n, log_weights, counts)
+    if covered < len(rings):
+        # the rings' count pmf, built up from the point mass at 0
+        rest = _add_rings(np.where(counts == 0, 0.0, -math.inf), rings[covered:])
+        off, on = _log_convolve(off, rest), _log_convolve(on, rest)
+    p_hat, q_hat = _threshold_curves(theta_max, np.exp(off), np.exp(on))
     return 0.5 * (p_hat + q_hat), p_hat, q_hat

@@ -368,9 +368,9 @@ class TestValidationCommands:
         ],
     )
     def test_blas_threads_do_not_change_bytes(self, argv):
-        # both commands sum more terms (~1e4 sampled interference values,
-        # or a few hundred count probabilities per output) than OpenBLAS
-        # needs before it splits a dot product across threads
+        # both commands sum more terms (about 13,000 tally-tree leaves at
+        # 200,000 samples, or a few hundred count probabilities per output)
+        # than OpenBLAS needs before it splits a dot product across threads
         src = os.path.dirname(os.path.dirname(os.path.abspath(mc_arelab.__file__)))
         outputs = []
         for threads in ("1", "2"):
@@ -386,7 +386,8 @@ class TestValidationCommands:
         assert outputs[0] == outputs[1]
 
     def test_threads_do_not_change_bytes(self, capsys, monkeypatch):
-        # 250 realizations and 250,000 samples are three sampling chunks each
+        # 250 realizations are three particle chunks; both mc-validate
+        # modes run serially, so the setting must not reach them either
         for args in (
             ("are-sweep", "--c-from", "0.2", "--c-to", "0.5", "--points", "4"),
             ("optimize-radius", "--noise", "10", "--c", "1.0"),

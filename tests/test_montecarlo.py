@@ -13,7 +13,7 @@ from mc_arelab.channel import ChannelSummary, summarize
 from mc_arelab.config import MC_MODES, SystemConfig
 from mc_arelab.detection import IuiSpectrum, _count_pmfs, optimal_threshold
 from mc_arelab.errors import ParameterError
-from mc_arelab.montecarlo import CHUNK, _count_tallies, _draw_iui, _interference_mixture, _tally_tree, run
+from mc_arelab.montecarlo import _count_tallies, _tally_tree, run
 from mc_arelab.perf import error_curves
 from mc_arelab.specfun import _log_factorials
 
@@ -54,9 +54,9 @@ class TestRun:
         assert other.best.ber != default_run.best.ber
 
     def test_thread_count_does_not_change_results(self, monkeypatch, default_summary, default_run):
-        # a ring of 130 draws three words of activity bits per sample
+        # a wide ring, whose pmf takes many cells of every draw
         wide = ChannelSummary(t_m=1.0, mu_s=20.0, cbar=((0.9, 6), (0.04, 130)), mu_n=1.0)
-        # 22 rings, of which the tally tree covers the first few
+        # 22 rings, of which the tally tree covers the first few; the rest are exact
         early = early_stop_summary()
         monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
         serial = run(default_summary, 250_000, seed=1, mode="semi-analytic")
@@ -155,10 +155,9 @@ class TestRun:
         assert ber_failures(semi_analytic_run, ber, theta_opt, 1e-3) == []
         assert semi_analytic_run.best.theta == pytest.approx(theta_opt, abs=1)
 
-    def test_semi_analytic_memory_does_not_grow_with_the_chunk_count(self, monkeypatch, default_summary):
-        # 40 chunks fold into one running tally, so the peak is about one
-        # chunk's draw plus the tally, whatever the sample count
-        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
+    def test_semi_analytic_memory_does_not_grow_with_the_sample_count(self, default_summary):
+        # the tree's leaves are distinct interference states, at most the
+        # 31,213 of the default rings however many samples share them
         tracemalloc.start()
         try:
             run(default_summary, 4_000_000, seed=5, mode="semi-analytic")
@@ -177,8 +176,8 @@ class TestRun:
         samples, theta_max, seed = 30_000, 400, 4
         result = run(summary, samples, theta_max=theta_max, seed=seed, mode="semi-analytic")
 
-        values, tallies = _interference_mixture(summary.cbar, samples, seed)
-        assert tallies.sum() == samples
+        values, tallies, covered = tree_leaves(summary.cbar, samples, seed)
+        assert covered == len(summary.cbar) and tallies.sum() == samples
         assert values.size > 2**15 // theta_max
         assert 0.0 in values
         mixture = IuiSpectrum(values=values, log_weights=np.log(tallies / samples), ring_basis=())
@@ -226,48 +225,28 @@ class TestRun:
 
 
 class TestRingSampling:
-    def test_one_chunk_draws_in_block_sized_temporaries(self, default_summary):
-        # the result and the ring tally are chunk-sized; every other
-        # temporary is one block long
-        rings = default_summary.cbar
-        _draw_iui(rings, CHUNK, np.random.default_rng(3))
-        tracemalloc.start()
-        try:
-            iui = _draw_iui(rings, CHUNK, np.random.default_rng(3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert iui.nbytes == 8 * CHUNK
-        assert peak < iui.nbytes + 0.7e6
-
-    @pytest.mark.parametrize("block", [1000, CHUNK])
-    def test_block_size_does_not_change_the_draws(self, monkeypatch, block):
-        # a multi-word ring, and a size that no block divides
-        rings = [(0.3, 6), (1.7, 130), (0.05, 64)]
-        size = CHUNK - 7
-        expected = _draw_iui(rings, size, np.random.default_rng(8))
-        monkeypatch.setattr(montecarlo, "BLOCK", block)
-        assert _draw_iui(rings, size, np.random.default_rng(8)).tobytes() == expected.tobytes()
+    # a ring's active count is drawn by one split of the tally tree
+    @staticmethod
+    def active_counts(count, n, seed):
+        """Tallies of the active count 0..count of one ring, over ``n`` samples."""
+        values, tallies, covered = _tally_tree(np.zeros(1), np.array([n]), [(1.0, count)], np.random.default_rng(seed))
+        assert covered == 1 and tallies.sum() == n
+        active = values.astype(np.int64)
+        assert (active == values).all() and active.min() >= 0 and active.max() <= count
+        return np.bincount(active, weights=tallies, minlength=count + 1)
 
     def test_binomial_ring_equals_bernoulli_sum(self):
+        # against the sum of 6 fair bits per sample, drawn one by one
         n = 100_000
-        ring = _draw_iui([(1.0, 6)], n, np.random.default_rng(21)).astype(int)
         bits = np.random.default_rng(22).integers(0, 2, size=(n, 6)).sum(axis=1)
-        table = np.array(
-            [np.bincount(ring, minlength=7), np.bincount(bits, minlength=7)]
-        )
+        table = np.array([self.active_counts(6, n, 21), np.bincount(bits, minlength=7)])
         _, p_value, _, _ = stats.chi2_contingency(table)
         assert p_value > 0.01
 
-    # one partial word, a full 64-bit word, one bit past it, several words,
-    # a ring that needs a 16-bit tally, and one whose active counts pass
-    # 255, where an 8-bit tally would wrap
+    # from one member to rings whose pmfs span hundreds of cells
     @pytest.mark.parametrize("count", [1, 6, 63, 64, 65, 130, 300, 600])
     def test_active_count_is_binomial_half(self, count):
-        n = 50_000
-        active = _draw_iui([(1.0, count)], n, np.random.default_rng(count)).astype(int)
-        assert active.min() >= 0 and active.max() <= count
-        assert binomial_half_p_value(np.bincount(active, minlength=count + 1)) > 0.001
+        assert binomial_half_p_value(self.active_counts(count, 50_000, count)) > 0.001
 
 
 def binomial_half_p_value(observed):
@@ -302,6 +281,12 @@ def early_stop_summary():
     return summarize(config.params(), config.geometry(), config.layout())
 
 
+def tree_leaves(rings, samples, seed):
+    """(values, tallies, covered): the tally tree of a semi-analytic run, on its own substream."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return _tally_tree(np.zeros(1), np.array([samples]), rings, rng)
+
+
 class TestTallyTree:
     @pytest.mark.parametrize("count", [1, 12, 130, 2000])
     def test_binomial_pmf(self, count):
@@ -333,9 +318,10 @@ class TestTallyTree:
             assert active.max() <= count
             assert binomial_half_p_value(np.bincount(active, weights=tallies, minlength=count + 1)) > 0.001
 
-    def test_stops_before_a_ring_past_its_cell_budget(self):
-        # 100 samples allow 10 cells: two leaves of a 6-member ring make 14,
-        # one leaf makes 7, and the several leaves it splits into then make 14 or more
+    def test_stops_before_a_ring_past_its_cell_budget(self, monkeypatch):
+        # a budget of 10 cells: two leaves of a 6-member ring make 14, one
+        # leaf makes 7, and the several leaves it splits into then make 14 or more
+        monkeypatch.setattr(montecarlo, "TREE_CELLS", 10)
         n = 100
         rings = [(1.0, 6), (0.5, 6), (0.25, 6)]
         values, tallies, covered = _tally_tree(np.zeros(2), np.array([40, 60]), rings, np.random.default_rng(1))
@@ -352,36 +338,50 @@ class TestTallyTree:
 
     @pytest.mark.parametrize("samples", [SystemConfig().mc_samples, 4_000_000])
     def test_default_semi_analytic_run_neither_sorts_nor_merges(self, monkeypatch, default_summary, samples):
+        # the tree covers every default ring, so no exact ring merges into
+        # the leaves' mixture and no value is sorted
         def forbidden(*args, **kwargs):
             raise AssertionError("called")
 
         expected = run(default_summary, samples, seed=3, mode="semi-analytic")
-        monkeypatch.setattr(montecarlo, "_merge", forbidden)
+        monkeypatch.setattr(montecarlo, "_log_convolve", forbidden)
         monkeypatch.setattr(montecarlo.np, "unique", forbidden)
+        monkeypatch.setattr(montecarlo.np, "argsort", forbidden)
         assert run(default_summary, samples, seed=3, mode="semi-analytic") == expected
 
-    def test_early_stop_mixture_agrees_in_law_with_per_sample_draws(self):
+    def test_a_tree_of_no_ring_gives_the_analytic_curves(self, monkeypatch, default_summary):
+        # with every ring exact, the mixture is the one count pmf of the
+        # analytic path, up to rounding, whatever the seed
+        monkeypatch.setattr(montecarlo, "TREE_CELLS", 1)
+        result = run(default_summary, 1000, seed=3, mode="semi-analytic")
+        p, q = error_curves(100, default_summary.mu_s, default_summary.cbar, default_summary.mu_n)
+        np.testing.assert_allclose([row.p_hat for row in result.per_threshold_ber], p, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose([row.q_hat for row in result.per_threshold_ber], q, rtol=0.0, atol=1e-12)
+
+    def test_early_stop_curves_match_analytic_curve(self):
+        # family-wise false-failure probability 1e-3, and a 1% error in the
+        # reference curve fails both checks
         summary = early_stop_summary()
-        samples = 200_000
-        _, _, covered = _tally_tree(np.zeros(1), np.array([samples]), summary.cbar, np.random.default_rng(0))
+        samples, seed = 4_000_000, 3
+        _, _, covered = tree_leaves(summary.cbar, samples, seed)
         assert 0 < covered < len(summary.cbar)
-        values, tallies = _interference_mixture(summary.cbar, samples, 9)
-        assert tallies.sum() == samples
-        assert (np.diff(values) > 0).all()
-        draws = _draw_iui(summary.cbar, samples, np.random.default_rng(10))
-        # 20 bins at the per-sample draws' quantiles; a bin edge shared by
-        # equal quantiles is kept once
-        edges = np.unique(np.quantile(draws, np.linspace(0.0, 1.0, 21)[1:-1]))
-        table = np.array(
-            [
-                np.bincount(np.searchsorted(edges, values, side="right"), weights=tallies, minlength=edges.size + 1),
-                np.bincount(np.searchsorted(edges, draws, side="right"), minlength=edges.size + 1),
-            ]
-        )
-        assert table.min() >= 5
-        _, p_value, _, _ = stats.chi2_contingency(table)
-        assert p_value > 0.001
-        assert values @ tallies / samples == pytest.approx(draws.mean(), rel=0.01)
+        result = run(summary, samples, seed=seed, mode="semi-analytic")
+        ber, theta_opt = analytic_ber(summary, result)
+        assert ber_failures(result, ber, theta_opt, 1e-3) == []
+        for scale in (0.99, 1.01):
+            assert len(ber_failures(result, scale * ber, theta_opt, 1e-3)) == 2
+
+    def test_early_stop_memory_stays_within_the_tree_budget(self):
+        # the tree holds at most TREE_CELLS cells, and the rings past it are
+        # pmfs over theta_max counts, whatever the sample count
+        summary = early_stop_summary()
+        tracemalloc.start()
+        try:
+            run(summary, 4_000_000, seed=3, mode="semi-analytic")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestClippedPoisson:
