@@ -6,10 +6,11 @@ Interferers at equal distance are statistically identical, so every
 likelihood comes from the ring basis, one (mean, count) pair per ring:
 the exact count distribution is the convolution of Poisson noise, one
 Binomial(count, 1/2)-mixed Poisson pmf per ring and, for a 1-bit, the
-signal pmf, carried in log space. It gives the optimal threshold, the ML
-decision, the threshold set (the counts where that decision flips) and,
-in perf, the error curves. collapse_iui, one atom per multiplicity tuple
-across rings, is the paper's interference spectrum; no decision reads it.
+signal pmf, carried in log space and built once per configuration
+(_CountDistribution). It gives the optimal threshold, the ML decision,
+the threshold set (the counts where that decision flips) and, in perf,
+the error curves. collapse_iui, one atom per multiplicity tuple across
+rings, is the paper's interference spectrum; no decision reads it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, SearchError, check_elements, is_finite_real, is_integer
-from .specfun import _CHUNK, _log_factorials, _log_poisson_pmf, _log_sum_exp
+from .specfun import _CHUNK, _chernoff_support, _log_factorials, _log_poisson_pmf, _log_sum_exp
 
 __all__ = [
     "DetectorSpec",
@@ -189,23 +190,6 @@ def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _count_pmfs(mu_s: float, ring_basis, mu_n: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """ln P(r | bit 0) and ln P(r | bit 1) for r = 0..n-1 (n >= 1).
-
-    The received count is Poisson(mu_n) noise, plus per merged ring of
-    ``count`` interferers with mean ``cbar`` a Poisson(k cbar) term with
-    k ~ Binomial(count, 1/2), plus Poisson(mu_s) when the bit is 1. The
-    terms are independent, so the pmf is the convolution of one pmf per
-    term, carried in log space: no entry underflows, and an entry is -inf
-    only where the count has no mass. A longer build gives the same
-    first n entries in value, but not bit for bit: each convolution output
-    sums a window whose length follows n, so its rounding moves with n.
-    """
-    off = _add_rings(_log_poisson_pmf(np.float64(mu_n), np.arange(n)), ring_basis)
-    on = _log_convolve(off, _log_poisson_pmf(np.float64(mu_s), np.arange(n)))
-    return off, on
-
-
 def _add_rings(log_pmf: np.ndarray, ring_basis) -> np.ndarray:
     """``log_pmf`` convolved with one Binomial(count, 1/2)-mixed Poisson(k cbar) log pmf per merged ring."""
     n = log_pmf.size
@@ -213,6 +197,20 @@ def _add_rings(log_pmf: np.ndarray, ring_basis) -> np.ndarray:
         ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), np.arange(n))
         log_pmf = _log_convolve(log_pmf, ring)
     return log_pmf
+
+
+def _threshold_curves(theta_max: int, off: np.ndarray, on: np.ndarray):
+    """(p_curve, q_curve) of the rule [r >= theta] for theta = 0..theta_max.
+
+    The mass below theta is the running sum of ``off`` and ``on``, P(r | bit 0)
+    and P(r | bit 1) from r = 0, held past their end.
+    """
+
+    def below(pmf: np.ndarray) -> np.ndarray:
+        head = pmf[:theta_max]
+        return np.cumsum(np.concatenate(([0.0], head, np.zeros(theta_max - head.size))))
+
+    return np.clip(1.0 - below(off), 0.0, 1.0), np.clip(below(on), 0.0, 1.0)
 
 
 def _check_means(mu_s: float, mu_n: float) -> None:
@@ -230,15 +228,15 @@ def _check_cbar_sum(cbar_sum: float) -> None:
 def ml_decide(r: int, mu_s: float, ring_basis, mu_n: float) -> int:
     """Maximum-likelihood bit decision for a count r: 1 where P(r | 1) >= P(r | 0).
 
-    P(0 | 1) = e^-mu_s P(0 | 0) < P(0 | 0), so r = 0 decides 0 even where
-    rounding ties the two log pmfs.
+    It reads the decisions threshold_set reads (see _CountDistribution), so
+    the two agree at every r; any r past the flip bound + 1 decides 1. It
+    answers at any r where that bound can be indexed, and raises the
+    ParameterError naming mu_s and mu_n wherever threshold_set raises.
     """
     if not is_integer(r) or r < 0:
         raise ParameterError(f"r must be a nonnegative integer, got {r!r}")
-    _check_means(mu_s, mu_n)
-    check_elements(int(r) + 1, f"r = {r!r}")
-    off, on = _count_pmfs(mu_s, ring_basis, mu_n, int(r) + 1)
-    return 1 if r > 0 and on[-1] >= off[-1] else 0
+    counts = _CountDistribution(mu_s, ring_basis, mu_n)
+    return 1 if r > counts.bound + 1 else int(counts.decisions[r])
 
 
 def _crossing(mu_s: float, lam: float) -> float:
@@ -255,7 +253,11 @@ def _crossing(mu_s: float, lam: float) -> float:
 
 
 class _CountDistribution:
-    """The received-count distribution of one configuration, built once to the flip bound.
+    """The received-count law of one configuration: the only build of the count pmfs.
+
+    ``off`` and ``on``, ln P(r | bit 0) and ln P(r | bit 1) for r = 0..n-1,
+    convolve the log pmfs of Poisson(mu_n) noise, of each merged ring's
+    Binomial(count, 1/2)-mixed Poisson and, in ``on``, of Poisson(mu_s).
 
     ``bound`` is ceil(phi*), with phi* the crossing at the all-active mean
     lam_max = mu_n + cbar_sum. At count r, the Poisson(x + mu_s) pmf over
@@ -264,35 +266,48 @@ class _CountDistribution:
     interference atom x lies at or below lam_max, so past phi*
     P(r | 1) >= P(r | 0): the optimal threshold and every count of the
     threshold set are at most ceil(phi*). So is the suboptimal threshold,
-    the crossing at cbar_sum / 2 + mu_n. ``off`` and ``on``, ln P(r | bit 0)
-    and ln P(r | bit 1) for r = 0..bound + 2, answer all of these questions.
+    the crossing at cbar_sum / 2 + mu_n. ``decisions`` holds the ML
+    decision at r = 0..bound + 1, ``flips`` the counts where it changes.
+
+    n = max(bound + 2, min(theta_max, support)): theta_max is 0 unless a
+    reader asks for error curves, and R >= support has mass under e^-40 by
+    the Chernoff bound on Poisson(mu_n + cbar_sum + mu_s), which dominates
+    R. perf reads ``curves``, which hold their last value past the build.
+    Each convolution output sums a window whose length follows n, so an
+    entry's last bits move with n.
     """
 
-    def __init__(self, mu_s: float, ring_basis, mu_n: float) -> None:
+    def __init__(self, mu_s: float, ring_basis, mu_n: float, theta_max: int = 0) -> None:
         _check_means(mu_s, mu_n)
+        self.mu_s, self.mu_n = mu_s, mu_n
         merged = _merge_rings(ring_basis)
         self.cbar_sum = math.fsum(cbar * count for cbar, count in merged)
         lam_max = mu_n + self.cbar_sum
         self.bound = math.ceil(_crossing(mu_s, lam_max)) if lam_max > 0 else 0
-        check_elements(self.bound + 3, f"the count pmf to the flip bound of mu_s = {mu_s!r} and mu_n = {mu_n!r}")
-        self.off, self.on = _count_pmfs(mu_s, merged, mu_n, self.bound + 3)
+        check_elements(self.bound + 2, f"the count pmf to the flip bound of mu_s = {mu_s!r} and mu_n = {mu_n!r}")
+        n = max(self.bound + 2, min(theta_max, _chernoff_support(lam_max + mu_s, 40.0)))
+        self.off = _add_rings(_log_poisson_pmf(np.float64(mu_n), np.arange(n)), merged)
+        self.on = _log_convolve(self.off, _log_poisson_pmf(np.float64(mu_s), np.arange(n)))
+        self.decisions = self.on[: self.bound + 2] >= self.off[: self.bound + 2]
+        # P(0 | 1) = e^-mu_s P(0 | 0), so r = 0 decides 0 even where rounding ties its log pmfs
+        self.decisions[0] = False
+        self.flips = (np.flatnonzero(self.decisions[1:] != self.decisions[:-1]) + 1).tolist()
 
-    def threshold_set(self) -> list[int]:
-        """The counts r >= 1 whose ML decision, P(r | 1) >= P(r | 0), differs from the one at r - 1.
-
-        The decisions are read at r = 0..bound + 1. r = 0 decides 0 (see
-        ml_decide), even where rounding ties its log pmfs.
-        """
-        decide = self.on[: self.bound + 2] >= self.off[: self.bound + 2]
-        decide[0] = False
-        return (np.flatnonzero(decide[1:] != decide[:-1]) + 1).tolist()
-
-    def theta_opt(self) -> int:
-        """The first count of the threshold set: the first r >= 1 with P(r | 1) >= P(r | 0)."""
-        flips = self.threshold_set()
-        if not flips:
+    def spec(self) -> DetectorSpec:
+        """Both thresholds (theta_opt the first flip), the threshold-set size and the worst-case SINR."""
+        if not self.flips:
             raise SearchError(f"no count up to {self.bound + 1} flips the likelihood ratio, past the bound {self.bound}")
-        return flips[0]
+        return DetectorSpec(
+            theta_opt=self.flips[0],
+            theta_sub=suboptimal_threshold(self.mu_s, self.cbar_sum, self.mu_n).theta,
+            threshold_set_size=len(self.flips),
+            sinr_worst=sinr_worst(self.mu_s, self.cbar_sum),
+            cbar_sum=self.cbar_sum,
+        )
+
+    def curves(self, theta_max: int):
+        """(p_curve, q_curve) of the rule [r >= theta] for theta = 0..theta_max (see _threshold_curves)."""
+        return _threshold_curves(theta_max, np.exp(self.off), np.exp(self.on))
 
 
 def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
@@ -302,7 +317,7 @@ def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:
     distribution of the (cbar, count) ring basis, read up to one count
     past the bound of _CountDistribution.
     """
-    return _CountDistribution(mu_s, ring_basis, mu_n).theta_opt()
+    return characterize(mu_s, ring_basis, mu_n).theta_opt
 
 
 def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
@@ -322,7 +337,7 @@ def threshold_set(mu_s: float, ring_basis, mu_n: float) -> list[int]:
     (for example mu_s = 0.10370409686981134, mu_n = 14.948207698960324 gives
     [15] for the root 15.0000000000000068).
     """
-    return _CountDistribution(mu_s, ring_basis, mu_n).threshold_set()
+    return _CountDistribution(mu_s, ring_basis, mu_n).flips
 
 
 def suboptimal_threshold(mu_s: float, cbar_sum: float, mu_n: float) -> SuboptimalThreshold:
@@ -348,11 +363,4 @@ def sinr_worst(mu_s: float, cbar_sum: float) -> float:
 
 def characterize(mu_s: float, ring_basis, mu_n: float) -> DetectorSpec:
     """Bundle the per-configuration detector quantities the CLI reports, from one count distribution."""
-    counts = _CountDistribution(mu_s, ring_basis, mu_n)
-    return DetectorSpec(
-        theta_opt=counts.theta_opt(),
-        theta_sub=suboptimal_threshold(mu_s, counts.cbar_sum, mu_n).theta,
-        threshold_set_size=len(counts.threshold_set()),
-        sinr_worst=sinr_worst(mu_s, counts.cbar_sum),
-        cbar_sum=counts.cbar_sum,
-    )
+    return _CountDistribution(mu_s, ring_basis, mu_n).spec()

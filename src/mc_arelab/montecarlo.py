@@ -37,10 +37,9 @@ import numpy as np
 
 from .channel import ChannelSummary
 from .config import MC_MODES
-from .detection import _add_rings, _half_binomial_log_pmf, _log_convolve, _log_mixture
+from .detection import _add_rings, _half_binomial_log_pmf, _log_convolve, _log_mixture, _threshold_curves
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
-from .perf import _threshold_curves
-from .specfun import _log_factorials, _log_poisson_pmf
+from .specfun import _chernoff_support, _log_factorials, _log_poisson_pmf
 
 __all__ = ["McResult", "ThresholdBer", "run"]
 
@@ -174,18 +173,17 @@ def _clipped_poisson(lam: float, log_norm: np.ndarray) -> tuple[int, np.ndarray]
 
     ``log_norm`` is ln r! for r = 0..theta_max. By the Chernoff bound
     P(N = r) <= exp(-lam h(r / lam - 1)), h(u) = (1 + u) ln(1 + u) - u >=
-    u^2 / 2 (u <= 0) or u^2 / (2 + 2u / 3) (u >= 0), the pmf is under e^-N,
-    N = UNDERFLOW_NATS, and rounds to 0 more than sqrt(2 N lam) below the
-    mean or N / 3 + sqrt(N^2 / 9 + 2 N lam) above it; only the cells in
-    between are formed. Cells past theta_max fold into the clip cell.
+    u^2 / 2 (u <= 0), the pmf is under e^-N, N = UNDERFLOW_NATS, and rounds
+    to 0 more than sqrt(2 N lam) below the mean or past
+    specfun._chernoff_support(lam, N); only the cells in between are formed.
+    Cells past theta_max fold into the clip cell.
     """
     theta_max = log_norm.size - 1
     below = lam - math.sqrt(2.0 * UNDERFLOW_NATS) * math.sqrt(lam)
     if not below <= theta_max:
         return theta_max, np.ones(1)
     lo = max(0, math.floor(below))
-    third = UNDERFLOW_NATS / 3.0
-    hi = math.ceil(lam + third + math.sqrt(third * third + 2.0 * UNDERFLOW_NATS * lam))
+    hi = _chernoff_support(lam, UNDERFLOW_NATS)
     norm = log_norm[lo : hi + 1]
     if hi > theta_max:
         norm = np.concatenate((norm, _log_factorials(np.arange(theta_max + 1, hi + 1))))

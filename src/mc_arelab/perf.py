@@ -5,8 +5,9 @@ noise mean, and the tail estimate behind the truncation warning) come
 from channel.summarize; this module turns them into error probabilities,
 mutual information, and area rate efficiency, and drives parameter
 sweeps over those numbers. The error probabilities of the threshold
-rule are cumulative sums of the exact count distribution, built from
-the ring basis without enumerating interference atoms.
+rule are cumulative sums of the exact count distribution, built once
+per configuration by detection._CountDistribution from the ring basis,
+without enumerating interference atoms.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import summarize
 from .config import SystemConfig, map_workers
-from .detection import _check_means, _count_pmfs, _CountDistribution, sinr_worst, suboptimal_threshold
+from .detection import _CountDistribution
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
 
 __all__ = [
@@ -80,32 +79,18 @@ class PerfReport:
     cell_area: float
 
 
-def _threshold_curves(theta_max: int, off: np.ndarray, on: np.ndarray):
-    """(p_curve, q_curve) of the rule [r >= theta] for theta = 0..theta_max.
-
-    ``off`` and ``on`` hold P(r | bit 0) and P(r | bit 1) for at least
-    r = 0..theta_max-1; the mass below theta is their running sum.
-    """
-
-    def below(pmf: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(pmf[:theta_max])))
-
-    return np.clip(1.0 - below(off), 0.0, 1.0), np.clip(below(on), 0.0, 1.0)
-
-
 def error_curves(theta_max: int, mu_s: float, ring_basis, mu_n: float):
     """Error probabilities of the rule [r >= theta] for theta = 0..theta_max.
 
     Returns (p_curve, q_curve): p_curve[t] = P(r >= t | bit 0) and
     q_curve[t] = P(r < t | bit 1), cumulative sums of the count pmfs of
-    the (cbar, count) ring basis.
+    the (cbar, count) ring basis, built no further than the law's support
+    (see _CountDistribution), so the cost past it is linear in theta_max.
     """
     if not (is_integer(theta_max) and theta_max >= 0):
         raise ParameterError(f"theta_max must be a nonnegative integer, got {theta_max!r}")
     check_elements(int(theta_max) + 1, f"theta_max = {theta_max!r}")
-    _check_means(mu_s, mu_n)
-    off, on = _count_pmfs(mu_s, ring_basis, mu_n, max(int(theta_max), 1))
-    return _threshold_curves(int(theta_max), np.exp(off), np.exp(on))
+    return _CountDistribution(mu_s, ring_basis, mu_n, int(theta_max)).curves(int(theta_max))
 
 
 def error_probs(theta: int, mu_s: float, ring_basis, mu_n: float) -> ErrorPair:
@@ -151,31 +136,30 @@ def evaluate(config: SystemConfig) -> PerfReport:
         search_horizon=config.horizon,
     )
     counts = _CountDistribution(summary.mu_s, summary.cbar, summary.mu_n)
-    theta_opt = counts.theta_opt()
-    sub = suboptimal_threshold(summary.mu_s, summary.cbar_sum, summary.mu_n)
-    theta_used = theta_opt if config.threshold_mode == "optimal" else sub.theta
+    spec = counts.spec()
+    theta_used = spec.theta_opt if config.threshold_mode == "optimal" else spec.theta_sub
 
     # either threshold is at most counts.bound + 1, so the pmfs cover it
-    p_curve, q_curve = _threshold_curves(theta_used, np.exp(counts.off), np.exp(counts.on))
+    p_curve, q_curve = counts.curves(theta_used)
     errors = ErrorPair(p=float(p_curve[theta_used]), q=float(q_curve[theta_used]))
     ber = 0.5 * (errors.p + errors.q)
     rate = link_rate(errors)
     area = config.cell_area
     srate = spatial_rate(area)
 
-    modeled = summary.mu_s + summary.cbar_sum
+    modeled = summary.mu_s + spec.cbar_sum
     warn = bool(summary.tail_mean > TRUNCATION_WARN_FRACTION * modeled) if modeled > 0 else False
 
     return PerfReport(
         theta_used=theta_used,
-        theta_opt=theta_opt,
-        theta_sub=sub.theta,
+        theta_opt=spec.theta_opt,
+        theta_sub=spec.theta_sub,
         errors=errors,
         ber=ber,
         link_rate=rate,
         spatial_rate=srate,
         are=rate * srate,
-        sinr_worst=sinr_worst(summary.mu_s, summary.cbar_sum),
+        sinr_worst=spec.sinr_worst,
         truncation_warning=warn,
         cell_pitch=config.pitch,
         cell_area=area,

@@ -85,6 +85,15 @@ def _log_poisson_pmf(
     return out
 
 
+def _chernoff_support(lam: float, nats: float) -> int:
+    """A count r with P(N >= r) <= e^-nats for N ~ Poisson(lam).
+
+    Chernoff: P(N >= r) <= exp(-lam h(r / lam - 1)), h(u) = (1 + u) ln(1 + u) - u >= u^2 / (2 + 2u / 3).
+    """
+    third = nats / 3.0
+    return math.ceil(lam + third + math.sqrt(third * third + 2.0 * nats * lam))
+
+
 def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
     """ln sum exp along one axis, -inf where no term is finite; overwrites ``terms``."""
     top = terms.max(axis=axis, keepdims=True)

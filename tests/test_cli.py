@@ -233,6 +233,19 @@ class TestAnalysisCommands:
             assert float(q) == pytest.approx(pair.q, abs=1e-12)
             assert float(ber) == pytest.approx(0.5 * (pair.p + pair.q), abs=1e-12)
 
+    def test_wide_ber_sweep_builds_no_further_than_the_support(self, count_builds, tmp_path):
+        # past the law's support the curves hold their last value, so the
+        # pmfs stop there whatever --theta-max asks for
+        out = tmp_path / "wide.csv"
+        assert main(["ber-sweep", "--theta-max", "50000", "--out", str(out)]) == 0
+        cfg = SystemConfig()
+        summary = summarize(cfg.params(), cfg.geometry(), cfg.layout())
+        lam = summary.mu_n + summary.cbar_sum + summary.mu_s
+        support = math.ceil(lam + 40.0 / 3.0 + math.sqrt(40.0**2 / 9.0 + 2.0 * 40.0 * lam))
+        assert len(count_builds) == 1
+        assert count_builds[0] <= support
+        assert len(data_lines(out.read_text())) == 1 + 50_001
+
     def test_are_sweep_axis_and_columns(self, capsys):
         _, out, _ = run_cli(
             capsys, "are-sweep", "--c-from", "0.2", "--c-to", "0.8", "--points", "5"

@@ -13,7 +13,6 @@ from mc_arelab.config import SystemConfig
 from mc_arelab.detection import (
     DetectorSpec,
     IuiSpectrum,
-    _count_pmfs as count_pmfs,
     _log_mixture as log_mixture,
     _CountDistribution,
     characterize,
@@ -197,8 +196,20 @@ class TestMlDecide:
             ml_decide(1.5, 5.0, [], 0.0)
 
     def test_count_past_the_array_limit(self):
-        with pytest.raises(ParameterError, match=f"r = {10**30} needs"):
-            ml_decide(10**30, 5.0, [], 0.0)
+        # every count past the flip bound + 1 decides 1, with no pmf out to it
+        assert ml_decide(10**30, 5.0, [], 0.0) == 1
+
+    def test_agrees_with_the_threshold_set_at_every_count(self):
+        # ML decides 1 at r when an odd number of flips lie at or below r
+        rng = np.random.default_rng(3)
+        for _ in range(12):
+            mu_s, sp, mu_n = random_detection_setup(rng)
+            flips = threshold_set(mu_s, sp.ring_basis, mu_n)
+            bound = _CountDistribution(mu_s, sp.ring_basis, mu_n).bound
+            for r in range(bound + 2):
+                assert ml_decide(r, mu_s, sp.ring_basis, mu_n) == sum(f <= r for f in flips) % 2
+            for r in (bound + 2, bound + 3, 10 * bound + 50, 10**30):
+                assert ml_decide(r, mu_s, sp.ring_basis, mu_n) == 1
 
     @pytest.mark.parametrize("mu_s", [1e-16, 1e-300])
     @pytest.mark.parametrize("basis, mu_n", [([], 1.0), ([(1.0, 6)], 0.0)])
@@ -397,23 +408,16 @@ class TestCharacterize:
         assert spec.sinr_worst == pytest.approx(summary.mu_s / summary.cbar_sum)
         assert spec.cbar_sum == pytest.approx(summary.cbar_sum, rel=1e-15)
 
-    def test_pmfs_stop_at_the_bound(self, monkeypatch):
+    def test_pmfs_stop_at_the_bound(self, count_builds):
         # detect --nmol 1000: one crossing near 145, where a count range
         # sized by the all-active mean would run to about 2,960 counts
         config = SystemConfig(n_mol=1000)
         summary = summarize(config.params(), config.geometry(), config.layout())
         lam_max = summary.mu_n + math.fsum(cbar * count for cbar, count in summary.cbar)
         bound = math.ceil(summary.mu_s / math.log1p(summary.mu_s / lam_max))
-        lengths = []
-
-        def recording(mu_s, ring_basis, mu_n, n):
-            lengths.append(n)
-            return count_pmfs(mu_s, ring_basis, mu_n, n)
-
-        monkeypatch.setattr("mc_arelab.detection._count_pmfs", recording)
         spec = characterize(summary.mu_s, summary.cbar, summary.mu_n)
-        assert max(lengths) <= bound + 3
-        assert len(lengths) == 1
+        assert len(count_builds) == 1
+        assert count_builds[0] <= bound + 2
         assert spec.threshold_set_size == 1
         assert spec.theta_opt <= bound
 

@@ -11,7 +11,7 @@ from scipy import stats
 from mc_arelab import montecarlo
 from mc_arelab.channel import ChannelSummary, summarize
 from mc_arelab.config import MC_MODES, SystemConfig
-from mc_arelab.detection import IuiSpectrum, _count_pmfs, optimal_threshold
+from mc_arelab.detection import IuiSpectrum, _CountDistribution, optimal_threshold
 from mc_arelab.errors import ParameterError
 from mc_arelab.montecarlo import _count_tallies, _tally_tree, run
 from mc_arelab.perf import error_curves
@@ -269,10 +269,13 @@ def chi_square_p_value(observed, pmf):
     return p_value
 
 
-def clipped_count_pmfs(summary, theta_max):
+def clipped_count_law(summary, theta_max):
     """Rows b = 0, 1: P(r | b) for r < theta_max, then P(r >= theta_max | b), from the exact count pmfs."""
-    log_pmfs = _count_pmfs(summary.mu_s, summary.cbar, summary.mu_n, theta_max)
-    pmfs = np.exp(np.array(log_pmfs))
+    counts = _CountDistribution(summary.mu_s, summary.cbar, summary.mu_n, theta_max)
+    # the build may stop short of theta_max, at the support, or run past it, to the flip bound
+    pmfs = np.zeros((2, theta_max))
+    head = np.exp([counts.off[:theta_max], counts.on[:theta_max]])
+    pmfs[:, : head.shape[1]] = head
     return np.column_stack([pmfs, np.maximum(1.0 - pmfs.sum(axis=1), 0.0)])
 
 
@@ -432,7 +435,7 @@ class TestCountTallies:
         """Chi-square p-values of each class's tallies, drawn with ``rings``, against the law of ``summary``."""
         hist = _count_tallies(rings, summary.mu_s, summary.mu_n, theta_max, self.SAMPLES, np.random.default_rng(seed))
         assert hist.shape == (2, theta_max + 1) and hist.sum() == self.SAMPLES
-        return [chi_square_p_value(h, pmf) for h, pmf in zip(hist, clipped_count_pmfs(summary, theta_max))], hist
+        return [chi_square_p_value(h, pmf) for h, pmf in zip(hist, clipped_count_law(summary, theta_max))], hist
 
     @pytest.mark.parametrize(
         "name", ["defaults", "wide ring", "ring past the underflow", "loud noise", "clip below the bulk"]

@@ -9,10 +9,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from mc_arelab import detection, perf
 from mc_arelab.channel import summarize
 from mc_arelab.config import SystemConfig
-from mc_arelab.detection import collapse_iui
+from mc_arelab.detection import _add_rings, _log_convolve, collapse_iui
 from mc_arelab.errors import ConfigError, ParameterError, SearchError
 from mc_arelab.perf import (
     TRUNCATION_WARN_FRACTION,
@@ -25,6 +24,7 @@ from mc_arelab.perf import (
     spatial_rate,
     sweep,
 )
+from mc_arelab.specfun import _log_poisson_pmf
 
 from oracles import neglected_tail
 
@@ -81,6 +81,32 @@ class TestErrorProbs:
         for theta in range(21):
             pair = error_probs(theta, 8.0, basis, 0.5)
             assert curve[theta] == pytest.approx(0.5 * (pair.p + pair.q), abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "config, theta_max",
+        [(SystemConfig(), 2000), (SystemConfig(n_mol=1000, c=0.395), 3000)],
+        ids=["defaults", "n_mol 1000, c 0.395"],
+    )
+    def test_curves_past_the_support_match_a_full_build(self, config, theta_max):
+        # the curves hold their last value past the law's support; a build
+        # to theta_max counts moves them by at most the dropped mass, e^-40
+        summary = summarize(config.params(), config.geometry(), config.layout())
+        counts = np.arange(theta_max)
+        off = _add_rings(_log_poisson_pmf(np.float64(summary.mu_n), counts), summary.cbar)
+        on = _log_convolve(off, _log_poisson_pmf(np.float64(summary.mu_s), counts))
+        below_off, below_on = (np.concatenate(([0.0], np.cumsum(np.exp(pmf)))) for pmf in (off, on))
+        p, q = error_curves(theta_max, summary.mu_s, summary.cbar, summary.mu_n)
+        np.testing.assert_allclose(p, np.clip(1.0 - below_off, 0.0, 1.0), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(q, np.clip(below_on, 0.0, 1.0), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("threshold_mode", ["optimal", "suboptimal"])
+    @pytest.mark.parametrize("c", [0.2, 0.395])
+    def test_single_threshold_matches_evaluate_bit_for_bit(self, threshold_mode, c):
+        # both read one build of the same length, so no rounding separates them
+        config = SystemConfig(c=c, threshold_mode=threshold_mode)
+        summary = summarize(config.params(), config.geometry(), config.layout())
+        report = evaluate(config)
+        assert error_probs(report.theta_used, summary.mu_s, summary.cbar, summary.mu_n) == report.errors
 
     def test_rejects_bad_theta(self):
         with pytest.raises(ParameterError):
@@ -166,24 +192,15 @@ class TestEvaluate:
         assert not report.truncation_warning
 
     @pytest.mark.parametrize("threshold_mode", ["optimal", "suboptimal"])
-    def test_one_count_distribution_to_the_flip_bound(self, monkeypatch, threshold_mode):
+    def test_one_count_distribution_to_the_flip_bound(self, count_builds, threshold_mode):
         # theta_opt and both error probabilities come from one pmf build
         config = SystemConfig(n_mol=1000, threshold_mode=threshold_mode)
         summary = summarize(config.params(), config.geometry(), config.layout())
         lam_max = summary.mu_n + summary.cbar_sum
         bound = math.ceil(summary.mu_s / math.log1p(summary.mu_s / lam_max))
-        lengths = []
-        build = detection._count_pmfs
-
-        def recording(mu_s, ring_basis, mu_n, n):
-            lengths.append(n)
-            return build(mu_s, ring_basis, mu_n, n)
-
-        for module in (detection, perf):
-            monkeypatch.setattr(module, "_count_pmfs", recording)
         report = evaluate(config)
-        assert len(lengths) == 1
-        assert lengths[0] <= bound + 3
+        assert len(count_builds) == 1
+        assert count_builds[0] <= bound + 2
         assert report.theta_used == (report.theta_opt if threshold_mode == "optimal" else report.theta_sub)
 
     def test_suboptimal_mode_uses_closed_form_threshold(self):
