@@ -159,9 +159,12 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
     params, geom = cfg.params(), cfg.geometry()
     times = _record_times(cfg, cfg.horizon, "horizon")
     distances = np.array([layout.sites[i].radial_distance for i in indices])
-    values = cir(times[:, None], distances, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
+    # one cir column per distinct distance: the sites of a ring share it, and
+    # each element of cir is computed on its own, so the bytes do not change
+    distinct, column = np.unique(distances, return_inverse=True)
+    values = cir(times[:, None], distinct, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
     columns = ["t_s"] + [f"cir_tx{i}" for i in indices]
-    return tuple(columns), [(None, FloatTable((times, values)))]
+    return tuple(columns), [(None, FloatTable((times, *(values[:, j] for j in column))))]
 
 
 def cmd_detect(cfg: SystemConfig, args) -> tuple:

@@ -17,8 +17,6 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import GAMMA_FORMS, PhysicalParams, ReceiverGeometry
 from .errors import ConfigError, is_finite_real, is_integer
 from .gridgeom import GridKind, GridLayout, cell_area, enumerate_sites, square_side_for_equal_area
@@ -214,17 +212,6 @@ def map_workers(fn, items) -> Iterator:
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
-
-
-def map_chunks(fn, total: int, chunk: int, seed: int) -> Iterator:
-    """Yield fn(size, rng) for each chunk of ``total`` items, at most ``chunk`` per call, in chunk order.
-
-    Chunk i draws from substream i of SeedSequence(seed), so the results
-    depend on the seed and the sizes only, never on worker_count().
-    """
-    sizes = [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    return map_workers(lambda job: fn(job[0], np.random.default_rng(job[1])), zip(sizes, streams))
 
 
 def dump_config(config: SystemConfig) -> str:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import mc_arelab
 from mc_arelab import perf
-from mc_arelab.channel import summarize
+from mc_arelab.channel import cir, summarize
 from mc_arelab.cli import FloatTable, _write_floats, main
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import characterize
@@ -154,6 +155,23 @@ class TestCir:
     def test_tx_index_selects_columns(self, capsys):
         _, out, _ = run_cli(capsys, "cir", "--horizon", "0.2", "--tx-index", "0", "--tx-index", "7")
         assert data_lines(out)[0] == "t_s,cir_tx0,cir_tx7"
+
+    def test_sites_of_one_ring_share_a_column_bit_for_bit(self, capsys, monkeypatch):
+        # sites 1 and 5 lie on the first ring and cost one cir column; every
+        # column keeps the bytes of a run that asks for its site alone
+        widths = []
+
+        def counting_cir(t, r_i, *args, **kwargs):
+            widths.append(np.size(r_i))
+            return cir(t, r_i, *args, **kwargs)
+
+        monkeypatch.setattr("mc_arelab.cli.cir", counting_cir)
+        _, out, _ = run_cli(capsys, "cir", "--tx-index", "1", "--tx-index", "5", "--tx-index", "14")
+        assert widths == [2]
+        rows = [line.split(",") for line in data_lines(out)[1:]]
+        for k, site in enumerate((1, 5, 14)):
+            _, alone, _ = run_cli(capsys, "cir", "--tx-index", str(site))
+            assert [line.split(",")[1] for line in data_lines(alone)[1:]] == [row[1 + k] for row in rows]
 
     def test_tx_index_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "cir", "--tx-index", "99")
@@ -399,8 +417,8 @@ class TestValidationCommands:
         assert outputs[0] == outputs[1]
 
     def test_threads_do_not_change_bytes(self, capsys, monkeypatch):
-        # 250 realizations are three particle chunks; both mc-validate
-        # modes run serially, so the setting must not reach them either
+        # pbs-validate and both mc-validate modes run serially, so the
+        # setting must not reach them either
         for args in (
             ("are-sweep", "--c-from", "0.2", "--c-to", "0.5", "--points", "4"),
             ("optimize-radius", "--noise", "10", "--c", "1.0"),
@@ -413,6 +431,25 @@ class TestValidationCommands:
             monkeypatch.setenv("MC_ARELAB_THREADS", "3")
             _, threaded, _ = run_cli(capsys, *args)
             assert threaded == serial, args
+
+    def test_pbs_validate_starts_no_thread_and_ignores_the_setting(self, capsys, monkeypatch):
+        # benchmark-sized chunks: 200 realizations of 100 particles, one chunk
+        def refuse(thread):
+            raise AssertionError(f"pbs-validate started a thread: {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        args = ("pbs-validate", "--tx-index", "1", "--realizations", "200", "--t-sim", "4", "--seed", "7")
+        outputs = []
+        for threads in (None, "1", "2"):
+            if threads is None:
+                monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MC_ARELAB_THREADS", threads)
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
     @pytest.mark.parametrize(
         "argv, span",

@@ -9,7 +9,6 @@ from mc_arelab.config import (
     SystemConfig,
     dump_config,
     load_config,
-    map_chunks,
     parse_config_text,
     worker_count,
 )
@@ -230,35 +229,3 @@ class TestWorkerCount:
         monkeypatch.setenv("MC_ARELAB_THREADS", "0")
         with pytest.raises(ConfigError):
             worker_count()
-
-
-class TestMapChunks:
-    def test_sizes_cover_the_total_in_order(self):
-        assert list(map_chunks(lambda size, rng: size, 250, 100, 0)) == [100, 100, 50]
-        assert list(map_chunks(lambda size, rng: size, 200, 100, 0)) == [100, 100]
-        assert list(map_chunks(lambda size, rng: size, 7, 100, 0)) == [7]
-
-    def test_one_substream_per_chunk_whatever_the_thread_count(self, monkeypatch):
-        def draw(size, rng):
-            return rng.random(size).tolist()
-
-        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
-        serial = list(map_chunks(draw, 25, 10, 3))
-        assert len({chunk[0] for chunk in serial}) == 3
-        monkeypatch.setenv("MC_ARELAB_THREADS", "3")
-        assert list(map_chunks(draw, 25, 10, 3)) == serial
-        assert list(map_chunks(draw, 25, 10, 4)) != serial
-
-    def test_chunks_run_as_they_are_consumed(self, monkeypatch):
-        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
-        ran = []
-
-        def record(size, rng):
-            ran.append(size)
-            return size
-
-        chunks = map_chunks(record, 25, 10, 3)
-        assert next(chunks) == 10
-        assert ran == [10]
-        assert list(chunks) == [10, 5]
-        assert ran == [10, 10, 5]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,10 +10,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mc_arelab import config, pbs
+from mc_arelab import pbs
 from mc_arelab.channel import PhysicalParams, ReceiverGeometry, peak_time
 from mc_arelab.errors import ParameterError
-from mc_arelab.pbs import CirTrace, PbsConfig, _lateral_waits, _passage_times, simulate_cir
+from mc_arelab.pbs import (
+    PARTICLE_BUDGET,
+    CirTrace,
+    PbsConfig,
+    _chunks,
+    _lateral_waits,
+    _passage_times,
+    _record_lookup,
+    simulate_cir,
+)
 from stochastic import max_chernoff_score, max_dispersion_score
 
 
@@ -63,20 +73,19 @@ def count_draws(monkeypatch, params, geom, cfg, offset=(0.0, 0.0)):
     proxies = []
     waits = []
     lateral_waits = pbs._lateral_waits
+    chunks = pbs._chunks
 
-    def counting_map_chunks(fn, total, chunk, seed):
-        def counted(size, rng):
+    def counting_chunks(total, size, seed):
+        for realizations, rng in chunks(total, size, seed):
             proxy = CountingGenerator(rng)
             proxies.append(proxy)
-            return fn(size, proxy)
-
-        return config.map_chunks(counted, total, chunk, seed)
+            yield realizations, proxy
 
     def counting_waits(a, D, rng):
         waits.append(a.size)
         return lateral_waits(a, D, rng)
 
-    monkeypatch.setattr(pbs, "map_chunks", counting_map_chunks)
+    monkeypatch.setattr(pbs, "_chunks", counting_chunks)
     monkeypatch.setattr(pbs, "_lateral_waits", counting_waits)
     simulate_cir(params, geom, offset, cfg)
     passages = sum(proxy.uniforms for proxy in proxies) // 2
@@ -261,6 +270,99 @@ class TestSimulateCir:
         score, limit = max_chernoff_score(trace, cfg, 0.0, params, geom, alpha=1e-6)
         assert score <= limit
         assert trace.mean_fraction[0] > 0.5
+
+
+def ulp_run(start, count):
+    """``count`` consecutive floats from ``start`` up."""
+    return (np.float64(start).view(np.int64) + np.arange(count)).view(np.float64)
+
+
+LOOKUP_GRIDS = {
+    "uniform": np.array(FULL_GRID),
+    "fine uniform": np.array(record_grid(4.0, dt=5e-4, record_every=1)),
+    "geometric": np.geomspace(1e-3, 15.0, 400),
+    # runs of adjacent floats: the 40 from 2.0 up share one bucket
+    "clustered": np.concatenate((ulp_run(1e-3, 20), np.linspace(0.5, 2.0, 30)[1:-1], ulp_run(2.0, 40), [9.5, 15.0])),
+    "one record": np.array([0.7]),
+    # (n + 1/2) / times[-1] is past the largest float for both
+    "subnormal": ulp_run(5e-324, 3),
+    "tiny": 1e-306 * np.arange(1, 200),
+}
+
+
+def lookup_misses(lookup, times):
+    """Queries where ``lookup`` differs from times.searchsorted(t, "right").
+
+    They are every record time, both float neighbours of each, 0, 1e300
+    and inf (a passage that never ends), and times drawn over the whole grid.
+    """
+    drawn = np.random.default_rng(0).uniform(0.0, 1.1 * times[-1], 5000)
+    queries = np.concatenate(
+        (times, np.nextafter(times, 0.0), np.nextafter(times, np.inf), [0.0, 1e300, np.inf], drawn)
+    )
+    return np.count_nonzero(lookup(queries) != times.searchsorted(queries, "right"))
+
+
+class TestRecordLookup:
+    @pytest.mark.parametrize("grid", list(LOOKUP_GRIDS))
+    def test_equals_searchsorted(self, grid):
+        times = LOOKUP_GRIDS[grid]
+        assert (times[1:] > times[:-1]).all()
+        assert lookup_misses(_record_lookup(times), times) == 0
+
+    @pytest.mark.parametrize("grid", list(LOOKUP_GRIDS))
+    def test_a_lookup_off_by_one_at_the_records_is_caught(self, grid):
+        # a record time counted as after itself, as searchsorted "left" does
+        times = LOOKUP_GRIDS[grid]
+        assert lookup_misses(lambda t: times.searchsorted(t, "left"), times) >= times.size
+
+
+class TestChunks:
+    def test_sizes_cover_the_total_in_order(self):
+        assert [size for size, _ in _chunks(250, 100, 0)] == [100, 100, 50]
+        assert [size for size, _ in _chunks(200, 100, 0)] == [100, 100]
+        assert [size for size, _ in _chunks(7, 100, 0)] == [7]
+
+    def test_one_substream_per_chunk(self):
+        draws = [rng.random(size).tolist() for size, rng in _chunks(25, 10, 3)]
+        assert len({chunk[0] for chunk in draws}) == 3
+        assert [rng.random(size).tolist() for size, rng in _chunks(25, 10, 3)] == draws
+        assert [rng.random(size).tolist() for size, rng in _chunks(25, 10, 4)] != draws
+
+    def test_chunks_are_made_as_they_are_consumed(self):
+        chunks = _chunks(25, 10, 3)
+        assert next(chunks)[0] == 10
+        assert [size for size, _ in chunks] == [10, 5]
+
+    @pytest.mark.parametrize("particles, per_chunk", [(100, 327), (10, 3276), (2**15, 1), (10**6, 1)])
+    def test_a_chunk_holds_the_particle_budget(self, monkeypatch, particles, per_chunk):
+        asked = []
+
+        def recording_chunks(total, size, seed):
+            asked.append((total, size, seed))
+            return iter(())
+
+        assert PARTICLE_BUDGET == 2**15
+        monkeypatch.setattr(pbs, "_chunks", recording_chunks)
+        params = PhysicalParams()
+        cfg = PbsConfig(times=(1.0,), particles=particles, seed=9)
+        simulate_cir(params, ReceiverGeometry.centered(params), (0.0, 0.0), cfg)
+        assert asked == [(3000, per_chunk, 9)]
+
+    def test_the_readme_ensemble_stays_small_in_memory(self):
+        # 3000 realizations of 100 particles, released at site 1 of the default
+        # grid, are ten chunks of at most 32,700 particles; one chunk of all
+        # 300,000 would need several times the bound
+        params = PhysicalParams()
+        geom = ReceiverGeometry.centered(params)
+        cfg = PbsConfig(times=record_grid(3.0), realizations=3000, particles=100, seed=3)
+        tracemalloc.start()
+        try:
+            simulate_cir(params, geom, (0.17320508075688773, 0.1), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestPassageTimes:
