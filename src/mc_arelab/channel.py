@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, SearchError, is_finite_real, is_integer
 from .gridgeom import GridLayout, cell_area
-from .specfun import _CHUNK, _log_poisson_pmf, _poisson_ladder, erf
+from .specfun import _CHUNK, _log_factorials, erf
 
 __all__ = [
     "ChannelSummary",
@@ -125,38 +125,80 @@ class ChannelSummary:
         return sum(count for _, count in self.cbar)
 
 
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """True at each element that starts a run of equal neighbours in all ``keys`` (1-D, one size)."""
-    new = np.zeros(keys[0].size, dtype=bool)
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """True at each element of ``key`` (1-D) that starts a run of equal neighbours."""
+    new = np.empty(key.size, dtype=bool)
     new[:1] = True
-    for key in keys:
-        new[1:] |= key[1:] != key[:-1]
+    np.not_equal(key[1:], key[:-1], out=new[1:])
     return new
 
 
-def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.ndarray:
-    """sum_k w_k P(k+1, sigma), w_k = e^-rho rho^k / k!^extra, on 1-D arrays.
+def _scaled_rows(
+    log_x: np.ndarray, log_at_mode: np.ndarray, orders: np.ndarray, log_norm: np.ndarray, power: float
+) -> np.ndarray:
+    """x^k / k!^power over its value at the mode, at k = ``orders``: one row per x.
 
-    Term k + 1 is at most q_k = rho sigma / ((k+1)^extra (k+2)) times term
-    k, and q_k falls with k. An element stops at its first order K >= k_min
-    with q_K <= 1/2 and term_K <= SERIES_RTOL times the partial sum, so the
-    dropped terms add at most term_K. K is at most ``top``: q_k <= 1/2 from
-    the first h with (h+1)^(extra+1) >= 2 rho sigma on, and m more orders
-    shrink a term by q_h^m <= SERIES_RTOL. Running sums keep each element
-    independent of the others; blocks of elements keep each ladder (at most
-    2 top + 64 orders) within _CHUNK elements. A ladder row depends only on
-    (sigma, top), and its bits not on the other rows of its call, so each
-    run of neighbours with equal (sigma, top) gets one row: a block ends
-    where a run starts, unless a single run fills it.
+    ``log_x`` is ln x (1-D), ``log_at_mode`` ln of each row's value at its
+    mode and ``log_norm`` ln k! at ``orders``. Each row is power * (k ln(x) / power - ln k!) less
+    that log, exponentiated: dividing and multiplying by a power of 2 is
+    exact, so this rounds as k ln(x) - power ln k! does.
+    """
+    rows = np.multiply((log_x / power)[:, None], orders)
+    rows -= log_norm
+    rows *= power
+    rows -= log_at_mode[:, None]
+    return np.exp(rows, out=rows)
+
+
+def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.ndarray:
+    """sum_k w_k P(k+1, sigma), w_k = e^-rho rho^k / k!^extra, on 1-D arrays with rho > 0.
+
+    P(k+1, sigma) = P[N > k] for N ~ Poisson(sigma), so exchanging the order
+    of summation gives sum_(j >= 1) p_j W_(j-1), with p_j = P[N = j] and
+    W_i = w_0 + ... + w_i: a sum of positive terms, with no tail to form.
+    Term j + 1 is at most q_j = sigma (1 + rho / j^extra) / (j + 1) times
+    term j (W_j / W_(j-1) = 1 + w_j / W_(j-1) <= 1 + w_j / w_(j-1)), and q_j
+    falls with j. Each element sums the orders j = 1..top, top = h + m. From
+    h on, q_j <= 1/2: h is the largest of k_min + 1, a floor f = max(1,
+    2 sigma, (2 rho sigma)^(1/(extra+1))) and the root of j^2 - (2 sigma - 1)
+    j - 2 rho sigma / f^(extra-1), since j^extra >= j f^(extra-1) for j >= f.
+    The m more orders shrink a term by q_h^m <= SERIES_RTOL. So the last
+    term is at most SERIES_RTOL times the sum, and all past it add at most
+    that term.
+
+    The sum runs in scaled linear space, the p_j over p at their mode
+    max(1, floor(sigma)) and the w_k over w at their mode floor(rho^(1/extra)),
+    so no entry exceeds 1 (nor W_k its order + 1). Where that mode lies past
+    the top, the sum is at most top times the scaled w at the top, so
+    scaled terms underflow only in sums below about 1e-290. Every scale and
+    every top is the element's own, so an array call equals the scalar calls
+    bit for bit. The p_j row depends on sigma alone, so each run of
+    neighbours with equal sigma shares one row: a block ends where a run
+    starts, unless a single run fills it.
     """
     rs = rho * sigma
-    half = np.ceil((2.0 * rs) ** (1.0 / (extra + 1.0)))
+    floor = np.maximum(np.maximum(1.0, 2.0 * sigma), (2.0 * rs) ** (1.0 / (extra + 1.0)))
+    slope = 2.0 * sigma - 1.0
+    h = np.maximum(floor, np.ceil(0.5 * (slope + np.sqrt(slope * slope + 8.0 * rs / floor ** (extra - 1.0)))))
+    h = np.maximum(h, k_min + 1.0)
     with np.errstate(divide="ignore"):
-        fall = np.ceil(math.log(SERIES_RTOL) / np.log(rs / ((half + 1.0) ** extra * (half + 2.0))))
-    top = np.maximum(k_min, half + np.maximum(fall, 1.0)).astype(np.int64)
-    new = _run_starts(sigma, top)
+        fall = np.ceil(math.log(SERIES_RTOL) / np.log(sigma * (1.0 + rho / h**extra) / (h + 1.0)))
+    top = (h + np.maximum(fall, 1.0)).astype(np.int64)
+    log_fact = _log_factorials(np.arange(int(top.max(initial=0)) + 1))
+    # ln of p and w at their modes (0 at sigma = 0, whose p_j are all 0)
+    with np.errstate(divide="ignore"):
+        log_sigma = np.log(sigma)
+    p_mode = np.maximum(1.0, np.floor(sigma))
+    p_at = np.where(sigma > 0.0, p_mode * log_sigma - _log_factorials(p_mode.astype(np.int64)), 0.0)
+    log_rho = np.log(rho)
+    w_mode = np.floor(rho ** (1.0 / extra))
+    w_at = w_mode * log_rho - extra * _log_factorials(w_mode.astype(np.int64))
+    new = _run_starts(sigma)
     out = np.empty_like(rs)
-    rows = _CHUNK // (2 * int(top.max(initial=0)) + 64) or 1
+    # a quarter of _CHUNK entries per temporary: the block's three stay
+    # within _CHUNK together, and each below the 128 KB at which the C
+    # allocator maps memory directly and then keeps a larger heap resident
+    rows = _CHUNK // 4 // int(top.max(initial=1)) or 1
     start = 0
     while start < rs.size:
         stop = start + rows
@@ -167,16 +209,17 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
         b = slice(start, stop)
         heads = new[b].copy()
         heads[0] = True
-        k = np.arange(int(top[b].max()) + 1)
-        _, log_tail = _poisson_ladder(sigma[b][heads], top[b][heads])
-        terms = _log_poisson_pmf(rho[b], k, power=extra)
-        terms += log_tail[np.cumsum(heads) - 1]
-        np.exp(terms, out=terms)
-        partial = np.cumsum(terms, axis=-1)
-        q = rs[b, None] / ((k + 1.0) ** extra * (k + 2.0))
-        stop_at = ((k >= k_min) & (q <= 0.5) & (terms <= SERIES_RTOL * partial)) | (k == top[b, None])
-        out[b] = partial[np.arange(len(partial)), stop_at.argmax(axis=-1)]
+        width = int(top[b].max())
+        orders = np.arange(width + 1.0)
+        pmf = _scaled_rows(log_sigma[b][heads], p_at[b][heads], orders[1:], log_fact[1 : width + 1], 1.0)
+        terms = _scaled_rows(log_rho[b], w_at[b], orders[:-1], log_fact[:width], extra)
+        del orders  # one row fewer held at the peak of a wide block
+        np.cumsum(terms, axis=1, out=terms)
+        terms *= pmf[np.cumsum(heads) - 1]
+        np.cumsum(terms, axis=1, out=terms)
+        out[b] = terms[np.arange(len(terms)), top[b] - 1]
         start = stop
+    out *= np.exp(p_at - sigma + (w_at - rho))
     return out
 
 
@@ -225,16 +268,21 @@ def cir(
 
     ``t`` and ``r_i`` are floats (giving a float) or broadcastable arrays
     (giving an array equal to the float calls bit for bit). The value is an
-    axial erf difference times the radial series sum_k (rho^k / k!)
-    P(k+1, sigma), rho = r_i^2/4Dt, sigma = S_RX^2/4Dt, in log space, up to
-    an order chosen per element so that the dropped terms are at most
-    SERIES_RTOL of the sum; ``k_max`` is a minimum order. Points whose value
-    is provably 0 (a zero axial factor, or r_i more than 27.3 sqrt(4Dt)
-    beyond S_RX) skip the series. At rho = 0 (the paired link) the series
-    is its first term, taken in closed form as 1 - e^-sigma. ``gamma_form``
-    selects the series variant: "lower" (default) keeps the lower
-    incomplete gamma exactly as the cylinder integral dictates and agrees
-    with adaptive quadrature of the point-source concentration;
+    axial erf difference times the radial series sum_k e^-rho (rho^k / k!)
+    P(k+1, sigma), rho = r_i^2/4Dt, sigma = S_RX^2/4Dt. _radial sums it in
+    the exchanged order, sum_(j >= 1) P[N = j] W_(j-1) for N ~
+    Poisson(sigma) and W the running sum of the weights, in scaled linear
+    space with one Poisson(sigma) row per run of equal sigma, out to an
+    order certified per element from term_(j+1) / term_j <= sigma (1 + rho
+    / j) / (j + 1) (rho / j^2 in the regularized form): the last term summed
+    is at most SERIES_RTOL of the sum, and everything dropped at most that
+    term. ``k_max`` is a minimum order (the sum runs to j >= k_max + 1).
+    Points whose value is provably 0 (a zero axial factor, or r_i more than
+    27.3 sqrt(4Dt) beyond S_RX) skip the series. At rho = 0 (the paired
+    link) the series is its first term, taken in closed form as 1 - e^-sigma.
+    ``gamma_form`` selects the series variant: "lower" (default) keeps the
+    lower incomplete gamma exactly as the cylinder integral dictates and
+    agrees with adaptive quadrature of the point-source concentration;
     "regularized" divides each term by an extra k!, which is identical at
     r_i = 0 (0! = 1) but decays faster with distance and reproduces the
     tabulated reference constants used by the acceptance suite.

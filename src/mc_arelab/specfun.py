@@ -4,7 +4,8 @@ Everything here is pure and thread-safe, and every log Poisson term is
 taken at integer counts. The incomplete gamma functions are only ever
 needed at positive integer order, where they are the cdf and the tail of
 a Poisson count; ``_poisson_ladder`` gives both on arrays, in log space,
-for the gamma functions and the channel's radial series.
+for the public gamma functions. The channel's radial series needs no
+tail: it sums Poisson pmf rows against running sums of its weights.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def _check_point(x: float) -> float:
 def _log_factorials(j: np.ndarray) -> np.ndarray:
     """ln j! of each element of a 1-D integer array j >= 0."""
     if j.size and j.max() >= len(_LOG_FACTORIALS):
-        return np.fromiter(map(math.lgamma, (j + 1.0).tolist()), float, count=j.size)
+        # one float at a time: a list of them all would outweigh the result
+        return np.fromiter(map(math.lgamma, memoryview(j + 1.0)), float, count=j.size)
     return _LOG_FACTORIALS[j]
 
 
@@ -71,11 +73,12 @@ def _log_poisson_pmf(
 ) -> np.ndarray:
     """ln(x^e e^-x / e!^power) at each integer exponent e >= 0, on a new last axis; 0^0 = 1.
 
-    Power 1 is the Poisson pmf at the counts e, power 2 the channel's
-    regularized radial series. The result is built in place, in ``out`` if
-    given (shape x.shape + exponents.shape), else in one new array. A caller
-    that evaluates many blocks at the same exponents passes ``log_norm`` =
-    power * ln e!, formed once, in place of forming it per call.
+    Power 1 is the Poisson pmf at the counts e; power 2 divides by e! once
+    more, as the weights of the regularized radial series do. The result is
+    built in place, in ``out`` if given (shape x.shape + exponents.shape),
+    else in one new array. A caller that evaluates many blocks at the same
+    exponents passes ``log_norm`` = power * ln e!, formed once, in place of
+    forming it per call.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.multiply(exponents, np.log(x)[..., None], out=out)

@@ -84,6 +84,17 @@ def cir_regularized_fsum(
     return axial * math.fsum(terms)
 
 
+def cir_lower_fsum(t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry, orders: int) -> float:
+    """Response in the lower gamma form as an exactly rounded sum of ``orders`` terms, for r_i > 0.
+
+    SciPy's ncx2 cdf returns 0 below about 1e-47; this sum does not.
+    """
+    axial, sigma, rho = _axial_sigma_rho(t, r_i, params, geom)
+    k = np.arange(orders)
+    terms = np.exp(k * math.log(rho) - rho - special.gammaln(k + 1.0)) * special.gammainc(k + 1.0, sigma)
+    return axial * math.fsum(terms.tolist())
+
+
 def oracle_peak_time(
     params: PhysicalParams,
     geom: ReceiverGeometry,

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from dataclasses import replace
@@ -15,10 +16,11 @@ from mc_arelab.channel import (
     peak_time,
     summarize,
 )
+from mc_arelab.config import SystemConfig
 from mc_arelab.errors import ParameterError, SearchError
 from mc_arelab.gridgeom import GridKind, enumerate_sites
 
-from oracles import cir_ncx2, cir_quadrature, cir_regularized_fsum, oracle_peak_time
+from oracles import cir_lower_fsum, cir_ncx2, cir_quadrature, cir_regularized_fsum, oracle_peak_time
 
 DEFAULTS = PhysicalParams()
 GEOM = ReceiverGeometry.centered(DEFAULTS)
@@ -191,23 +193,28 @@ class TestCirSeries:
             row = cir(2.0, np.full(1000, 1.52), params, geom, k_max=3, gamma_form=gamma_form)
             assert (row == cir(2.0, 1.52, params, geom, k_max=3, gamma_form=gamma_form)).all()
 
-    def test_one_ladder_row_per_run_of_equal_sigma_and_order(self, monkeypatch):
-        # t-major elements: the three ring-1 sites of a time share sigma and
-        # their order, the ring-2 site may need another order
-        rows = []
-        ladder = channel._poisson_ladder
+    def test_one_pmf_row_per_run_of_equal_sigma(self, monkeypatch):
+        # the Poisson(sigma) rows are the scaled rows whose orders start at 1
+        log_sigmas = []
+        scaled = channel._scaled_rows
 
-        def counting(x, n):
-            rows.extend(zip(x.tolist(), n.tolist()))
-            return ladder(x, n)
+        def counting(log_x, log_at_mode, orders, *args):
+            if orders[0] == 1.0:
+                log_sigmas.extend(log_x.tolist())
+            return scaled(log_x, log_at_mode, orders, *args)
 
-        monkeypatch.setattr("mc_arelab.channel._poisson_ladder", counting)
+        monkeypatch.setattr("mc_arelab.channel._scaled_rows", counting)
+        # the ring and the 65 tail nodes of a default summary share sigma,
+        # though their orders differ
+        config = SystemConfig(c=0.44)
+        summarize(config.params(), config.geometry(), config.layout())
+        assert len(log_sigmas) == 1
+        # t-major elements, four sites per time: one row per time, each sigma once
+        log_sigmas.clear()
         t = np.linspace(0.01, 15.0, 3000)
-        cir(t[:, None], [0.2, 0.2, 0.2, 0.2 * math.sqrt(3.0)], DEFAULTS, GEOM)
-        sigmas = {x for x, _ in rows}
-        assert len(sigmas) > 2500
-        assert len(set(rows)) == len(rows)
-        assert len(rows) <= 2 * len(sigmas)
+        cir(t[:, None], [0.2, 0.2 * math.sqrt(3.0), 0.4, 0.9], DEFAULTS, GEOM)
+        assert len(log_sigmas) > 2500
+        assert len(set(log_sigmas)) == len(log_sigmas)
 
     @pytest.mark.parametrize("gamma_form", ["lower", "regularized"])
     @pytest.mark.parametrize("s_rx", [1e-4, 0.1, 1.0])
@@ -268,6 +275,92 @@ class TestCirSeries:
         a = cir(t_m, 0.4, DEFAULTS, GEOM, k_max=0)
         b = cir(t_m, 0.4, DEFAULTS, GEOM, k_max=200)
         assert abs(a - b) <= 1e-15 * b
+
+
+def _series_errors(cases):
+    """The cases where cir misses its oracle by more than 64 eps (1 + rho + sigma) relative.
+
+    The oracles are the ncx2 cdf (lower form; an exact sum of the series
+    where SciPy rounds the cdf to 0) and the exact sum of the regularized
+    series.
+
+    The bound follows from the code: each scaled term is the exponential of
+    k ln x - power ln k! less the same at the mode, a few roundings of
+    eps / 2 on parts of size up to about k ln k, with k up to about rho +
+    sigma where the sum is carried (ln k < 7 here), and the exponent of the
+    scale adds sigma + rho. Values below 1e-280, whose scaled terms may be
+    subnormal, are held to an absolute 1e-280 instead.
+    """
+    eps = np.finfo(float).eps
+    misses = []
+    for t, r_i, params, k_max, gamma_form in cases:
+        geom = ReceiverGeometry.centered(params)
+        four_dt = 4.0 * params.D * t
+        rho, sigma = r_i * r_i / four_dt, params.s_rx * params.s_rx / four_dt
+        value = cir(t, r_i, params, geom, k_max=k_max, gamma_form=gamma_form)
+        if gamma_form == "regularized":
+            ref = cir_regularized_fsum(t, r_i, params, geom, orders=400)
+        else:
+            ref = cir_ncx2(t, r_i, params, geom) or cir_lower_fsum(t, r_i, params, geom, orders=2000)
+        if abs(value - ref) > max(64.0 * eps * (1.0 + rho + sigma) * ref, 1e-280):
+            misses.append((t, r_i, params.D, params.s_rx, k_max, gamma_form, value, ref))
+    return misses
+
+
+def _series_cases(count: int, seed: int):
+    """Seeded (t, r_i, params, k_max, gamma_form) with sigma in [1e-4, 60] and rho in [1e-4, 400].
+
+    A sixth of the offsets sit at, just inside or half way to the far cut
+    r_i - S_RX = _FAR sqrt(4Dt), past which cir sums no series.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        D = float(10 ** rng.uniform(-3.0, math.log10(0.05)))
+        t = float(rng.uniform(1.0, 6.0))
+        root = math.sqrt(4.0 * D * t)
+        s_rx = root * math.sqrt(10 ** rng.uniform(-4.0, math.log10(60.0)))
+        if i % 6 == 5:
+            r_i = s_rx + float(rng.choice([0.5, 0.999, 1.0])) * channel._FAR * root
+        else:
+            r_i = root * math.sqrt(10 ** rng.uniform(-4.0, math.log10(400.0)))
+        params = replace(DEFAULTS, D=D, s_rx=s_rx)
+        cases.append((t, r_i, params, int(rng.choice([0, 3, 20, 60])), ("lower", "regularized")[i % 2]))
+    return cases
+
+
+class TestCirAccuracy:
+    CASES = _series_cases(240, seed=28)
+
+    def test_within_the_stated_bound_of_both_oracles(self):
+        assert _series_errors(self.CASES) == []
+        # the far-cut cases are live and reach tiny values
+        far = [cir(t, r, p, ReceiverGeometry.centered(p)) for t, r, p, _, _ in self.CASES[5::6]]
+        assert min(far) < 1e-250 and max(far) > 0.0
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # stop once q_j <= 2 instead of 1/2
+            [("2.0 * sigma", "0.5 * sigma"), ("(2.0 * rs)", "(0.5 * rs)"), ("8.0 * rs", "2.0 * rs")],
+            # pair p_j with W_j instead of W_(j-1)
+            [("orders[1:], log_fact[1 : width + 1]", "orders[:-1], log_fact[:width]")],
+            # 40 orders too few past h: the last term summed is then not small
+            [("np.maximum(fall, 1.0)", "np.maximum(fall - 40.0, 1.0)")],
+        ],
+        ids=["q-below-2", "w-shifted", "short-fall"],
+    )
+    def test_a_planted_defect_fails_the_bound(self, monkeypatch, edits):
+        # Dropping the very last term cannot fail it: that term is at most
+        # SERIES_RTOL of the sum by construction.
+        source = inspect.getsource(channel._radial)
+        for old, new in edits:
+            assert old in source
+            source = source.replace(old, new)
+        namespace = dict(vars(channel))
+        exec(source, namespace)
+        monkeypatch.setattr("mc_arelab.channel._radial", namespace["_radial"])
+        assert _series_errors(self.CASES) != []
 
 
 class TestCirUca:
