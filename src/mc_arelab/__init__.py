@@ -50,7 +50,7 @@ from .gridgeom import (
     square_side_for_equal_area,
     to_cartesian,
 )
-from .montecarlo import McResult, ThresholdBer
+from .montecarlo import McResult
 from .pbs import CirTrace, PbsConfig, simulate_cir
 from .perf import (
     SWEEP_AXES,
@@ -93,7 +93,6 @@ __all__ = [
     "SearchError",
     "SuboptimalThreshold",
     "SystemConfig",
-    "ThresholdBer",
     "TxSite",
     "cell_area",
     "characterize",

@@ -9,7 +9,6 @@ the same inputs is byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import math
 import os
@@ -55,15 +54,17 @@ CONFIG_FLAGS = (
     ("--seed", "seed", "random number generator seed"),
 )
 
-# rows per formatting call of a float table
-_FLOAT_BLOCK = 256
+# rows per formatting call of a table
+_BLOCK = 256
 
 
-class FloatTable(NamedTuple):
-    """A table section of float columns of equal length: 1-D arrays, or 2-D arrays of several columns.
+class Table(NamedTuple):
+    """A table section: columns of equal length, each a 1-D array or a sequence of one cell type.
 
-    ``_emit`` writes it a block of rows at a time, with the bytes that
-    ``csv.writer`` gives the same rows as Python floats.
+    ``_write_table`` writes it a block of rows at a time, each cell as the
+    str of its Python scalar. A Python float's str is its repr, so these are
+    the bytes ``csv.writer`` gives the same rows; no cell holds a comma, a
+    quote or a line break, so none is quoted.
     """
 
     columns: tuple
@@ -144,11 +145,11 @@ def _geometric_axis(flag: str, lo: float, hi: float, points: int | None) -> list
 
 def cmd_grid(cfg: SystemConfig, args) -> tuple:
     layout = cfg.layout()
-    rows = []
-    for site in layout.sites:
-        x, y = to_cartesian(layout.kind, layout.pitch, site.lattice_coords)
-        rows.append([site.index, site.ring, x, y, site.radial_distance])
-    return ("index", "ring", "x_m", "y_m", "distance_m"), [(None, rows)]
+    rows = [
+        (site.index, site.ring, *to_cartesian(layout.kind, layout.pitch, site.lattice_coords), site.radial_distance)
+        for site in layout.sites
+    ]
+    return ("index", "ring", "x_m", "y_m", "distance_m"), [(None, Table(tuple(zip(*rows))))]
 
 
 def cmd_cir(cfg: SystemConfig, args) -> tuple:
@@ -164,50 +165,37 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
     distinct, column = np.unique(distances, return_inverse=True)
     values = cir(times[:, None], distinct, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
     columns = ["t_s"] + [f"cir_tx{i}" for i in indices]
-    return tuple(columns), [(None, FloatTable((times, *(values[:, j] for j in column))))]
+    return tuple(columns), [(None, Table((times, *(values[:, j] for j in column))))]
 
 
 def cmd_detect(cfg: SystemConfig, args) -> tuple:
     summary = _summary(cfg)
     spec = characterize(summary.mu_s, summary.cbar, summary.mu_n)
-    columns = (
-        "t_m_s",
-        "mu_s",
-        "cbar_sum",
-        "mu_n",
-        "theta_opt",
-        "theta_sub",
-        "threshold_set_size",
-        "sinr_worst",
+    cells = (
+        ("t_m_s", summary.t_m),
+        ("mu_s", summary.mu_s),
+        ("cbar_sum", spec.cbar_sum),
+        ("mu_n", summary.mu_n),
+        ("theta_opt", spec.theta_opt),
+        ("theta_sub", spec.theta_sub),
+        ("threshold_set_size", spec.threshold_set_size),
+        ("sinr_worst", spec.sinr_worst),
     )
-    row = [
-        summary.t_m,
-        summary.mu_s,
-        spec.cbar_sum,
-        summary.mu_n,
-        spec.theta_opt,
-        spec.theta_sub,
-        spec.threshold_set_size,
-        spec.sinr_worst,
-    ]
-    return columns, [(None, [row])]
+    return tuple(name for name, _ in cells), [(None, Table(tuple((value,) for _, value in cells)))]
 
 
 def cmd_ber_sweep(cfg: SystemConfig, args) -> tuple:
     summary = _summary(cfg)
     p_curve, q_curve = error_curves(cfg.mc_theta_max, summary.mu_s, summary.cbar, summary.mu_n)
-    rows = [
-        [theta, float(p_curve[theta]), float(q_curve[theta]), 0.5 * float(p_curve[theta] + q_curve[theta])]
-        for theta in range(cfg.mc_theta_max + 1)
-    ]
-    return ("theta", "p", "q", "ber"), [(None, rows)]
+    table = Table((np.arange(cfg.mc_theta_max + 1), p_curve, q_curve, 0.5 * (p_curve + q_curve)))
+    return ("theta", "p", "q", "ber"), [(None, table)]
 
 
 def cmd_are_sweep(cfg: SystemConfig, args) -> tuple:
     values = _geometric_axis("--c", args.c_from, args.c_to, args.points)
     reports = sweep(cfg, "cell_pitch", values)
     rows = [[v] + _report_cells(r) for v, r in zip(values, reports)]
-    return SWEEP_COLUMNS, [(None, rows)]
+    return SWEEP_COLUMNS, [(None, Table(tuple(zip(*rows))))]
 
 
 def cmd_grid_compare(cfg: SystemConfig, args) -> tuple:
@@ -216,7 +204,7 @@ def cmd_grid_compare(cfg: SystemConfig, args) -> tuple:
     for grid in ("hex", "square"):
         reports = sweep(dataclasses.replace(cfg, grid=grid), "cell_area", values)
         rows += [[grid, v] + _report_cells(r) for v, r in zip(values, reports)]
-    return ("grid",) + SWEEP_COLUMNS, [(None, rows)]
+    return ("grid",) + SWEEP_COLUMNS, [(None, Table(tuple(zip(*rows))))]
 
 
 def cmd_mc_validate(cfg: SystemConfig, args) -> tuple:
@@ -228,8 +216,9 @@ def cmd_mc_validate(cfg: SystemConfig, args) -> tuple:
         seed=cfg.seed,
         mode=cfg.mc_mode,
     )
-    columns = ("theta", "ber_hat", "stderr", "p_hat", "q_hat")
-    return columns, [(None, result.per_threshold_ber), ("best", [result.best])]
+    curves = (np.arange(result.ber.size), result.ber, result.stderr, result.p_hat, result.q_hat)
+    best = tuple(column[result.best : result.best + 1] for column in curves)
+    return ("theta", "ber_hat", "stderr", "p_hat", "q_hat"), [(None, Table(curves)), ("best", Table(best))]
 
 
 def cmd_pbs_validate(cfg: SystemConfig, args) -> tuple:
@@ -243,14 +232,14 @@ def cmd_pbs_validate(cfg: SystemConfig, args) -> tuple:
         seed=cfg.seed,
     )
     trace = simulate_cir(cfg.params(), cfg.geometry(), offset, pcfg)
-    table = FloatTable((trace.times, trace.mean_fraction, trace.stderr))
+    table = Table((trace.times, trace.mean_fraction, trace.stderr))
     return ("t_s", "cir_hat", "stderr"), [(None, table)]
 
 
 def cmd_optimize_radius(cfg: SystemConfig, args) -> tuple:
     s_opt, report = optimize_radius(cfg, w_max=args.w_max, step_frac=args.step_frac)
     columns = ("s_opt_m",) + SWEEP_COLUMNS[1:]
-    return columns, [(None, [[s_opt] + _report_cells(report)])]
+    return columns, [(None, Table(tuple(zip([s_opt] + _report_cells(report)))))]
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -329,32 +318,32 @@ def _resolve_config(args) -> SystemConfig:
     return cfg
 
 
-def _write_floats(stream, table: FloatTable) -> None:
-    """Write a float table as CSV rows: each float is its repr, as ``csv.writer`` writes it."""
-    columns = [np.asarray(column, dtype=float) for column in table.columns]
-    columns = [column if column.ndim == 2 else column[:, None] for column in columns]
-    line = ",".join(["%r"] * sum(column.shape[1] for column in columns)) + "\n"
-    for start in range(0, len(columns[0]), _FLOAT_BLOCK):
-        block = np.hstack([column[start : start + _FLOAT_BLOCK] for column in columns])
-        stream.write(line * len(block) % tuple(block.ravel().tolist()))
+def _write_table(stream, table: Table) -> None:
+    """Write a table as CSV rows, one formatting call per block of _BLOCK rows."""
+    columns = [np.asarray(column) for column in table.columns]
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    for start in range(0, len(columns[0]), _BLOCK):
+        # Python scalars, interleaved row by row
+        parts = [column[start : start + _BLOCK].tolist() for column in columns]
+        cells = [None] * (len(columns) * len(parts[0]))
+        for j, part in enumerate(parts):
+            cells[j :: len(columns)] = part
+        stream.write(line * len(parts[0]) % tuple(cells))
 
 
 def _emit(args, cfg: SystemConfig, columns: tuple, sections: list) -> None:
+    """Write the version, seed and configuration as comment lines, the header, then each tagged Table."""
     stream = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8", newline="")
     try:
         stream.write(f"# mc-arelab {__version__}\n")
         stream.write(f"# seed = {cfg.seed}\n")
         for line in dump_config(cfg).splitlines():
             stream.write(f"# {line}\n")
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for tag, rows in sections:
+        stream.write(",".join(columns) + "\n")
+        for tag, table in sections:
             if tag is not None:
                 stream.write(f"# {tag}\n")
-            if isinstance(rows, FloatTable):
-                _write_floats(stream, rows)
-            else:
-                writer.writerows(rows)
+            _write_table(stream, table)
     finally:
         if args.out is not None:
             stream.close()

@@ -5,7 +5,7 @@ threshold rule [r >= theta] at every threshold up to a cap, so the
 empirically best threshold and its error rates can be compared against
 the analytic results. Each interferer's activity is one fair random
 bit, so a ring's active count has the Binomial(count, 1/2) law of the
-model. McResult.best is the ThresholdBer row of least BER.
+model. McResult holds one array per estimate, indexed by theta.
 
 Stochastic mode draws each bit class's tally over the count clipped at
 theta_max by multinomial splits, one independent term of the count at a
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .detection import _add_rings, _half_binomial_log_pmf, _log_convolve, _log_m
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
 from .specfun import _chernoff_support, _log_factorials, _log_poisson_pmf
 
-__all__ = ["McResult", "ThresholdBer", "run"]
+__all__ = ["McResult", "run"]
 
 # most cells (leaves times outcomes of the next ring) one split of the tally tree makes
 TREE_CELLS = 400_000
@@ -51,20 +50,15 @@ DRAW_CELLS = 1 << 17
 UNDERFLOW_NATS = 746.0
 
 
-class ThresholdBer(NamedTuple):
-    theta: int
-    ber: float
-    stderr: float
-    p_hat: float
-    q_hat: float
-
-
 @dataclass(frozen=True)
 class McResult:
-    """Per-threshold BER estimates plus the row of the empirically best threshold."""
+    """Per-threshold estimates, one float array each indexed by theta, and the first theta of least BER."""
 
-    per_threshold_ber: tuple[ThresholdBer, ...]
-    best: ThresholdBer
+    ber: np.ndarray
+    stderr: np.ndarray
+    p_hat: np.ndarray
+    q_hat: np.ndarray
+    best: int
     samples: int
     seed: int
     mode: str
@@ -146,11 +140,12 @@ def run(
 
     sample = _run_stochastic if mode == "stochastic" else _run_semi_analytic
     ber, p_hat, q_hat = sample(rings, mu_s, mu_n, theta_max, samples, seed)
-    stderr = np.sqrt(ber * (1.0 - ber) / samples)
-    rows = tuple(map(ThresholdBer, range(ber.size), ber.tolist(), stderr.tolist(), p_hat.tolist(), q_hat.tolist()))
     return McResult(
-        per_threshold_ber=rows,
-        best=rows[int(np.argmin(ber))],
+        ber=ber,
+        stderr=np.sqrt(ber * (1.0 - ber) / samples),
+        p_hat=p_hat,
+        q_hat=q_hat,
+        best=int(np.argmin(ber)),
         samples=samples,
         seed=seed,
         mode=mode,
@@ -264,12 +259,15 @@ def _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed):
 
     The count given the tree's leaves is a Poisson mixture over them; the
     rings past the stop add a count of exact law, so their log pmf is
-    convolved into both mixtures.
+    convolved into both mixtures. Past the Chernoff support of the loudest
+    count, Poisson(mu_n + mu_s + sum of cbar * count), every pmf entry
+    rounds to 0, so the pmfs stop there and _threshold_curves holds the curves.
     """
     tree_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     values, tallies, covered = _tally_tree(np.zeros(1), np.array([samples]), rings, tree_rng)
     log_weights = np.log(tallies / samples)
-    counts = np.arange(theta_max)
+    lam_max = mu_n + mu_s + math.fsum(cbar * count for cbar, count in rings)
+    counts = np.arange(min(theta_max, _chernoff_support(lam_max, UNDERFLOW_NATS)))
     off = _log_mixture(values + mu_n, log_weights, counts)
     on = _log_mixture(mu_s + values + mu_n, log_weights, counts)
     if covered < len(rings):

@@ -67,24 +67,21 @@ def _log_factorials(j: np.ndarray) -> np.ndarray:
 def _log_poisson_pmf(
     x: np.ndarray,
     exponents: np.ndarray,
-    power: float = 1.0,
     log_norm: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """ln(x^e e^-x / e!^power) at each integer exponent e >= 0, on a new last axis; 0^0 = 1.
+    """ln(x^e e^-x / e!), the Poisson log pmf, at each integer count e >= 0, on a new last axis; 0^0 = 1.
 
-    Power 1 is the Poisson pmf at the counts e; power 2 divides by e! once
-    more, as the weights of the regularized radial series do. The result is
-    built in place, in ``out`` if given (shape x.shape + exponents.shape),
-    else in one new array. A caller that evaluates many blocks at the same
-    exponents passes ``log_norm`` = power * ln e!, formed once, in place of
-    forming it per call.
+    The result is built in place, in ``out`` if given (shape x.shape +
+    exponents.shape), else in one new array. A caller that evaluates many
+    blocks at the same counts passes ``log_norm`` = ln e!, formed once, in
+    place of forming it per call.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.multiply(exponents, np.log(x)[..., None], out=out)
     out[..., exponents == 0] = 0.0
     out -= x[..., None]
-    out -= power * _log_factorials(exponents) if log_norm is None else log_norm
+    out -= _log_factorials(exponents) if log_norm is None else log_norm
     return out
 
 

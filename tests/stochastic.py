@@ -113,23 +113,37 @@ def ber_failures(result, analytic, theta, alpha):
     For exact code some line appears with probability at most the
     family-wise ``alpha``. Half of it goes to the row at ``theta``. The
     other half is split over all theta_max + 1 rows: with the rest every
-    row lies in its band at once, so best.ber lies in the band of its own
-    row and under every row's upper edge. That bounds both best.ber and
-    how far best.theta may sit from the analytic minimum.
+    row lies in its band at once, so the best row's BER lies in its own
+    band and under every row's upper edge. That bounds both that BER and
+    how far the best theta may sit from the analytic minimum.
     """
     n = result.samples
-    ber = np.array([row.ber for row in result.per_threshold_ber])
+    ber = result.ber
     failures = []
     lo, hi = ber_band(result, analytic[theta], alpha / 2)
     if not lo <= ber[theta] <= hi:
         failures.append(f"ber {ber[theta]:.6f} at theta {theta} outside [{lo:.6f}, {hi:.6f}] (n = {n})")
     lo, hi = ber_band(result, analytic, alpha / 2 / ber.size)
     best = result.best
-    if not lo[best.theta] <= best.ber <= hi.min():
-        failures.append(
-            f"best ber {best.ber:.6f} at theta {best.theta} outside [{lo[best.theta]:.6f}, {hi.min():.6f}] (n = {n})"
-        )
+    if not lo[best] <= ber[best] <= hi.min():
+        failures.append(f"best ber {ber[best]:.6f} at theta {best} outside [{lo[best]:.6f}, {hi.min():.6f}] (n = {n})")
     return failures
+
+
+def best_theta_failures(result, analytic, theta_opt, alpha):
+    """How a Monte Carlo best theta strays from the analytic optimum ``theta_opt``; empty if it does not.
+
+    With the bands of ber_band at alpha / (theta_max + 1) per row, every row
+    lies in its band at once except with probability at most ``alpha``. Then
+    lo[best] <= ber[best] <= ber[theta_opt] <= hi[theta_opt], so a best row
+    whose band starts above hi[theta_opt] fails exact code with probability
+    at most ``alpha``.
+    """
+    lo, hi = ber_band(result, analytic, alpha / result.ber.size)
+    best = result.best
+    if lo[best] > hi[theta_opt]:
+        return [f"best theta {best} has a band above the upper edge {hi[theta_opt]:.9f} at theta {theta_opt}"]
+    return []
 
 
 def u_shape_failures(result, analytic, alpha):
@@ -143,14 +157,14 @@ def u_shape_failures(result, analytic, alpha):
     (``up``), and in-band rows always do. The best row must be one whose
     band reaches below every row's upper edge.
     """
-    ber = np.array([row.ber for row in result.per_threshold_ber])
+    ber = result.ber
     lo, hi = ber_band(result, analytic, alpha / ber.size)
     middle = int(np.argmin(analytic))
     down = [t for t in range(middle) if hi[t + 1] < lo[t]]
     up = [t for t in range(middle, ber.size - 1) if hi[t] < lo[t + 1]]
     failures = [f"ber rises from theta {t} to {t + 1}" for t in down if not ber[t] > ber[t + 1]]
     failures += [f"ber falls from theta {t} to {t + 1}" for t in up if not ber[t] < ber[t + 1]]
-    best = result.best.theta
+    best = result.best
     if not lo[best] <= hi.min():
         failures.append(f"best theta {best} has a band above the upper edge {hi.min():.6f}")
     return failures, down, up

@@ -13,7 +13,7 @@ import pytest
 import mc_arelab
 from mc_arelab import perf
 from mc_arelab.channel import cir, summarize
-from mc_arelab.cli import FloatTable, _write_floats, main
+from mc_arelab.cli import Table, _write_table, main
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import characterize
 
@@ -201,7 +201,7 @@ class TestCir:
         assert peak < 1.6e6
 
 
-class TestFloatTable:
+class TestTable:
     VALUES = [0.0, -0.0, 5e-324, 1e-05, 0.009000000000000001, 1e16, 1.0]
 
     def test_bytes_match_csv_writer(self):
@@ -209,7 +209,7 @@ class TestFloatTable:
         first = np.resize(self.VALUES, 700)
         rest = np.column_stack([np.roll(first, 1), -np.roll(first, 3)])
         stream = io.StringIO()
-        _write_floats(stream, FloatTable((first, rest)))
+        _write_table(stream, Table((first, *rest.T)))
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows(np.column_stack([first, rest]).tolist())
         assert stream.getvalue() == expected.getvalue()
@@ -218,10 +218,25 @@ class TestFloatTable:
 
     def test_tuples_of_floats_are_columns(self):
         stream = io.StringIO()
-        _write_floats(stream, FloatTable((tuple(self.VALUES), tuple(self.VALUES[::-1]))))
+        _write_table(stream, Table((tuple(self.VALUES), tuple(self.VALUES[::-1]))))
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows(zip(self.VALUES, self.VALUES[::-1]))
         assert stream.getvalue() == expected.getvalue()
+
+    def test_int_and_str_columns_match_csv_writer(self):
+        # 600 rows of int arrays and tuples, floats, and str cells, as the sweep tables mix them
+        n = 600
+        ints = np.arange(-3, n - 3) * 7**19
+        grids = tuple(("hex", "square", "false")[i % 3] for i in range(n))
+        floats = np.resize(self.VALUES, n)
+        unsigned = np.arange(n, dtype=np.uint32)
+        stream = io.StringIO()
+        _write_table(stream, Table((grids, ints, floats, tuple(range(n)), unsigned)))
+        expected = io.StringIO()
+        rows = zip(grids, ints.tolist(), floats.tolist(), range(n), unsigned.tolist())
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert stream.getvalue() == expected.getvalue()
+        assert stream.getvalue().splitlines()[10] == "square,79792266297612001,1e-05,10,10"
 
 
 class TestAnalysisCommands:

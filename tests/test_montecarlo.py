@@ -15,7 +15,7 @@ from mc_arelab.detection import IuiSpectrum, _CountDistribution, optimal_thresho
 from mc_arelab.errors import ParameterError
 from mc_arelab.montecarlo import _count_tallies, _tally_tree, run
 from mc_arelab.perf import error_curves
-from mc_arelab.specfun import _log_factorials
+from mc_arelab.specfun import _chernoff_support, _log_factorials
 
 from oracles import atom_decision_curves
 from stochastic import ber_failures, u_shape_failures
@@ -40,18 +40,28 @@ def semi_analytic_run(default_summary):
 def analytic_ber(summary, result):
     """Exact BER of every row of ``result``, and the optimal threshold."""
     theta_opt = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
-    p, q = error_curves(len(result.per_threshold_ber) - 1, summary.mu_s, summary.cbar, summary.mu_n)
+    p, q = error_curves(result.ber.size - 1, summary.mu_s, summary.cbar, summary.mu_n)
     return 0.5 * (p + q), theta_opt
+
+
+def assert_same_result(got, want):
+    """Every field of two results equal, the arrays bit for bit and of one dtype."""
+    for field in dataclasses.fields(montecarlo.McResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
 
 
 class TestRun:
     def test_same_seed_reproduces_everything(self, default_summary, default_run):
         again = run(default_summary, 200_000, seed=1)
-        assert again == default_run
+        assert_same_result(again, default_run)
 
     def test_different_seed_differs(self, default_summary, default_run):
         other = run(default_summary, 200_000, seed=2)
-        assert other.best.ber != default_run.best.ber
+        assert other.ber[other.best] != default_run.ber[default_run.best]
 
     def test_thread_count_does_not_change_results(self, monkeypatch, default_summary, default_run):
         # a wide ring, whose pmf takes many cells of every draw
@@ -63,19 +73,18 @@ class TestRun:
         wide_serial = {mode: run(wide, 250_000, seed=3, mode=mode) for mode in MC_MODES}
         early_serial = {mode: run(early, 250_000, seed=4, mode=mode) for mode in MC_MODES}
         monkeypatch.setenv("MC_ARELAB_THREADS", "4")
-        assert run(default_summary, 200_000, seed=1) == default_run
-        assert run(default_summary, 250_000, seed=1, mode="semi-analytic") == serial
+        assert_same_result(run(default_summary, 200_000, seed=1), default_run)
+        assert_same_result(run(default_summary, 250_000, seed=1, mode="semi-analytic"), serial)
         for mode in MC_MODES:
-            assert run(wide, 250_000, seed=3, mode=mode) == wide_serial[mode]
-            assert run(early, 250_000, seed=4, mode=mode) == early_serial[mode]
+            assert_same_result(run(wide, 250_000, seed=3, mode=mode), wide_serial[mode])
+            assert_same_result(run(early, 250_000, seed=4, mode=mode), early_serial[mode])
 
     def test_silent_transmitter_always_misses(self):
         summary = ChannelSummary(t_m=1.0, mu_s=0.0, cbar=(), mu_n=0.0)
         result = run(summary, 10_000, theta_max=5, seed=3)
-        for row in result.per_threshold_ber[1:]:
-            assert row.q_hat == 1.0
-            assert row.p_hat == 0.0
-            assert row.ber == pytest.approx(0.5, abs=0.02)
+        assert (result.q_hat[1:] == 1.0).all()
+        assert (result.p_hat[1:] == 0.0).all()
+        assert result.ber[1:] == pytest.approx(0.5, abs=0.02)
 
     def test_consistent_with_analytic_error_rates(self, default_summary, default_run):
         # family-wise false-failure probability 1e-3
@@ -93,14 +102,15 @@ class TestRun:
         assert len(ber_failures(result, scale * ber, theta_opt, 1e-3)) == 2
 
     def test_best_is_curve_minimum(self, default_run):
-        bers = [row.ber for row in default_run.per_threshold_ber]
-        assert default_run.best.ber == min(bers)
-        assert default_run.best.theta == int(np.argmin(bers))
+        bers = default_run.ber.tolist()
+        assert type(default_run.best) is int
+        assert default_run.ber[default_run.best] == min(bers)
+        assert default_run.best == bers.index(min(bers))
 
     def test_stderr_formula(self, default_run):
-        row = default_run.per_threshold_ber[10]
-        want = math.sqrt(row.ber * (1.0 - row.ber) / default_run.samples)
-        assert row.stderr == pytest.approx(want, rel=1e-12)
+        ber = default_run.ber[10]
+        want = math.sqrt(ber * (1.0 - ber) / default_run.samples)
+        assert default_run.stderr[10] == pytest.approx(want, rel=1e-12)
 
     def test_curve_is_u_shaped_around_the_optimum(self, default_summary, default_run):
         # family-wise false-failure probability 1e-3
@@ -115,16 +125,16 @@ class TestRun:
     @pytest.mark.parametrize("offset", [-6, -3, 2, 6])
     def test_u_shape_check_sees_two_swapped_rows(self, default_summary, default_run, offset):
         ber, theta_opt = analytic_ber(default_summary, default_run)
-        rows = list(default_run.per_threshold_ber)
         theta = theta_opt + offset
-        rows[theta], rows[theta + 1] = rows[theta + 1]._replace(theta=theta), rows[theta]._replace(theta=theta + 1)
-        swapped = dataclasses.replace(default_run, per_threshold_ber=tuple(rows))
+        rows = default_run.ber.copy()
+        rows[[theta, theta + 1]] = rows[[theta + 1, theta]]
+        swapped = dataclasses.replace(default_run, ber=rows)
         failures, _, _ = u_shape_failures(swapped, ber, 1e-3)
         assert len(failures) == 1 and f"theta {theta} to {theta + 1}" in failures[0]
 
     def test_u_shape_check_sees_a_best_row_off_the_minimum(self, default_summary, default_run):
         ber, theta_opt = analytic_ber(default_summary, default_run)
-        moved = dataclasses.replace(default_run, best=default_run.per_threshold_ber[theta_opt - 3])
+        moved = dataclasses.replace(default_run, best=theta_opt - 3)
         failures, _, _ = u_shape_failures(moved, ber, 1e-3)
         assert len(failures) == 1 and "best theta" in failures[0]
 
@@ -133,7 +143,7 @@ class TestRun:
         for n in (6, 36):
             config = SystemConfig(n_interferers=n)
             summary = summarize(config.params(), config.geometry(), config.layout())
-            best[n] = run(summary, 200_000, seed=5).best.theta
+            best[n] = run(summary, 200_000, seed=5).best
         assert best[6] <= best[36] + 1
 
     def test_wide_truncation_keeps_the_best_threshold(self):
@@ -146,14 +156,14 @@ class TestRun:
             exact[n] = optimal_threshold(summary.mu_s, summary.cbar, summary.mu_n)
         config = SystemConfig(n_interferers=1260)
         summary = summarize(config.params(), config.geometry(), config.layout())
-        sampled = run(summary, 400_000, theta_max=60, seed=5).best.theta
+        sampled = run(summary, 400_000, theta_max=60, seed=5).best
         assert exact[6] <= exact[36] <= sampled + 1
 
     def test_semi_analytic_mode_matches_analytic_curve(self, default_summary, semi_analytic_run):
         # family-wise false-failure probability 1e-3
         ber, theta_opt = analytic_ber(default_summary, semi_analytic_run)
         assert ber_failures(semi_analytic_run, ber, theta_opt, 1e-3) == []
-        assert semi_analytic_run.best.theta == pytest.approx(theta_opt, abs=1)
+        assert semi_analytic_run.best == pytest.approx(theta_opt, abs=1)
 
     def test_semi_analytic_memory_does_not_grow_with_the_sample_count(self, default_summary):
         # the tree's leaves are distinct interference states, at most the
@@ -182,10 +192,8 @@ class TestRun:
         assert 0.0 in values
         mixture = IuiSpectrum(values=values, log_weights=np.log(tallies / samples), ring_basis=())
         q_ref, p_ref = atom_decision_curves(theta_max, summary.mu_s, mixture, summary.mu_n)
-        p_hat = np.array([row.p_hat for row in result.per_threshold_ber])
-        q_hat = np.array([row.q_hat for row in result.per_threshold_ber])
-        np.testing.assert_allclose(p_hat, p_ref, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(q_hat, q_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(result.p_hat, p_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(result.q_hat, q_ref, rtol=0.0, atol=1e-12)
 
     def test_rejects_bad_arguments(self, default_summary):
         with pytest.raises(ParameterError):
@@ -201,7 +209,7 @@ class TestRun:
             with pytest.raises(ParameterError, match=name):
                 run(default_summary, samples, theta_max=theta_max)
         # NumPy integers are integers
-        assert run(default_summary, np.int64(100), theta_max=np.int64(5)) == run(default_summary, 100, theta_max=5)
+        assert_same_result(run(default_summary, np.int64(100), theta_max=np.int64(5)), run(default_summary, 100, theta_max=5))
 
     @pytest.mark.parametrize("mode", ["stochastic", "semi-analytic"])
     @pytest.mark.parametrize(
@@ -350,7 +358,7 @@ class TestTallyTree:
         monkeypatch.setattr(montecarlo, "_log_convolve", forbidden)
         monkeypatch.setattr(montecarlo.np, "unique", forbidden)
         monkeypatch.setattr(montecarlo.np, "argsort", forbidden)
-        assert run(default_summary, samples, seed=3, mode="semi-analytic") == expected
+        assert_same_result(run(default_summary, samples, seed=3, mode="semi-analytic"), expected)
 
     def test_a_tree_of_no_ring_gives_the_analytic_curves(self, monkeypatch, default_summary):
         # with every ring exact, the mixture is the one count pmf of the
@@ -358,8 +366,34 @@ class TestTallyTree:
         monkeypatch.setattr(montecarlo, "TREE_CELLS", 1)
         result = run(default_summary, 1000, seed=3, mode="semi-analytic")
         p, q = error_curves(100, default_summary.mu_s, default_summary.cbar, default_summary.mu_n)
-        np.testing.assert_allclose([row.p_hat for row in result.per_threshold_ber], p, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose([row.q_hat for row in result.per_threshold_ber], q, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(result.p_hat, p, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(result.q_hat, q, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("tree_cells", [montecarlo.TREE_CELLS, 1])
+    def test_a_wide_theta_max_builds_the_pmfs_only_to_the_support(self, monkeypatch, default_summary, tree_cells):
+        # past the support of the loudest count every pmf entry rounds to 0,
+        # so the mixtures stop there, and the rows past it repeat its row,
+        # whether the tree covers every ring or none
+        monkeypatch.setattr(montecarlo, "TREE_CELLS", tree_cells)
+        summary = default_summary
+        lam_max = summary.mu_n + summary.mu_s + sum(cbar * count for cbar, count in summary.cbar)
+        support = _chernoff_support(lam_max, montecarlo.UNDERFLOW_NATS)
+        narrow = run(summary, 1000, theta_max=support, seed=3, mode="semi-analytic")
+        lengths = []
+        log_mixture = montecarlo._log_mixture
+
+        def recording(lams, log_weights, counts):
+            lengths.append(counts.size)
+            return log_mixture(lams, log_weights, counts)
+
+        monkeypatch.setattr(montecarlo, "_log_mixture", recording)
+        wide = run(summary, 1000, theta_max=10**6, seed=3, mode="semi-analytic")
+        assert len(lengths) == 2 and max(lengths) <= support
+        for name in ("ber", "p_hat", "q_hat"):
+            curve, head = getattr(wide, name), getattr(narrow, name)
+            assert curve.size == 10**6 + 1
+            assert curve[: support + 1].tobytes() == head.tobytes()
+            assert (curve[support:] == head[-1]).all()
 
     def test_early_stop_curves_match_analytic_curve(self):
         # family-wise false-failure probability 1e-3, and a 1% error in the

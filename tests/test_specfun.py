@@ -183,10 +183,10 @@ class TestLogPoissonPmf:
     COUNTS = np.array([0, 1, 2, 7, 40, 100, 1000, 4095, 4096, 5000, 10_000])
 
     @staticmethod
-    def reference(power=1.0):
+    def reference():
         x, e = TestLogPoissonPmf.MEANS[:, None], TestLogPoissonPmf.COUNTS
         with np.errstate(divide="ignore"):
-            return stats.poisson.logpmf(e, x) - (power - 1.0) * special.gammaln(e + 1.0)
+            return stats.poisson.logpmf(e, x)
 
     @staticmethod
     def assert_close(got, want):
@@ -205,18 +205,12 @@ class TestLogPoissonPmf:
         assert got[0] == 0.0
         assert np.isneginf(got[1:]).all()
 
-    def test_power_two_divides_by_the_factorial_once_more(self):
-        got = _log_poisson_pmf(self.MEANS, self.COUNTS, power=2)
-        lgamma = np.array([math.lgamma(e + 1.0) for e in self.COUNTS.tolist()])
-        self.assert_close(got, _log_poisson_pmf(self.MEANS, self.COUNTS) - lgamma)
-        self.assert_close(got, self.reference(power=2))
-
     def test_a_given_log_norm_and_out_give_the_same_values(self):
         want = _log_poisson_pmf(self.MEANS, self.COUNTS)
         out = np.full((self.MEANS.size, self.COUNTS.size), np.nan)
         got = _log_poisson_pmf(self.MEANS, self.COUNTS, log_norm=_log_factorials(self.COUNTS), out=out)
         assert got is out
         np.testing.assert_array_equal(got, want)
-        # a log norm is used as given, in place of power * ln e!
+        # a log norm is used as given, in place of ln e!
         shifted = _log_poisson_pmf(self.MEANS, self.COUNTS, log_norm=_log_factorials(self.COUNTS) + 1.0)
         np.testing.assert_array_equal(shifted, want - 1.0)
