@@ -11,6 +11,7 @@ at time t; it factorizes into an axial erf difference and a radial series.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, SearchError, is_finite_real, is_integer
 from .gridgeom import GridLayout, cell_area
-from .specfun import _CHUNK, _log_factorials, erf
+from .specfun import _CHUNK, _erf, _log_factorials, erf
 
 __all__ = [
     "ChannelSummary",
@@ -43,8 +44,24 @@ _SCAN = 1000
 # horizons whose scan, horizon * k / _SCAN for k = 1.._SCAN, is all normal floats
 _HORIZONS = (_SCAN * sys.float_info.min, sys.float_info.max / _SCAN)
 _ZOOM = 32
+# Links per block of a batched peak search or summary: the links share each
+# NumPy call of the block's zooms and response evaluation, whose arrays stay
+# at several hundred elements.
+_BLOCK = 8
+# Default tolerance of the peak time.
+_PEAK_TOL = 1e-6
+# A zoom row's new edges, at (first, last) at the peak: first - 1, first, last and last + 1.
+_LAST = np.array([False, False, True, True])
+_BESIDE = np.array([-1, 0, 0, 1])
+# The flat index of the first zoom point of each row of a block.
+_ROW_STARTS = np.arange(_BLOCK)[:, None] * (2 * (_ZOOM + 2))
 # Simpson intervals of the tail estimate in summarize.
 _TAIL_INTERVALS = 64
+# Composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1 on its nodes.
+_SIMPSON = np.tile([2.0, 4.0], _TAIL_INTERVALS // 2 + 1)[: _TAIL_INTERVALS + 1]
+_SIMPSON[[0, -1]] = 1.0
+_SIMPSON.setflags(write=False)
+_NODES = np.arange(_TAIL_INTERVALS + 1)
 
 
 @dataclass(frozen=True)
@@ -184,6 +201,7 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
     with np.errstate(divide="ignore"):
         fall = np.ceil(math.log(SERIES_RTOL) / np.log(sigma * (1.0 + rho / h**extra) / (h + 1.0)))
     top = (h + np.maximum(fall, 1.0)).astype(np.int64)
+    del rs, floor, slope, h, fall
     log_fact = _log_factorials(np.arange(int(top.max(initial=0)) + 1))
     # ln of p and w at their modes (0 at sigma = 0, whose p_j are all 0)
     with np.errstate(divide="ignore"):
@@ -193,18 +211,19 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
     log_rho = np.log(rho)
     w_mode = np.floor(rho ** (1.0 / extra))
     w_at = w_mode * log_rho - extra * _log_factorials(w_mode.astype(np.int64))
+    del p_mode, w_mode
     new = _run_starts(sigma)
-    out = np.empty_like(rs)
+    out = np.empty_like(rho)
     # a quarter of _CHUNK entries per temporary: the block's three stay
     # within _CHUNK together, and each below the 128 KB at which the C
     # allocator maps memory directly and then keeps a larger heap resident
     rows = _CHUNK // 4 // int(top.max(initial=1)) or 1
     start = 0
-    while start < rs.size:
+    while start < rho.size:
         stop = start + rows
         # end the block at the last run start in (start, stop]
         cuts = np.flatnonzero(new[start + 1 : stop + 1])
-        if stop < rs.size and cuts.size:
+        if stop < rho.size and cuts.size:
             stop = start + 1 + int(cuts[-1])
         b = slice(start, stop)
         heads = new[b].copy()
@@ -218,26 +237,109 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
         terms *= pmf[np.cumsum(heads) - 1]
         np.cumsum(terms, axis=1, out=terms)
         out[b] = terms[np.arange(len(terms)), top[b] - 1]
+        del pmf, terms  # the next block's rows are formed without these
         start = stop
     out *= np.exp(p_at - sigma + (w_at - rho))
     return out
 
 
 def _axial(t: np.ndarray, D: float, v: float, z_s: float, z_e: float) -> np.ndarray:
-    """Axial factor of the response: the erf difference over z_s..z_e at times ``t`` (1-D)."""
+    """Axial factor of the response: the erf difference over z_s..z_e at times ``t`` (1-D).
+
+    Both erf arguments go through one pass of math.erf; a non-finite one
+    raises the error of its own erf call.
+    """
     root = np.sqrt(4.0 * D * t)
-    return 0.5 * (erf((v * t - z_s) / root) - erf((v * t - z_e) / root))
+    ends = np.subtract(v * t, np.array([[z_s], [z_e]], dtype=float))
+    ends /= root
+    if not np.isfinite(ends).all():
+        erf(ends[0])
+        erf(ends[1])
+    values = _erf(ends)
+    return 0.5 * (values[0] - values[1])
 
 
-def _zero_offset(t: np.ndarray, axial: np.ndarray, params: PhysicalParams) -> np.ndarray:
-    """cir(t, 0.0, ...) bit for bit, given the axial factor at ``t``: axial times 1 - e^-sigma."""
-    return np.clip(axial * -np.expm1(-params.s_rx * params.s_rx / (4.0 * params.D * t)), 0.0, 1.0)
+def _zero_offset(t: np.ndarray, axial: np.ndarray, D: float, s_rx) -> np.ndarray:
+    """cir(t, 0.0, ...) bit for bit, given the axial factor at ``t``: axial times 1 - e^-sigma.
+
+    ``s_rx`` is a float, or an array of one radius per element of ``t``.
+    np.maximum and np.minimum clip as np.clip does, up to the sign of a
+    zero, which the peak search, comparing these values only, never sees.
+    """
+    value = np.expm1(-s_rx * s_rx / (4.0 * D * t))
+    np.negative(value, out=value)
+    value *= axial
+    return np.minimum(np.maximum(value, 0.0, out=value), 1.0, out=value)
 
 
 def _check_times(t_arr: np.ndarray, t) -> None:
     """Reject any time in ``t_arr`` that is not positive and finite, naming the argument ``t``."""
     if not (np.isfinite(t_arr) & (t_arr > 0)).all():
         raise ParameterError(f"t must be positive and finite, got {t}")
+
+
+def _series_power(k_max: int, gamma_form: str) -> float:
+    """The power of k! that divides the radial weights of ``gamma_form``, once both arguments are checked."""
+    if not is_integer(k_max) or k_max < 0:
+        raise ParameterError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    if gamma_form not in GAMMA_FORMS:
+        raise ParameterError(f"gamma_form must be one of {GAMMA_FORMS}, got {gamma_form!r}")
+    return 2.0 if gamma_form == "regularized" else 1.0
+
+
+def _spaced(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """np.linspace(start[i], stop[i], num, axis=-1) of each row i, bit for bit, as start.shape + (num,).
+
+    linspace forms k * step, or (k / (num - 1)) * delta as soon as any step
+    of the call is 0; each row is one call here, over its intervals along
+    the last axis of ``start`` and ``stop``.
+    """
+    delta = stop - start
+    step = delta / (num - 1)
+    counts = np.arange(float(num))
+    out = counts * step[..., None]
+    if not step.all():
+        zero = (step == 0.0).any(axis=-1)
+        out[zero] = counts / (num - 1) * delta[zero][..., None]
+    out += start[..., None]
+    out[..., -1] = stop
+    return out
+
+
+def _response(
+    t: np.ndarray, r: np.ndarray, s_rx: np.ndarray, D: float, v: float, z_s: float, z_e: float, k_max: int, extra: float
+) -> np.ndarray:
+    """The response at each element of the equal-shape arrays ``t``, ``r`` and ``s_rx``, as a new array.
+
+    Each element is computed on its own, so the values do not depend on
+    which elements share a call. The axial factor depends on t alone (the
+    transport and the span are shared): one erf pair per run of equal
+    times. The radial factor is at most exp(-(r - S_RX)^2 / 4Dt), which
+    rounds to 0 past _FAR diffusion lengths, as do all its terms, so those
+    elements, and those of a zero axial factor, skip the series. At r = 0
+    the series is its first term, P(1, sigma) = 1 - e^-sigma.
+    """
+    value = np.zeros(t.shape)
+    flat = value.reshape(-1)
+    for start in range(0, flat.size, _CHUNK // 16):
+        window = slice(start, start + _CHUNK // 16)
+        t_w, r_w, s_w = t.flat[window], r.flat[window], s_rx.flat[window]
+        new = _run_starts(t_w)
+        run = np.cumsum(new) - 1
+        t_h = t_w[new]
+        root_h = np.sqrt(4.0 * D * t_h)
+        axial = _axial(t_h, D, v, z_s, z_e)
+        live = np.flatnonzero((axial[run] != 0.0) & (r_w - s_w <= _FAR * root_h[run]))
+        four_dt = 4.0 * D * t_w[live]
+        s_l, r_l = s_w[live], r_w[live]
+        sigma = s_l * s_l / four_dt
+        rho = r_l * r_l / four_dt
+        radial = -np.expm1(-sigma)
+        off = rho > 0.0
+        radial[off] = _radial(rho[off], sigma[off], k_max, extra)
+        flat[start + live] = axial[run[live]] * radial
+    np.clip(value, 0.0, 1.0, out=value)
+    return value
 
 
 @functools.lru_cache(maxsize=8)
@@ -287,39 +389,14 @@ def cir(
     r_i = 0 (0! = 1) but decays faster with distance and reproduces the
     tabulated reference constants used by the acceptance suite.
     """
-    t_arr, r_arr = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(r_i, dtype=float))
+    t_arr, r_arr, s_arr = np.broadcast_arrays(
+        np.asarray(t, dtype=float), np.asarray(r_i, dtype=float), np.asarray(params.s_rx, dtype=float)
+    )
     _check_times(t_arr, t)
     if not (np.isfinite(r_arr) & (r_arr >= 0)).all():
         raise ParameterError(f"r_i must be nonnegative and finite, got {r_i}")
-    if not is_integer(k_max) or k_max < 0:
-        raise ParameterError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    if gamma_form not in GAMMA_FORMS:
-        raise ParameterError(f"gamma_form must be one of {GAMMA_FORMS}, got {gamma_form!r}")
-    extra = 2.0 if gamma_form == "regularized" else 1.0
-
-    value = np.zeros(t_arr.shape)
-    flat = value.reshape(-1)
-    for start in range(0, flat.size, _CHUNK // 16):
-        window = slice(start, start + _CHUNK // 16)
-        t_w, r_w = t_arr.flat[window], r_arr.flat[window]
-        # the axial factor depends on t alone: one erf pair per run of equal times
-        new = _run_starts(t_w)
-        run = np.cumsum(new) - 1
-        t_h = t_w[new]
-        root_h = np.sqrt(4.0 * params.D * t_h)
-        axial = _axial(t_h, params.D, params.v, geom.z_s, geom.z_e)
-        # the radial factor is at most exp(-(r_i - S_RX)^2 / 4Dt), which
-        # rounds to 0 past _FAR diffusion lengths, as do all its terms
-        live = np.flatnonzero((axial[run] != 0.0) & (r_w - params.s_rx <= _FAR * root_h[run]))
-        four_dt = 4.0 * params.D * t_w[live]
-        sigma = params.s_rx * params.s_rx / four_dt
-        rho = r_w[live] * r_w[live] / four_dt
-        # at rho = 0 the series is its first term, P(1, sigma) = 1 - e^-sigma
-        radial = -np.expm1(-sigma)
-        off = rho > 0.0
-        radial[off] = _radial(rho[off], sigma[off], k_max, extra)
-        flat[start + live] = axial[run[live]] * radial
-    np.clip(value, 0.0, 1.0, out=value)
+    extra = _series_power(k_max, gamma_form)
+    value = _response(t_arr, r_arr, s_arr, params.D, params.v, geom.z_s, geom.z_e, k_max, extra)
     return float(value) if value.ndim == 0 else value
 
 
@@ -336,11 +413,98 @@ def cir_uca(t: float, r_i: float, params: PhysicalParams, geom: ReceiverGeometry
     return geom.volume * conc
 
 
+def _check_search(search_horizon: float, tol: float) -> None:
+    if not (is_finite_real(search_horizon) and _HORIZONS[0] <= search_horizon <= _HORIZONS[1]):
+        raise ParameterError(
+            f"search_horizon must lie in [{_HORIZONS[0]!r}, {_HORIZONS[1]!r}], where the {_SCAN}-point "
+            f"peak scan of (0, horizon] holds normal floats only, got {search_horizon!r}"
+        )
+    if not (is_finite_real(tol) and tol > 0):
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _transport(links) -> tuple[float, float, float, float]:
+    """D, v, z_s and z_e, which every (params, geom, ...) link of a batch shares."""
+    shared = {(params.D, params.v, geom.z_s, geom.z_e) for params, geom, *_ in links}
+    if len(shared) != 1:
+        raise ParameterError(f"a batch of links must share D, v and the receiver's axial span, got {len(shared)} sets")
+    return shared.pop()
+
+
+def _widest(edges: np.ndarray) -> np.ndarray:
+    """The wider bracket of each row of edges (lo, hi of the first bracket, lo, hi of the second)."""
+    return (edges[:, 1::2] - edges[:, ::2]).max(axis=1)
+
+
+def _peak_block(links, transport, search_horizon: float, tol: float) -> list[float]:
+    """peak_time of each (params, geom) link of one block of at most _BLOCK links.
+
+    Each link's scan is the one-link search's, against the shared cached
+    axial factor. Then the brackets of every link zoom together in shared
+    array calls, row i of each belonging to link i, and each step does to a
+    row what the search does to one link, on the same doubles: a zoom
+    spaces each row's two brackets as one linspace call, and a row leaves
+    the zoom once both brackets are narrower than ``tol`` or stop
+    narrowing (tol is then below the float spacing at its edges).
+    """
+    D, v, z_s, z_e = transport
+    n = _SCAN
+    grid, axial = _scan_axial(*map(float, (D, v, z_s, z_e, search_horizon)))
+    # one scan row per link, as the one-link search forms it: a (links,
+    # _SCAN) broadcast would allocate ufunc buffers of its full size
+    peak, lo, hi = [], [], []
+    for params, *_ in links:
+        vals = _zero_offset(grid, axial, D, params.s_rx)
+        top = vals.max()
+        if top <= 0.0:
+            raise SearchError(
+                f"response vanishes at all {n} scan points of (0, {search_horizon}], {search_horizon / n:.3g} s apart; "
+                "its peak lies past the horizon (widen it) or between two scan points (narrow it)"
+            )
+        if vals.argmax() == n - 1:
+            raise SearchError(f"response still rising at t = {search_horizon}; widen the horizon")
+        near = np.flatnonzero(vals >= top * (1.0 - 1e-12))
+        if near[-1] == n - 1:
+            raise SearchError(f"response still at its peak at t = {search_horizon}; widen the horizon")
+        peak.append(top)
+        lo.append(near[0])
+        hi.append(near[-1])
+    peak, lo, hi = np.array(peak), np.array(lo), np.array(hi)
+    s_rx = np.array([[params.s_rx] for params, *_ in links], dtype=float)
+
+    # Each row of edges holds two brackets, around the first and the last
+    # time at the peak. The outer end of each bracket stays below the
+    # running maximum's level, which never drops, so both edges stay inside.
+    edges = grid[np.where(_LAST, hi[:, None], lo[:, None]) + _BESIDE]
+    if not lo.all():
+        edges[lo == 0, 0] = grid[0] * 1e-3
+    width = 2 * (_ZOOM + 2)
+    # rows: the links still zooming; old, s_rx and peak: their rows
+    rows, old = np.arange(len(links)), edges
+    keep = _widest(edges) >= tol
+    while (kept := np.count_nonzero(keep)):
+        if kept < rows.size:
+            edges[rows] = old
+            rows, old, s_rx, peak = rows[keep], old[keep], s_rx[keep], peak[keep]
+        t = _spaced(old[:, ::2], old[:, 1::2], _ZOOM + 2).reshape(-1)
+        vals = _zero_offset(t, _axial(t, D, v, z_s, z_e), D, s_rx.repeat(width)).reshape(rows.size, width)
+        np.maximum(peak, vals.max(axis=1), out=peak)
+        near = vals >= (peak * (1.0 - 1e-12))[:, None]
+        at = np.where(_LAST, width - 1 - near[:, ::-1].argmax(axis=1)[:, None], near.argmax(axis=1)[:, None])
+        at += _BESIDE
+        narrowed = t[np.maximum(at, 0, out=at) + _ROW_STARTS[: rows.size]]
+        keep = (narrowed != old).any(axis=1) & (_widest(narrowed) >= tol)
+        old = narrowed
+    edges[rows] = old
+    # the mean of each row, as ndarray.mean sums and divides it
+    return (np.add.reduce(edges, axis=1) / 4.0).tolist()
+
+
 def peak_time(
     params: PhysicalParams,
     geom: ReceiverGeometry,
     search_horizon: float = 15.0,
-    tol: float = 1e-6,
+    tol: float = _PEAK_TOL,
 ) -> float:
     """Sampling time t_m: the center of the peak of the zero-offset response.
 
@@ -355,46 +519,105 @@ def peak_time(
     ``tol``. The zero-offset response is cir(t, 0.0, ...) bit for bit,
     formed directly as axial times 1 - e^-sigma; the scan's axial factor
     comes from a cache keyed by the transport, the axial span and the
-    horizon.
+    horizon. This is the one-link case of the batched search that
+    perf.sweep runs a block of links at a time (_peak_block).
     """
-    if not (is_finite_real(search_horizon) and _HORIZONS[0] <= search_horizon <= _HORIZONS[1]):
-        raise ParameterError(
-            f"search_horizon must lie in [{_HORIZONS[0]!r}, {_HORIZONS[1]!r}], where the {_SCAN}-point "
-            f"peak scan of (0, horizon] holds normal floats only, got {search_horizon!r}"
-        )
-    if not (is_finite_real(tol) and tol > 0):
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+    _check_search(search_horizon, tol)
+    links = [(params, geom)]
+    return _peak_block(links, _transport(links), search_horizon, tol)[0]
 
-    n = _SCAN
-    grid, axial = _scan_axial(*map(float, (params.D, params.v, geom.z_s, geom.z_e, search_horizon)))
-    vals = _zero_offset(grid, axial, params)
-    peak = vals.max()
-    if peak <= 0.0:
-        raise SearchError(
-            f"response vanishes at all {n} scan points of (0, {search_horizon}], {search_horizon / n:.3g} s apart; "
-            "its peak lies past the horizon (widen it) or between two scan points (narrow it)"
-        )
-    if vals.argmax() == n - 1:
-        raise SearchError(f"response still rising at t = {search_horizon}; widen the horizon")
-    near = np.flatnonzero(vals >= peak * (1.0 - 1e-12))
-    lo, hi = near[0], near[-1]
-    if hi == n - 1:
-        raise SearchError(f"response still at its peak at t = {search_horizon}; widen the horizon")
 
-    # The outer end of each bracket stays below the running maximum's
-    # level, which never drops, so both edges stay inside the brackets.
-    edges = np.array([[grid[lo - 1] if lo > 0 else grid[0] * 1e-3, grid[lo]], [grid[hi], grid[hi + 1]]])
-    while (edges[:, 1] - edges[:, 0]).max() >= tol:
-        t = np.linspace(edges[:, 0], edges[:, 1], _ZOOM + 2, axis=-1).ravel()
-        vals = _zero_offset(t, _axial(t, params.D, params.v, geom.z_s, geom.z_e), params)
-        peak = max(peak, vals.max())
-        near = np.flatnonzero(vals >= peak * (1.0 - 1e-12))
-        first, last = near[0], near[-1]
-        narrowed = np.array([[t[max(first - 1, 0)], t[first]], [t[last], t[last + 1]]])
-        if (narrowed == edges).all():
-            break  # tol is below the float spacing at the edges
-        edges = narrowed
-    return float(edges.mean())
+def _summary_block(links, t_ms, transport, k_max: int, gamma_form: str) -> list[ChannelSummary]:
+    """summarize of each (params, geom, layout) link of one block at its t_m, in one response evaluation.
+
+    The elements are each link's distances (0 for the paired link, then
+    its rings) and then its Simpson nodes, if it has a tail, link after
+    link; every element takes its link's t_m, S_RX and n_mol.
+    """
+    rows, ends = [], []
+    for (params, _, layout), t_m in zip(links, t_ms):
+        distances = [0.0] + [dist for dist, _ in layout.ring_sizes]
+        tail = None
+        if layout.ring_sizes:
+            r_out = distances[-1]
+            r_end = r_out + 8.0 * math.sqrt(4.0 * params.D * t_m) + 2.0 * params.s_rx
+            if r_end > r_out:
+                tail = len(ends)
+                ends.append((r_out, r_end))
+        rows.append((distances, tail))
+    if ends:
+        r_out, r_end = np.array(ends).T[:, :, None]
+        nodes = _spaced(r_out, r_end, _TAIL_INTERVALS + 1)[:, 0]
+    pieces, sizes = [], []
+    for distances, tail in rows:
+        pieces.append(distances)
+        if tail is not None:
+            pieces.append(nodes[tail])
+        sizes.append(len(distances) + (0 if tail is None else _TAIL_INTERVALS + 1))
+    r = np.concatenate(pieces)
+    offsets = list(itertools.accumulate(sizes, initial=0))
+
+    for t_m in t_ms:
+        if not 0.0 < t_m < math.inf:
+            raise ParameterError(f"t must be positive and finite, got {t_m}")
+    if not (np.isfinite(r) & (r >= 0)).all():
+        for start, stop in zip(offsets, offsets[1:]):
+            segment = r[start:stop]
+            if not (np.isfinite(segment) & (segment >= 0)).all():
+                raise ParameterError(f"r_i must be nonnegative and finite, got {segment}")
+    extra = _series_power(k_max, gamma_form)
+
+    per_link = [(t_m, params.s_rx, params.n_mol) for (params, *_), t_m in zip(links, t_ms)]
+    t, s_rx, n_mol = np.repeat(np.array(per_link, dtype=float), sizes, axis=0).T
+    scaled = n_mol * _response(t, r, s_rx, *transport, k_max, extra)
+    if ends:
+        tails = [
+            (start + len(distances), layout)
+            for (distances, tail), start, (_, _, layout) in zip(rows, offsets, links)
+            if tail is not None
+        ]
+        a_cell = np.array([[cell_area(layout.kind, layout.pitch)] for _, layout in tails])
+        integrand = scaled[np.add.outer([first for first, _ in tails], _NODES)] * 2.0 * math.pi * nodes / a_cell
+        tail_means = (np.add.reduce(_SIMPSON * integrand, axis=1) * (nodes[:, 1] - nodes[:, 0]) / 3.0).tolist()
+    values = scaled.tolist()
+    summaries = []
+    for (params, geom, layout), t_m, (distances, tail), start in zip(links, t_ms, rows, offsets):
+        means = values[start : start + len(distances)]
+        summaries.append(
+            ChannelSummary(
+                t_m=t_m,
+                mu_s=means[0],
+                cbar=tuple((mean, count) for mean, (_, count) in zip(means[1:], layout.ring_sizes)),
+                mu_n=params.c_noise * geom.volume,
+                tail_mean=0.0 if tail is None else tail_means[tail],
+            )
+        )
+    return summaries
+
+
+def _summaries(links, k_max: int, gamma_form: str, search_horizon: float, t_ms=None) -> list[ChannelSummary]:
+    """summarize of each (params, geom, layout) link, _BLOCK links per pass.
+
+    The links share D, v and the receiver's axial span, as the points of a
+    sweep do; S_RX, n_mol, the noise and the layout are each link's own.
+    A block's peak times come from one batched search (_peak_block), and
+    its rings and Simpson nodes from one response evaluation, with sigma
+    and the tail nodes taken per element: every value equals the one-link
+    call's bit for bit. ``t_ms`` gives the sampling times in place of the
+    search. A failure raises the error of a failing link.
+    """
+    if t_ms is None:
+        _check_search(search_horizon, _PEAK_TOL)
+    transport = _transport(links)
+    summaries = []
+    for start in range(0, len(links), _BLOCK):
+        block = links[start : start + _BLOCK]
+        if t_ms is None:
+            times = _peak_block(block, transport, search_horizon, _PEAK_TOL)
+        else:
+            times = t_ms[start : start + _BLOCK]
+        summaries += _summary_block(block, times, transport, k_max, gamma_form)
+    return summaries
 
 
 def summarize(
@@ -412,27 +635,7 @@ def summarize(
     beyond the outermost ring, integrated against the response at t_m by
     the composite Simpson rule on _TAIL_INTERVALS intervals out to 8
     diffusion lengths plus 2 S_RX past that ring. The rings and the
-    Simpson nodes share one response call.
+    Simpson nodes share one response evaluation. This is the one-link case
+    of _summaries, which perf.sweep runs a block of links at a time.
     """
-    if t_m is None:
-        t_m = peak_time(params, geom, search_horizon=search_horizon)
-    distances = [0.0] + [dist for dist, _ in layout.ring_sizes]
-    nodes = np.empty(0)
-    if layout.ring_sizes:
-        r_out = distances[-1]
-        r_end = r_out + 8.0 * math.sqrt(4.0 * params.D * t_m) + 2.0 * params.s_rx
-        if r_end > r_out:
-            nodes = np.linspace(r_out, r_end, _TAIL_INTERVALS + 1)
-    response = cir(t_m, np.concatenate((distances, nodes)), params, geom, k_max=k_max, gamma_form=gamma_form)
-    means = (params.n_mol * response[: len(distances)]).tolist()
-    cbar = tuple((mean, count) for mean, (_, count) in zip(means[1:], layout.ring_sizes))
-    mu_n = params.c_noise * geom.volume
-    tail_mean = 0.0
-    if nodes.size:
-        # Simpson weights 1, 4, 2, 4, ..., 2, 4, 1
-        weights = np.tile([2.0, 4.0], _TAIL_INTERVALS // 2 + 1)[: nodes.size]
-        weights[[0, -1]] = 1.0
-        a_cell = cell_area(layout.kind, layout.pitch)
-        integrand = params.n_mol * response[len(distances) :] * 2.0 * math.pi * nodes / a_cell
-        tail_mean = float(np.sum(weights * integrand)) * (nodes[1] - nodes[0]) / 3.0
-    return ChannelSummary(t_m=t_m, mu_s=means[0], cbar=cbar, mu_n=mu_n, tail_mean=tail_mean)
+    return _summaries([(params, geom, layout)], k_max, gamma_form, search_horizon, None if t_m is None else [t_m])[0]

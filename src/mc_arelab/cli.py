@@ -21,7 +21,7 @@ from . import __version__
 from .channel import cir, summarize
 from .config import SystemConfig, dump_config, load_config, parse_config_text
 from .detection import characterize
-from .errors import MAX_ELEMENTS, ParameterError, SearchError
+from .errors import MAX_ELEMENTS, ParameterError, SearchError, check_elements
 from .gridgeom import to_cartesian
 from .montecarlo import run as mc_run
 from .pbs import PbsConfig, simulate_cir
@@ -140,6 +140,7 @@ def _geometric_axis(flag: str, lo: float, hi: float, points: int | None) -> list
         points = max(2, round(60 * math.log10(hi / lo)) + 1)
     if points < 2:
         raise ParameterError(f"points must be >= 2, got {points}")
+    check_elements(points, f"--points = {points}")
     return [float(v) for v in np.geomspace(lo, hi, points)]
 
 

@@ -38,7 +38,7 @@ from .channel import ChannelSummary
 from .config import MC_MODES
 from .detection import _add_rings, _half_binomial_log_pmf, _log_convolve, _log_mixture, _threshold_curves
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
-from .specfun import _chernoff_support, _log_factorials, _log_poisson_pmf
+from .specfun import _chernoff_support, _log_poisson_pmf
 
 __all__ = ["McResult", "run"]
 
@@ -163,41 +163,36 @@ def _support(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     return int(nonzero[0]), pvals / pvals.sum()
 
 
-def _clipped_poisson(lam: float, log_norm: np.ndarray) -> tuple[int, np.ndarray]:
+def _clipped_poisson(lam: float, theta_max: int) -> tuple[int, np.ndarray]:
     """(first, pvals): the law of min(N, theta_max) over the cells first.., N ~ Poisson(lam).
 
-    ``log_norm`` is ln r! for r = 0..theta_max. By the Chernoff bound
-    P(N = r) <= exp(-lam h(r / lam - 1)), h(u) = (1 + u) ln(1 + u) - u >=
-    u^2 / 2 (u <= 0), the pmf is under e^-N, N = UNDERFLOW_NATS, and rounds
-    to 0 more than sqrt(2 N lam) below the mean or past
-    specfun._chernoff_support(lam, N); only the cells in between are formed.
-    Cells past theta_max fold into the clip cell.
+    By the Chernoff bound P(N = r) <= exp(-lam h(r / lam - 1)), h(u) =
+    (1 + u) ln(1 + u) - u >= u^2 / 2 (u <= 0), the pmf is under e^-N, N =
+    UNDERFLOW_NATS, and rounds to 0 more than sqrt(2 N lam) below the mean
+    or past specfun._chernoff_support(lam, N); only the cells in between
+    are formed, with the ln r! of those counts alone. Cells past theta_max
+    fold into the clip cell.
     """
-    theta_max = log_norm.size - 1
     below = lam - math.sqrt(2.0 * UNDERFLOW_NATS) * math.sqrt(lam)
     if not below <= theta_max:
         return theta_max, np.ones(1)
     lo = max(0, math.floor(below))
     hi = _chernoff_support(lam, UNDERFLOW_NATS)
-    norm = log_norm[lo : hi + 1]
-    if hi > theta_max:
-        norm = np.concatenate((norm, _log_factorials(np.arange(theta_max + 1, hi + 1))))
-    pmf = np.exp(_log_poisson_pmf(np.array([lam]), np.arange(lo, hi + 1), log_norm=norm)[0])
+    pmf = np.exp(_log_poisson_pmf(np.array([lam]), np.arange(lo, hi + 1))[0])
     if hi >= theta_max:
         pmf = np.append(pmf[: theta_max - lo], pmf[theta_max - lo :].sum())
     first, pvals = _support(pmf)
     return lo + first, pvals
 
 
-def _spread(hist: np.ndarray, cells: np.ndarray, tallies: np.ndarray, lam: float, log_norm: np.ndarray, rng) -> None:
+def _spread(hist: np.ndarray, cells: np.ndarray, tallies: np.ndarray, lam: float, theta_max: int, rng) -> None:
     """Add one Poisson(lam) count to each of ``tallies[i]`` samples at ``cells[i]`` of ``hist``.
 
     ``hist`` holds rows of theta_max + 1 count cells. One multinomial draw
     per row over the shared clipped Poisson(lam) cells, in blocks of at
     most DRAW_CELLS elements, moves each sample from r to min(r + a, theta_max).
     """
-    theta_max = log_norm.size - 1
-    first, pvals = _clipped_poisson(lam, log_norm)
+    first, pvals = _clipped_poisson(lam, theta_max)
     shift = np.arange(first, first + pvals.size)
     r = cells % (theta_max + 1)
     step = max(1, DRAW_CELLS // pvals.size)
@@ -221,12 +216,11 @@ def _count_tallies(rings, mu_s, mu_n, theta_max, samples, rng) -> np.ndarray:
     """
     n_on = int(rng.binomial(samples, 0.5))
     width = theta_max + 1
-    log_norm = _log_factorials(np.arange(width))
     # cell b * width + r counts the samples that sent bit b whose count so
     # far is r; r = theta_max holds every count >= theta_max
     hist = np.zeros(2 * width, np.int64)
-    _spread(hist, np.array([0]), np.array([samples - n_on]), mu_n, log_norm, rng)
-    _spread(hist, np.array([width]), np.array([n_on]), mu_n + mu_s, log_norm, rng)
+    _spread(hist, np.array([0]), np.array([samples - n_on]), mu_n, theta_max, rng)
+    _spread(hist, np.array([width]), np.array([n_on]), mu_n + mu_s, theta_max, rng)
     for cbar, count in rings:
         # a clipped count stays clipped, so only the other cells move
         cells = np.flatnonzero(hist)
@@ -239,7 +233,7 @@ def _count_tallies(rings, mu_s, mu_n, theta_max, samples, rng) -> np.ndarray:
             split = rng.multinomial(tallies[lo : lo + step], pmf)
             for k in np.flatnonzero(split.any(axis=0)):
                 rows = np.flatnonzero(split[:, k])
-                _spread(hist, cells[lo:][rows], split[rows, k], (first + k) * cbar, log_norm, rng)
+                _spread(hist, cells[lo:][rows], split[rows, k], (first + k) * cbar, theta_max, rng)
     return hist.reshape(2, width)
 
 

@@ -16,7 +16,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .channel import summarize
+from .channel import _BLOCK, ReceiverGeometry, _summaries
 from .config import SystemConfig, map_workers
 from .detection import _CountDistribution
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
@@ -125,16 +125,23 @@ def spatial_rate(cell_area: float) -> float:
     return 1.0 / cell_area
 
 
-def evaluate(config: SystemConfig) -> PerfReport:
-    """Analytic performance of one configuration at the peak-CIR decision time."""
-    summary = summarize(
-        config.params(),
-        config.geometry(),
-        config.layout(),
-        k_max=config.k_max,
-        gamma_form=config.gamma_form,
-        search_horizon=config.horizon,
-    )
+def _link(config: SystemConfig) -> tuple:
+    """The (params, geometry, layout) link of a configuration, its geometry built from its params."""
+    params = config.params()
+    return params, ReceiverGeometry.centered(params), config.layout()
+
+
+def _channel(config: SystemConfig, links: list) -> list:
+    """The channel summary of each link, from one batched channel pass (channel._summaries).
+
+    The links are points of ``config`` along a sweep axis, which changes
+    neither the series settings nor the horizon.
+    """
+    return _summaries(links, k_max=config.k_max, gamma_form=config.gamma_form, search_horizon=config.horizon)
+
+
+def _report(config: SystemConfig, summary) -> PerfReport:
+    """The performance report of one configuration, from its channel summary."""
     counts = _CountDistribution(summary.mu_s, summary.cbar, summary.mu_n)
     spec = counts.spec()
     theta_used = spec.theta_opt if config.threshold_mode == "optimal" else spec.theta_sub
@@ -166,6 +173,15 @@ def evaluate(config: SystemConfig) -> PerfReport:
     )
 
 
+def evaluate(config: SystemConfig) -> PerfReport:
+    """Analytic performance of one configuration at the peak-CIR decision time.
+
+    The one-point case of sweep: the channel summary comes from a batched
+    channel pass of one link, and the report from its count distribution.
+    """
+    return _report(config, _channel(config, [_link(config)])[0])
+
+
 def _apply_axis(config: SystemConfig, axis: str, value) -> SystemConfig:
     if axis == "cell_pitch":
         return dataclasses.replace(config, c=float(value))
@@ -180,12 +196,53 @@ def _apply_axis(config: SystemConfig, axis: str, value) -> SystemConfig:
     raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
+def _points(config: SystemConfig, axis: str, values: list):
+    """(value, configuration, channel summary) of each axis value in order, up to the first failure.
+
+    The summaries come a block of _BLOCK points at a time from one batched
+    channel pass. A point that fails yields the exception it raised in
+    place of its configuration or summary, and ends the points: a block
+    whose pass fails is redone one point at a time, to find the first
+    failing point and its own error.
+    """
+    for start in range(0, len(values), _BLOCK):
+        block, configs, links, failure = values[start : start + _BLOCK], [], [], None
+        for value in block:
+            try:
+                point = _apply_axis(config, axis, value)
+                links.append(_link(point))
+            except Exception as exc:
+                failure = exc
+                break
+            configs.append(point)
+        summaries = []
+        if configs:
+            try:
+                summaries = _channel(config, links)
+            except Exception:
+                for link in links:
+                    try:
+                        summaries += _channel(config, [link])
+                    except Exception as exc:
+                        failure = exc
+                        break
+        yield from zip(block, configs, summaries)
+        if failure is not None:
+            yield block[len(summaries)], None, failure
+            return
+
+
 def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
     """Evaluate the configuration once per axis value, in input order.
 
-    A failure at any point aborts the whole sweep and names the value
-    that caused it. MC_ARELAB_THREADS > 1 evaluates points concurrently;
-    the result order and content do not depend on the thread count.
+    Each report equals evaluate() at its point: the channel summaries come
+    from one batched channel pass per block of points (_points), and each
+    point's count distribution and report follow from its summary. A
+    failure at any point aborts the whole sweep and names the first value,
+    in input order, whose evaluation fails, with that point's own error.
+    MC_ARELAB_THREADS > 1 builds the points' count distributions and
+    reports concurrently; the result order and content do not depend on
+    the thread count.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -193,13 +250,16 @@ def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
     if not values:
         raise ParameterError("sweep requires at least one axis value")
 
-    def run_one(value):
+    def run_one(point):
+        value, point_config, summary = point
         try:
-            return evaluate(_apply_axis(config, axis, value))
+            if isinstance(summary, Exception):
+                raise summary
+            return _report(point_config, summary)
         except Exception as exc:
             raise ParameterError(f"sweep failed at {axis} = {value}: {exc}") from exc
 
-    return list(map_workers(run_one, values))
+    return list(map_workers(run_one, _points(config, axis, values)))
 
 
 def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.02):
@@ -212,6 +272,7 @@ def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.
         raise ParameterError(f"w_max must be a positive integer, got {w_max!r}")
     if not (is_finite_real(step_frac) and step_frac > 0):
         raise ParameterError(f"step_frac must be positive and finite, got {step_frac!r}")
+    check_elements(w_max, f"w_max = {w_max!r}")
     radii = [step_frac * w * config.pitch for w in range(1, w_max + 1)]
     # max keeps the first of equal keys, so ties keep the smaller radius
     return max(zip(radii, sweep(config, "s_rx", radii)), key=lambda pair: pair[1].are)

@@ -40,8 +40,13 @@ def erf(x):
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise ParameterError(f"erf requires finite x, got {x}")
-    values = np.fromiter(map(math.erf, arr.ravel().tolist()), float, count=arr.size).reshape(arr.shape)
+    values = _erf(arr)
     return float(values) if values.ndim == 0 else values
+
+
+def _erf(arr: np.ndarray) -> np.ndarray:
+    """erf of each element of a float array of finite elements, as an array of its shape."""
+    return np.fromiter(map(math.erf, arr.ravel().tolist()), float, count=arr.size).reshape(arr.shape)
 
 
 def _check_order(a: int) -> int:

@@ -230,28 +230,29 @@ class TestCirSeries:
             assert abs(value - ref) <= 1e-13 * ref, (t_i, value, ref)
 
     def test_peak_time_sums_no_series_at_zero_offset(self, monkeypatch):
-        # peak_time forms the zero-offset response itself: no cir call and
-        # no series; summarize sends its rings and tail nodes through one cir
-        radial_sizes, cir_offsets = [], []
-        radial = channel._radial
+        # peak_time forms the zero-offset response itself: no response
+        # evaluation and no series; summarize sends its rings and tail nodes
+        # through one response evaluation
+        radial_sizes, response_offsets = [], []
+        radial, response = channel._radial, channel._response
 
         def offset_only(rho, *args):
             assert (rho > 0).all()
             radial_sizes.append(rho.size)
             return radial(rho, *args)
 
-        def counting(t, r_i, *args, **kwargs):
-            cir_offsets.append(np.size(r_i))
-            return cir(t, r_i, *args, **kwargs)
+        def counting(t, r, *args):
+            response_offsets.append(np.size(r))
+            return response(t, r, *args)
 
         monkeypatch.setattr("mc_arelab.channel._radial", offset_only)
-        monkeypatch.setattr("mc_arelab.channel.cir", counting)
+        monkeypatch.setattr("mc_arelab.channel._response", counting)
         channel._scan_axial.cache_clear()
         peak_time(DEFAULTS, GEOM)
-        assert radial_sizes == [] and cir_offsets == []
+        assert radial_sizes == [] and response_offsets == []
         summarize(DEFAULTS, GEOM, enumerate_sites(GridKind.HEXAGONAL, 0.2, 6))
         # the paired link, one ring and 65 Simpson nodes; all but the first are offset
-        assert cir_offsets == [1 + 1 + 65]
+        assert response_offsets == [1 + 1 + 65]
         assert radial_sizes == [1 + 65]
 
     def test_scalar_call_returns_float(self):
@@ -492,7 +493,7 @@ class TestPeakTime:
             params = replace(DEFAULTS, **change)
             geom = ReceiverGeometry.centered(params)
             t = np.concatenate((horizon * np.arange(1, 1001) / 1000, horizon * rng.uniform(1e-6, 1.0, 68)))
-            lean = channel._zero_offset(t, channel._axial(t, params.D, params.v, geom.z_s, geom.z_e), params)
+            lean = channel._zero_offset(t, channel._axial(t, params.D, params.v, geom.z_s, geom.z_e), params.D, params.s_rx)
             assert np.array_equal(lean, cir(t, 0.0, params, geom, gamma_form=gamma_form)), change
             live.append(lean.max())
         assert live[2] == live[3] == 1.0

@@ -514,6 +514,22 @@ class TestValidationCommands:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("are-sweep", "--points", str(10**20)), "--points = "),
+            (("grid-compare", "--points", str(10**20)), "--points = "),
+            (("optimize-radius", "--w-max", str(10**20)), "w_max = "),
+        ],
+    )
+    def test_sweep_sizes_past_what_an_array_holds(self, capsys, argv, name):
+        # rejected before the axis values or the radii are formed
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and name in err and "past what an array can index" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv, step",
         [
             # the peak near 2.5 s falls between two scan points

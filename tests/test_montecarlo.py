@@ -63,21 +63,19 @@ class TestRun:
         other = run(default_summary, 200_000, seed=2)
         assert other.ber[other.best] != default_run.ber[default_run.best]
 
-    def test_thread_count_does_not_change_results(self, monkeypatch, default_summary, default_run):
+    def test_reruns_at_one_seed_are_equal_for_wide_and_early_stop_rings(self, default_summary, default_run):
         # a wide ring, whose pmf takes many cells of every draw
         wide = ChannelSummary(t_m=1.0, mu_s=20.0, cbar=((0.9, 6), (0.04, 130)), mu_n=1.0)
         # 22 rings, of which the tally tree covers the first few; the rest are exact
         early = early_stop_summary()
-        monkeypatch.delenv("MC_ARELAB_THREADS", raising=False)
-        serial = run(default_summary, 250_000, seed=1, mode="semi-analytic")
-        wide_serial = {mode: run(wide, 250_000, seed=3, mode=mode) for mode in MC_MODES}
-        early_serial = {mode: run(early, 250_000, seed=4, mode=mode) for mode in MC_MODES}
-        monkeypatch.setenv("MC_ARELAB_THREADS", "4")
+        first = run(default_summary, 250_000, seed=1, mode="semi-analytic")
+        wide_first = {mode: run(wide, 250_000, seed=3, mode=mode) for mode in MC_MODES}
+        early_first = {mode: run(early, 250_000, seed=4, mode=mode) for mode in MC_MODES}
         assert_same_result(run(default_summary, 200_000, seed=1), default_run)
-        assert_same_result(run(default_summary, 250_000, seed=1, mode="semi-analytic"), serial)
+        assert_same_result(run(default_summary, 250_000, seed=1, mode="semi-analytic"), first)
         for mode in MC_MODES:
-            assert_same_result(run(wide, 250_000, seed=3, mode=mode), wide_serial[mode])
-            assert_same_result(run(early, 250_000, seed=4, mode=mode), early_serial[mode])
+            assert_same_result(run(wide, 250_000, seed=3, mode=mode), wide_first[mode])
+            assert_same_result(run(early, 250_000, seed=4, mode=mode), early_first[mode])
 
     def test_silent_transmitter_always_misses(self):
         summary = ChannelSummary(t_m=1.0, mu_s=0.0, cbar=(), mu_n=0.0)
@@ -427,7 +425,7 @@ class TestClippedPoisson:
     @pytest.mark.parametrize("lam", [0.0, 5e-324, 0.37, 12.0, 1000.0, 1e5, 2.1e5, 3e5, 1e300, math.inf])
     def test_cells_match_the_exact_clipped_law(self, lam):
         theta_max = 200_000
-        first, pvals = montecarlo._clipped_poisson(lam, _log_factorials(np.arange(theta_max + 1)))
+        first, pvals = montecarlo._clipped_poisson(lam, theta_max)
         cells = np.arange(first, first + pvals.size)
         assert pvals.size == 1 or pvals[0] > 0.0 and pvals[-1] > 0.0
         # within the 1e-12 that a multinomial draw allows
@@ -440,6 +438,27 @@ class TestClippedPoisson:
         assert not want[outside].any()
         np.testing.assert_allclose(pvals[:-1], want[cells[:-1]], rtol=1e-9, atol=1e-300)
         assert 1.0 - pvals[:-1].sum() == pytest.approx(want[cells[-1]], rel=1e-9, abs=1e-15)
+
+
+    def test_forms_log_factorials_only_in_the_chernoff_window(self, monkeypatch, default_summary):
+        # at theta_max = 10^6 every Poisson term of the default summary lies
+        # far below the clip, so no ln r! past its own window is formed
+        asked = []
+        log_factorials = _log_factorials
+
+        def spying(j):
+            asked.append((j.size, int(j.max(initial=0))))
+            return log_factorials(j)
+
+        for module in ("specfun", "montecarlo", "detection"):
+            monkeypatch.setattr(f"mc_arelab.{module}._log_factorials", spying, raising=False)
+        theta_max = 10**6
+        run(default_summary, 100_000, theta_max=theta_max, seed=5)
+        lam_max = default_summary.mu_n + default_summary.mu_s + default_summary.cbar_sum
+        window = _chernoff_support(lam_max, montecarlo.UNDERFLOW_NATS)
+        assert asked and window < 1000
+        assert max(size for size, _ in asked) <= window + 1
+        assert max(top for _, top in asked) <= window
 
 
 class TestCountTallies:

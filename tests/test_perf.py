@@ -14,6 +14,7 @@ from mc_arelab.config import SystemConfig
 from mc_arelab.detection import _add_rings, _log_convolve, collapse_iui
 from mc_arelab.errors import ConfigError, ParameterError, SearchError
 from mc_arelab.perf import (
+    SWEEP_AXES,
     TRUNCATION_WARN_FRACTION,
     ErrorPair,
     error_curves,
@@ -24,6 +25,7 @@ from mc_arelab.perf import (
     spatial_rate,
     sweep,
 )
+from mc_arelab.perf import _apply_axis
 from mc_arelab.specfun import _log_poisson_pmf
 
 from oracles import neglected_tail
@@ -359,6 +361,57 @@ class TestSweep:
     def test_failure_names_the_offending_value(self):
         with pytest.raises(ParameterError, match=r"cell_pitch = -1"):
             sweep(SystemConfig(), "cell_pitch", [0.2, -1.0])
+
+    @pytest.mark.parametrize("at", [3, 10])
+    def test_a_later_point_that_fails_the_peak_search_is_named(self, at):
+        # the peak passes a 2.2 s horizon at c = 1.6 only; the point sits in
+        # the first block of the batched channel pass, or in the second
+        values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.2, 0.3, 0.4, 0.5]
+        values[at] = 1.6
+        with pytest.raises(ParameterError, match=r"sweep failed at cell_pitch = 1\.6: response still rising") as info:
+            sweep(SystemConfig(horizon=2.2), "cell_pitch", values)
+        assert isinstance(info.value.__cause__, SearchError)
+
+    def test_the_first_failing_point_is_named_whichever_stage_fails(self):
+        # c = -1 fails its configuration, c = 1.6 the peak search; the first in input order is named
+        for values, named in (([0.2, 1.6, -1.0], "1.6"), ([0.2, -1.0, 1.6], "-1.0")):
+            with pytest.raises(ParameterError, match=rf"sweep failed at cell_pitch = {named}: "):
+                sweep(SystemConfig(horizon=2.2), "cell_pitch", values)
+
+    @given(
+        axis=st.sampled_from(SWEEP_AXES),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+        grid=st.sampled_from(["hex", "square"]),
+        gamma_form=st.sampled_from(["lower", "regularized"]),
+        c_noise=st.sampled_from([0.0, 10.0]),
+        # a 2.2 s horizon fails the peak search at the largest receivers
+        horizon=st.sampled_from([15.0, 2.2]),
+        pool=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_sweep_equals_one_evaluate_per_point(self, axis, picks, grid, gamma_form, c_noise, horizon, pool):
+        # six values per example, each picked any number of times (repeats included)
+        span = {"cell_pitch": (0.05, 3.0), "cell_area": (0.003, 6.0), "s_rx": (0.005, 1.5)}[axis]
+        values = [span[0] * (span[1] / span[0]) ** pool[i] for i in picks]
+        config = SystemConfig(grid=grid, gamma_form=gamma_form, c_noise=c_noise, horizon=horizon)
+        with pytest.MonkeyPatch.context() as patch:
+            for threads in (None, "3"):
+                if threads is None:
+                    patch.delenv("MC_ARELAB_THREADS", raising=False)
+                else:
+                    patch.setenv("MC_ARELAB_THREADS", threads)
+                want = []
+                try:
+                    for value in values:
+                        want.append(evaluate(_apply_axis(config, axis, value)))
+                except (ParameterError, SearchError) as exc:
+                    event(type(exc).__name__)
+                    with pytest.raises(ParameterError) as info:
+                        sweep(config, axis, values)
+                    assert str(info.value) == f"sweep failed at {axis} = {values[len(want)]}: {exc}"
+                    continue
+                event("reports")
+                assert sweep(config, axis, values) == want
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         cs = [0.2, 0.3, 0.4]
