@@ -11,15 +11,24 @@ signal pmf, carried in log space and built once per configuration
 the threshold set (the counts where that decision flips) and, in perf,
 the error curves. collapse_iui, one atom per multiplicity tuple across
 rings, is the paper's interference spectrum; no decision reads it.
+
+The count laws of a block of configurations (_count_block, a sweep's
+block in perf) are built by one set of array calls on (points, counts)
+arrays, padded past each point's own count range. Every mixture and
+convolution sums its terms along a non-innermost axis, which NumPy adds
+one row at a time in a fixed order, and padding adds exact zeros: each
+point's log pmfs are the same bits in any block and at any build length.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ParameterError, SearchError, check_elements, is_finite_real, is_integer
 from .specfun import _CHUNK, _chernoff_support, _log_factorials, _log_poisson_pmf, _log_sum_exp
@@ -145,58 +154,165 @@ def _half_binomial_log_pmf(count: int) -> np.ndarray:
     return lgamma[-1] - lgamma - lgamma[::-1] - count * math.log(2.0)
 
 
-def _log_mixture(lams: np.ndarray, log_weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """ln sum_a w_a Poisson(lam_a; r) at each integer count r >= 0.
+# Most atoms of a Poisson mixture summed in one group; more are split into groups folded in by logaddexp.
+_ATOM_GROUP = 256
+# Most columns (counts) of one chunk of a Poisson mixture.
+_MIXTURE_COLUMNS = 1024
+# Most entries (points x counts) of the log pmfs built together, unless one point has more.
+_GROUP_ENTRIES = 2048
 
-    The atoms are taken in blocks of at most _CHUNK elements, all built in
-    one buffer with one ln r! row; each block's log-sum-exp is folded into
-    the running value.
+
+def _columns(n: int, width: int):
+    """Slices of at most ``width`` >= 2 columns covering 0..n-1, none of them one column wide unless n is 1."""
+    start = 0
+    while start < n:
+        stop = n if n - start - width <= 1 else start + width
+        yield slice(start, stop)
+        start = stop
+
+
+def _log_mixtures(lams: np.ndarray, log_weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """ln sum_a w_(a,p) Poisson(lam_(a,p); r) at each count r of each point p, as a (points, counts) array.
+
+    ``lams`` and ``log_weights`` hold one row per atom and one column per
+    point; log weights may broadcast across points. The atoms run along
+    axis 0 of each temporary, which NumPy sums one row at a time, in atom
+    order, while the other axes hold at least two elements (it sums a lone
+    column pairwise); so the columns are taken in chunks of at most
+    _MIXTURE_COLUMNS and _CHUNK terms but at least two wide. Up to
+    _ATOM_GROUP atoms are summed in one group, whatever the count range;
+    trailing atoms of weight -inf add exact zeros, so a point's bits do not
+    depend on n or on how many atoms the other points have. More atoms
+    (the tally-tree leaves of montecarlo) are taken in groups of _CHUNK
+    terms a chunk, folded in by logaddexp.
     """
-    n = counts.size
-    out = np.full(n, -math.inf)
-    block = max(1, _CHUNK // n)
+    atoms, points = lams.shape
     log_norm = _log_factorials(counts)
-    buffer = np.empty((min(block, lams.size), n))
-    for start in range(0, lams.size, block):
-        part = slice(start, start + block)
-        terms = buffer[: len(lams[part])]
-        _log_poisson_pmf(lams[part], counts, log_norm=log_norm, out=terms)
-        terms += log_weights[part, None]
-        np.logaddexp(out, _log_sum_exp(terms, axis=0), out=out)
+    out = np.empty((points, counts.size))
+    group = atoms if atoms <= _ATOM_GROUP else max(1, _CHUNK // (points * min(counts.size, _MIXTURE_COLUMNS)))
+    width = max(2, min(_MIXTURE_COLUMNS, _CHUNK // (group * points)))
+    for first in range(0, atoms, group):
+        part = slice(first, first + group)
+        for cols in _columns(counts.size, width):
+            terms = _log_poisson_pmf(lams[part], counts[cols], log_norm=log_norm[cols])
+            terms += log_weights[part, :, None]
+            sums = _log_sum_exp(terms, axis=0)
+            # freed before the next chunk's terms are formed
+            del terms
+            out[:, cols] = sums if first == 0 else np.logaddexp(out[:, cols], sums)
     return out
 
 
-def _log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ln sum_j e^(a_j + b_(r-j)) for r = 0..a.size-1, from log pmfs a and b.
+class _Spans(NamedTuple):
+    """The spans of factor indices of a convolution over rows of given sizes (see _spans)."""
 
-    Trailing -inf entries (no mass) are dropped first. Each output term is
-    a log-sum-exp over one sliding window, summed in a fixed order without
-    BLAS; the windows are taken in blocks of at most _CHUNK elements.
+    rows: np.ndarray
+    depth: int
+    size: int
+
+
+def _spans(sizes: list) -> _Spans:
+    """(live, first, stop) of each span of factor indices j = first..stop-1 of _log_convolve.
+
+    ``sizes`` holds each row's own n, longest first. A span takes the rows
+    still live at j = first and the columns r = first..n-1 (the terms at
+    r < j are zeros), and at most _CHUNK // 2 terms with the carried row
+    of _log_convolve, or else a single j. ``depth`` is the most js of a
+    span and ``size`` the most elements of a span with its carried row.
+    The spans of a large n are many, so they are kept in one int array.
     """
-    n = a.size
-    a, b = (x[: np.flatnonzero(x > -math.inf)[-1] + 1] for x in (a, b))
-    if a.size < b.size:
-        a, b = b, a
-    size = min(n, a.size + b.size - 1)
-    padded = np.full(size + b.size - 1, -math.inf)
-    padded[b.size - 1 : b.size - 1 + a.size] = a
-    step = padded.strides[0]
-    windows = as_strided(padded, (size, b.size), (step, step), writeable=False)
-    out = np.full(n, -math.inf)
-    rows = max(1, _CHUNK // b.size)
-    for start in range(0, size, rows):
-        stop = min(start + rows, size)
-        out[start:stop] = _log_sum_exp(windows[start:stop] + b[::-1], axis=1)
-    return out
+    n = sizes[0]
+    shorter = [-size for size in sizes]
+    rows = []
+    first = depth = size = 0
+    while first < n:
+        live = bisect.bisect_left(shorter, -first)
+        stop = min(n, first + max(1, _CHUNK // 2 // (live * (n - first)) - 1))
+        rows += live, first, stop
+        depth = max(depth, stop - first)
+        size = max(size, (1 + stop - first) * live * (n - first))
+        first = stop
+    return _Spans(np.array(rows).reshape(-1, 3), depth, size)
 
 
-def _add_rings(log_pmf: np.ndarray, ring_basis) -> np.ndarray:
-    """``log_pmf`` convolved with one Binomial(count, 1/2)-mixed Poisson(k cbar) log pmf per merged ring."""
-    n = log_pmf.size
-    for cbar, count in _merge_rings(ring_basis):
-        ring = _log_mixture(cbar * np.arange(count + 1), _half_binomial_log_pmf(count), np.arange(n))
-        log_pmf = _log_convolve(log_pmf, ring)
-    return log_pmf
+def _log_convolve(log_pmfs: np.ndarray, factor: np.ndarray, spans: _Spans) -> np.ndarray:
+    """ln sum_j e^(log_pmfs_(p,r-j) + factor_(p,j)) for r = 0..n-1 of each row p of two (points, n) log pmfs.
+
+    ``spans`` (_spans) follow each row's own n; entries past it come out
+    unspecified. The factor's index j runs along axis 0 of every
+    temporary, and each entry sums its terms in increasing j, one row at a
+    time: a first pass over the spans of j takes the max shift, a second
+    the sum, each span carrying the running sum in as its row 0. A term
+    past r or past a row's n is an exact zero, so each entry's bits depend
+    on neither n nor the other rows. The spans share one buffer of at most
+    _CHUNK // 2 elements (or two rows), beside NumPy's ufunc buffers of a
+    broadcast (at most 2 x np.getbufsize() elements).
+    """
+    points, n = log_pmfs.shape
+    depth = spans.depth
+    padded = np.empty((points, depth - 1 + n))
+    padded[:, : depth - 1] = -math.inf
+    padded[:, depth - 1 :] = log_pmfs
+    step = padded.itemsize
+    # shifted[i, p, c] = log_pmfs[p, c - i], -inf where i > c: the term of j = first + i at r = first + c
+    shifted = np.ndarray((depth, points, n), buffer=padded, offset=(depth - 1) * step, strides=(-step, padded.strides[0], step))
+    factor = factor.T
+    buffer = np.empty(spans.size)
+
+    def terms(live, first, stop) -> np.ndarray:
+        # row 0 is left for the carried value
+        out = buffer[: (1 + stop - first) * live * (n - first)].reshape(1 + stop - first, live, n - first)
+        np.add(shifted[: stop - first, :live, : n - first], factor[first:stop, :live, None], out=out[1:])
+        return out
+
+    top = np.empty((points, n))
+    top.fill(-math.inf)
+    for live, first, stop in spans.rows:
+        block = terms(live, first, stop)
+        block[0] = top[:live, first:]
+        np.maximum.reduce(block, axis=0, out=top[:live, first:])
+    top[top == -math.inf] = 0.0
+    sums = np.zeros((points, n))
+    for live, first, stop in spans.rows:
+        if depth < n:
+            # more than one span: the first pass overwrote this span's terms
+            block = terms(live, first, stop)
+        block[1:] -= top[:live, first:]
+        np.exp(block[1:], out=block[1:])
+        block[0] = sums[:live, first:]
+        np.add.reduce(block, axis=0, out=sums[:live, first:])
+    with np.errstate(divide="ignore"):
+        np.log(sums, out=sums)
+    sums += top
+    return sums
+
+
+@functools.lru_cache(maxsize=256)
+def _ring_weights(count: int, atoms: int) -> np.ndarray:
+    """ln Binomial(count, k; 1/2) for k = 0..atoms-1, -inf past count: read-only, formed once per pair."""
+    weights = np.full(atoms, -math.inf)
+    weights[: count + 1] = _half_binomial_log_pmf(count)
+    weights.setflags(write=False)
+    return weights
+
+
+def _add_rings(log_pmfs: np.ndarray, rings: list, counts: np.ndarray, spans: _Spans) -> np.ndarray:
+    """Each row of ``log_pmfs`` convolved with one Binomial(count, 1/2)-mixed Poisson(k cbar) log pmf per merged ring of that row.
+
+    ``rings`` holds one list of (cbar, count) per row, ``counts`` the
+    counts 0..n-1 of the columns and ``spans`` those of the rows' own n
+    (_spans). The i-th rings of all rows share one mixture and one
+    convolution; a row with fewer rings takes the exact point mass at 0
+    in place of each missing one, which leaves its entries as they are
+    (a + 0, e^0 = 1, ln 1 = 0).
+    """
+    for slot in range(max(map(len, rings), default=0)):
+        ring = [row[slot] if slot < len(row) else (0.0, 0) for row in rings]
+        atoms = max(count for _, count in ring) + 1
+        log_weights = np.array([_ring_weights(count, atoms) for _, count in ring]).T
+        lams = np.arange(atoms)[:, None] * np.array([cbar for cbar, _ in ring])
+        log_pmfs = _log_convolve(log_pmfs, _log_mixtures(lams, log_weights, counts), spans)
+    return log_pmfs
 
 
 def _threshold_curves(theta_max: int, off: np.ndarray, on: np.ndarray):
@@ -253,11 +369,13 @@ def _crossing(mu_s: float, lam: float) -> float:
 
 
 class _CountDistribution:
-    """The received-count law of one configuration: the only build of the count pmfs.
+    """The received-count law of one configuration, one row of a block build (_count_block).
 
     ``off`` and ``on``, ln P(r | bit 0) and ln P(r | bit 1) for r = 0..n-1,
     convolve the log pmfs of Poisson(mu_n) noise, of each merged ring's
     Binomial(count, 1/2)-mixed Poisson and, in ``on``, of Poisson(mu_s).
+    ``_CountDistribution(mu_s, ring_basis, mu_n, theta_max)`` builds a
+    block of one.
 
     ``bound`` is ceil(phi*), with phi* the crossing at the all-active mean
     lam_max = mu_n + cbar_sum. At count r, the Poisson(x + mu_s) pmf over
@@ -273,25 +391,27 @@ class _CountDistribution:
     reader asks for error curves, and R >= support has mass under e^-40 by
     the Chernoff bound on Poisson(mu_n + cbar_sum + mu_s), which dominates
     R. perf reads ``curves``, which hold their last value past the build.
-    Each convolution output sums a window whose length follows n, so an
-    entry's last bits move with n.
+    Every mixture and convolution sums its terms along the atom or factor
+    index in a fixed increasing order, and the terms a longer build or a
+    longer block row adds are exact zeros: each entry's bits depend on
+    neither n nor the other points of its block (for rings of fewer than
+    _ATOM_GROUP interferers, whose mixtures are never split).
     """
 
     def __init__(self, mu_s: float, ring_basis, mu_n: float, theta_max: int = 0) -> None:
+        _build_block([self._sized(mu_s, ring_basis, mu_n, theta_max)])
+
+    def _sized(self, mu_s: float, ring_basis, mu_n: float, theta_max: int) -> _CountDistribution:
+        """Check the point and set its means, merged rings, flip bound and build length n (``size``)."""
         _check_means(mu_s, mu_n)
         self.mu_s, self.mu_n = mu_s, mu_n
-        merged = _merge_rings(ring_basis)
-        self.cbar_sum = math.fsum(cbar * count for cbar, count in merged)
+        self.rings = _merge_rings(ring_basis)
+        self.cbar_sum = math.fsum(cbar * count for cbar, count in self.rings)
         lam_max = mu_n + self.cbar_sum
         self.bound = math.ceil(_crossing(mu_s, lam_max)) if lam_max > 0 else 0
         check_elements(self.bound + 2, f"the count pmf to the flip bound of mu_s = {mu_s!r} and mu_n = {mu_n!r}")
-        n = max(self.bound + 2, min(theta_max, _chernoff_support(lam_max + mu_s, 40.0)))
-        self.off = _add_rings(_log_poisson_pmf(np.float64(mu_n), np.arange(n)), merged)
-        self.on = _log_convolve(self.off, _log_poisson_pmf(np.float64(mu_s), np.arange(n)))
-        self.decisions = self.on[: self.bound + 2] >= self.off[: self.bound + 2]
-        # P(0 | 1) = e^-mu_s P(0 | 0), so r = 0 decides 0 even where rounding ties its log pmfs
-        self.decisions[0] = False
-        self.flips = (np.flatnonzero(self.decisions[1:] != self.decisions[:-1]) + 1).tolist()
+        self.size = max(self.bound + 2, min(theta_max, _chernoff_support(lam_max + mu_s, 40.0)))
+        return self
 
     def spec(self) -> DetectorSpec:
         """Both thresholds (theta_opt the first flip), the threshold-set size and the worst-case SINR."""
@@ -308,6 +428,56 @@ class _CountDistribution:
     def curves(self, theta_max: int):
         """(p_curve, q_curve) of the rule [r >= theta] for theta = 0..theta_max (see _threshold_curves)."""
         return _threshold_curves(theta_max, np.exp(self.off), np.exp(self.on))
+
+
+def _count_block(points, theta_max: int = 0):
+    """The count laws of a block of (mu_s, ring_basis, mu_n) points, a group of laws at a time.
+
+    Every point is checked and sized in input order before any array is
+    built, so the first failing point raises its own error. The laws are
+    then built longest first, in groups of at most _GROUP_ENTRIES entries
+    (or of one law). Yields (indices, laws, log_pmfs) per group: the input
+    positions of its laws, the laws, and their (2, laws, n) array of
+    ln P(r | 0) and ln P(r | 1), -inf past each law's own n. No law is
+    held past its group, so one group's arrays are alive at a time.
+    """
+    laws = [_CountDistribution.__new__(_CountDistribution)._sized(*point, theta_max) for point in points]
+    pending = sorted(enumerate(laws), key=lambda pair: -pair[1].size)
+    del laws
+    while pending:
+        rows = max(1, min(len(pending), _GROUP_ENTRIES // pending[0][1].size))
+        (indices, group), pending = zip(*pending[:rows]), pending[rows:]
+        yield indices, group, _build_block(group)
+
+
+def _build_block(laws) -> np.ndarray:
+    """Build the log pmfs, decisions and flips of sized laws, longest first, with one set of array calls.
+
+    Returns their (2, laws, n) log pmfs (see _count_block); each law's
+    ``off`` and ``on`` are views of its row (``row``) cut to its own n.
+    """
+    sizes = [law.size for law in laws]
+    counts = np.arange(sizes[0])
+    spans = _spans(sizes)
+    # the noise pmf has no name here, so _add_rings frees each convolution input as it goes
+    off = _add_rings(_log_poisson_pmf(np.array([law.mu_n for law in laws], dtype=float), counts), [law.rings for law in laws], counts, spans)
+    on = _log_convolve(off, _log_poisson_pmf(np.array([law.mu_s for law in laws], dtype=float), counts), spans)
+    log_pmfs = np.empty((2,) + off.shape)
+    log_pmfs[0], log_pmfs[1] = off, on
+    reach = max(law.bound for law in laws) + 2
+    decisions = log_pmfs[1, :, :reach] >= log_pmfs[0, :, :reach]
+    # P(0 | 1) = e^-mu_s P(0 | 0), so r = 0 decides 0 even where rounding ties its log pmfs
+    decisions[:, 0] = False
+    flips = [[] for _ in laws]
+    for row, count in zip(*np.nonzero(decisions[:, 1:] != decisions[:, :-1])):
+        if count <= laws[row].bound:
+            flips[row].append(int(count) + 1)
+    for row, law in enumerate(laws):
+        log_pmfs[:, row, law.size :] = -math.inf
+        law.row, law.flips = row, flips[row]
+        law.off, law.on = log_pmfs[0, row, : law.size], log_pmfs[1, row, : law.size]
+        law.decisions = decisions[row, : law.bound + 2]
+    return log_pmfs
 
 
 def optimal_threshold(mu_s: float, ring_basis, mu_n: float) -> int:

@@ -13,6 +13,9 @@ MAX_ELEMENTS = np.iinfo(np.intp).max / 8
 
 def is_finite_real(value) -> bool:
     """A finite int or float; bools are not numbers here."""
+    if type(value) is float:
+        # the common case, without the abstract-class checks
+        return math.isfinite(value)
     return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 

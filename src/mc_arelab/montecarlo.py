@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import ChannelSummary
 from .config import MC_MODES
-from .detection import _add_rings, _half_binomial_log_pmf, _log_convolve, _log_mixture, _threshold_curves
+from .detection import _add_rings, _half_binomial_log_pmf, _log_mixtures, _merge_rings, _spans, _threshold_curves
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
 from .specfun import _chernoff_support, _log_poisson_pmf
 
@@ -251,22 +251,23 @@ def _run_stochastic(rings, mu_s, mu_n, theta_max, samples, seed):
 def _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed):
     """(ber, p_hat, q_hat) per threshold, exact given the sampled interference.
 
-    The count given the tree's leaves is a Poisson mixture over them; the
-    rings past the stop add a count of exact law, so their log pmf is
-    convolved into both mixtures. Past the Chernoff support of the loudest
-    count, Poisson(mu_n + mu_s + sum of cbar * count), every pmf entry
-    rounds to 0, so the pmfs stop there and _threshold_curves holds the curves.
+    The count given the tree's leaves is a Poisson mixture over them, one
+    row per bit class; the rings past the stop add a count of exact law,
+    so each one's log pmf is convolved into both rows (detection._add_rings).
+    Past the Chernoff support of the loudest count, Poisson(mu_n + mu_s +
+    sum of cbar * count), every pmf entry rounds to 0, so the pmfs stop
+    there and _threshold_curves holds the curves.
     """
     tree_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     values, tallies, covered = _tally_tree(np.zeros(1), np.array([samples]), rings, tree_rng)
     log_weights = np.log(tallies / samples)
     lam_max = mu_n + mu_s + math.fsum(cbar * count for cbar, count in rings)
     counts = np.arange(min(theta_max, _chernoff_support(lam_max, UNDERFLOW_NATS)))
-    off = _log_mixture(values + mu_n, log_weights, counts)
-    on = _log_mixture(mu_s + values + mu_n, log_weights, counts)
+    lams = np.column_stack((values + mu_n, mu_s + values + mu_n))
+    log_pmfs = _log_mixtures(lams, log_weights[:, None], counts)
     if covered < len(rings):
-        # the rings' count pmf, built up from the point mass at 0
-        rest = _add_rings(np.where(counts == 0, 0.0, -math.inf), rings[covered:])
-        off, on = _log_convolve(off, rest), _log_convolve(on, rest)
-    p_hat, q_hat = _threshold_curves(theta_max, np.exp(off), np.exp(on))
+        rest = _merge_rings(rings[covered:])
+        log_pmfs = _add_rings(log_pmfs, [rest, rest], counts, _spans([counts.size, counts.size]))
+    off, on = np.exp(log_pmfs)
+    p_hat, q_hat = _threshold_curves(theta_max, off, on)
     return 0.5 * (p_hat + q_hat), p_hat, q_hat

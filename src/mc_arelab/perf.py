@@ -6,8 +6,10 @@ from channel.summarize; this module turns them into error probabilities,
 mutual information, and area rate efficiency, and drives parameter
 sweeps over those numbers. The error probabilities of the threshold
 rule are cumulative sums of the exact count distribution, built once
-per configuration by detection._CountDistribution from the ring basis,
-without enumerating interference atoms.
+per configuration from the ring basis, without enumerating interference
+atoms. A sweep takes a block of points at a time through one batched
+channel pass and one block build of their count laws
+(detection._count_block); evaluate is the block of one.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import _BLOCK, ReceiverGeometry, _summaries
 from .config import SystemConfig, map_workers
-from .detection import _CountDistribution
+from .detection import _count_block, _CountDistribution
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
 
 __all__ = [
@@ -140,15 +144,33 @@ def _channel(config: SystemConfig, links: list) -> list:
     return _summaries(links, k_max=config.k_max, gamma_form=config.gamma_form, search_horizon=config.horizon)
 
 
-def _report(config: SystemConfig, summary) -> PerfReport:
-    """The performance report of one configuration, from its channel summary."""
-    counts = _CountDistribution(summary.mu_s, summary.cbar, summary.mu_n)
-    spec = counts.spec()
+def _reports(configs: list, summaries: list) -> list[PerfReport]:
+    """The performance report of each configuration, from its channel summary.
+
+    The count laws come from one block build (detection._count_block), and
+    both error probabilities of every point at its threshold from one exp
+    and one running sum over each group's log pmfs.
+    """
+    reports = [None] * len(configs)
+    points = [(summary.mu_s, summary.cbar, summary.mu_n) for summary in summaries]
+    for indices, laws, log_pmfs in _count_block(points):
+        below = np.zeros(log_pmfs.shape[:2] + (log_pmfs.shape[2] + 1,))
+        np.cumsum(np.exp(log_pmfs), axis=2, out=below[:, :, 1:])
+        for index, law in zip(indices, laws):
+            reports[index] = _report(configs[index], summaries[index], law, below[:, law.row])
+        # released before the next group is built
+        del laws, log_pmfs, below
+    return reports
+
+
+def _report(config: SystemConfig, summary, law, below) -> PerfReport:
+    """The performance report of one configuration, from its count law and its rows of P(r < theta | bit)."""
+    spec = law.spec()
     theta_used = spec.theta_opt if config.threshold_mode == "optimal" else spec.theta_sub
 
-    # either threshold is at most counts.bound + 1, so the pmfs cover it
-    p_curve, q_curve = counts.curves(theta_used)
-    errors = ErrorPair(p=float(p_curve[theta_used]), q=float(q_curve[theta_used]))
+    # either threshold is at most law.bound + 1, inside the law's own pmfs
+    below_off, below_on = below[:, theta_used].tolist()
+    errors = ErrorPair(p=min(max(1.0 - below_off, 0.0), 1.0), q=min(max(below_on, 0.0), 1.0))
     ber = 0.5 * (errors.p + errors.q)
     rate = link_rate(errors)
     area = config.cell_area
@@ -177,9 +199,9 @@ def evaluate(config: SystemConfig) -> PerfReport:
     """Analytic performance of one configuration at the peak-CIR decision time.
 
     The one-point case of sweep: the channel summary comes from a batched
-    channel pass of one link, and the report from its count distribution.
+    channel pass of one link, and the report from a count-law block of one.
     """
-    return _report(config, _channel(config, [_link(config)])[0])
+    return _reports([config], _channel(config, [_link(config)]))[0]
 
 
 def _apply_axis(config: SystemConfig, axis: str, value) -> SystemConfig:
@@ -196,14 +218,14 @@ def _apply_axis(config: SystemConfig, axis: str, value) -> SystemConfig:
     raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _points(config: SystemConfig, axis: str, values: list):
-    """(value, configuration, channel summary) of each axis value in order, up to the first failure.
+def _blocks(config: SystemConfig, axis: str, values: list):
+    """(values, configurations, channel summaries, failure) of each block of _BLOCK axis values, in order.
 
-    The summaries come a block of _BLOCK points at a time from one batched
-    channel pass. A point that fails yields the exception it raised in
-    place of its configuration or summary, and ends the points: a block
-    whose pass fails is redone one point at a time, to find the first
-    failing point and its own error.
+    The summaries of a block come from one batched channel pass. A point
+    that fails ends the blocks: its block holds the points before it, and
+    ``failure`` the exception it raised in place of its configuration or
+    summary (else None). A block whose pass fails is redone one point at
+    a time, to find the first failing point and its own error.
     """
     for start in range(0, len(values), _BLOCK):
         block, configs, links, failure = values[start : start + _BLOCK], [], [], None
@@ -226,23 +248,22 @@ def _points(config: SystemConfig, axis: str, values: list):
                     except Exception as exc:
                         failure = exc
                         break
-        yield from zip(block, configs, summaries)
+        yield block, configs[: len(summaries)], summaries, failure
         if failure is not None:
-            yield block[len(summaries)], None, failure
             return
 
 
 def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
     """Evaluate the configuration once per axis value, in input order.
 
-    Each report equals evaluate() at its point: the channel summaries come
-    from one batched channel pass per block of points (_points), and each
-    point's count distribution and report follow from its summary. A
-    failure at any point aborts the whole sweep and names the first value,
-    in input order, whose evaluation fails, with that point's own error.
-    MC_ARELAB_THREADS > 1 builds the points' count distributions and
-    reports concurrently; the result order and content do not depend on
-    the thread count.
+    Each report equals evaluate() at its point: a block of _BLOCK points
+    shares one batched channel pass (_blocks) and one count-law build
+    (_reports), whose rows do not depend on the other points of the block.
+    A failure at any point aborts the whole sweep and names the first
+    value, in input order, whose evaluation fails, with that point's own
+    error. MC_ARELAB_THREADS > 1 builds the blocks' count laws and reports
+    concurrently, one block per task; the result order and content do not
+    depend on the thread count.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -250,16 +271,26 @@ def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
     if not values:
         raise ParameterError("sweep requires at least one axis value")
 
-    def run_one(point):
-        value, point_config, summary = point
-        try:
-            if isinstance(summary, Exception):
-                raise summary
-            return _report(point_config, summary)
-        except Exception as exc:
-            raise ParameterError(f"sweep failed at {axis} = {value}: {exc}") from exc
+    def failed(value, exc: Exception) -> ParameterError:
+        return ParameterError(f"sweep failed at {axis} = {value}: {exc}")
 
-    return list(map_workers(run_one, _points(config, axis, values)))
+    def run_block(block):
+        block_values, configs, summaries, failure = block
+        try:
+            reports = _reports(configs, summaries)
+        except Exception:
+            # redone one point at a time, to name the first failing point with its own error
+            for value, point, summary in zip(block_values, configs, summaries):
+                try:
+                    _reports([point], [summary])
+                except Exception as exc:
+                    raise failed(value, exc) from exc
+            raise
+        if failure is not None:
+            raise failed(block_values[len(reports)], failure) from failure
+        return reports
+
+    return [report for reports in map_workers(run_block, _blocks(config, axis, values)) for report in reports]
 
 
 def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.02):

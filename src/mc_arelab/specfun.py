@@ -101,12 +101,12 @@ def _chernoff_support(lam: float, nats: float) -> int:
 
 def _log_sum_exp(terms: np.ndarray, axis: int) -> np.ndarray:
     """ln sum exp along one axis, -inf where no term is finite; overwrites ``terms``."""
-    top = terms.max(axis=axis, keepdims=True)
+    top = np.maximum.reduce(terms, axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     terms -= top
     np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
-        return np.log(terms.sum(axis=axis)) + np.squeeze(top, axis)
+        return np.log(np.add.reduce(terms, axis=axis)) + np.squeeze(top, axis)
 
 
 def _poisson_ladder(x: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:

@@ -2,18 +2,18 @@
 
 import pytest
 
-from mc_arelab.detection import _CountDistribution
+from mc_arelab import detection
 
 
 @pytest.fixture
 def count_builds(monkeypatch):
-    """The length of every build of the count pmfs (a _CountDistribution), in build order."""
+    """The length of every point's build of the count pmfs (a block row), in build order."""
     lengths = []
-    build = _CountDistribution.__init__
+    build = detection._build_block
 
-    def recording(self, *args, **kwargs):
-        build(self, *args, **kwargs)
-        lengths.append(self.off.size)
+    def recording(laws):
+        lengths.extend(law.size for law in laws)
+        return build(laws)
 
-    monkeypatch.setattr(_CountDistribution, "__init__", recording)
+    monkeypatch.setattr(detection, "_build_block", recording)
     return lengths

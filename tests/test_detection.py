@@ -13,7 +13,8 @@ from mc_arelab.config import SystemConfig
 from mc_arelab.detection import (
     DetectorSpec,
     IuiSpectrum,
-    _log_mixture as log_mixture,
+    _log_mixtures as log_mixtures,
+    _count_block,
     _CountDistribution,
     characterize,
     collapse_iui,
@@ -489,10 +490,10 @@ class TestAgainstAtomOracles:
 
         def integer_counts(lams, log_weights, counts):
             assert np.issubdtype(counts.dtype, np.integer), counts.dtype
-            return log_mixture(lams, log_weights, counts)
+            return log_mixtures(lams, log_weights, counts)
 
         monkeypatch.setattr("mc_arelab.detection.collapse_iui", refuse)
-        monkeypatch.setattr("mc_arelab.detection._log_mixture", integer_counts)
+        monkeypatch.setattr("mc_arelab.detection._log_mixtures", integer_counts)
         for mu_s, sp, mu_n in cases:
             assert threshold_set(mu_s, sp.ring_basis, mu_n)
 
@@ -630,3 +631,68 @@ class TestAgainstAtomOracles:
                 tracemalloc.stop()
             assert peak < 8e6
             assert got == atom_flip_set(300.0, collapse_iui([]), mu_n, r_max=4000)
+
+
+ring_strategy = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-3, 6.0)),
+    st.integers(1, 12),
+)
+point_strategy = st.tuples(
+    st.floats(1e-2, 40.0),
+    st.lists(ring_strategy, max_size=4),
+    st.one_of(st.just(0.0), st.floats(1e-2, 30.0)),
+)
+
+
+def same_law(got, want):
+    """Bit-for-bit equality of two count laws' pmfs and decisions."""
+    assert got.size == want.size and got.bound == want.bound
+    assert got.off.tobytes() == want.off.tobytes()
+    assert got.on.tobytes() == want.on.tobytes()
+    assert got.flips == want.flips
+    assert got.decisions.tolist() == want.decisions.tolist()
+
+
+class TestBlockBuild:
+    @given(
+        points=st.lists(point_strategy, min_size=1, max_size=6),
+        # 0 builds to the flip bound; the larger values run past it
+        theta_max=st.sampled_from([0, 2, 40, 400]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_block_row_equals_a_one_point_build(self, points, theta_max):
+        # mixed noise (mu_n = 0 or not), ring counts, multiplicities and
+        # cbar = 0 rings: padding a row to the block adds exact zeros only
+        seen = []
+        for indices, laws, log_pmfs in _count_block(points, theta_max):
+            assert log_pmfs.shape[:2] == (2, len(laws))
+            for index, law in zip(indices, laws):
+                seen.append(index)
+                same_law(law, _CountDistribution(*points[index], theta_max))
+                assert (log_pmfs[:, law.row, law.size :] == -math.inf).all()
+        assert sorted(seen) == list(range(len(points)))
+
+    @given(point=point_strategy, lengths=st.lists(st.sampled_from([0, 3, 25, 150, 600]), min_size=2, max_size=2))
+    @settings(max_examples=60, deadline=None)
+    def test_entries_do_not_depend_on_the_build_length(self, point, lengths):
+        short, long = sorted((_CountDistribution(*point, theta_max) for theta_max in lengths), key=lambda law: law.size)
+        k = short.size
+        assert short.off.tobytes() == long.off[:k].tobytes()
+        assert short.on.tobytes() == long.on[:k].tobytes()
+        assert short.flips == long.flips
+
+    def test_a_long_block_of_unequal_rows_matches_one_point_builds(self, count_builds):
+        # four rows of 200-400 counts share one group, whose convolutions
+        # take many spans of shifts with fewer rows live in the later ones
+        points = [(mu_s, [(0.5, 6), (0.2, 12)], mu_n) for mu_s, mu_n in ((20.0, 250.0), (3.0, 100.0), (9.0, 160.0), (1.0, 60.0))]
+        groups = list(_count_block(points, 10**6))
+        assert len(groups) == 1 and sorted(count_builds) == sorted(law.size for law in groups[0][1])
+        assert min(count_builds) > 100
+        for index, law in zip(groups[0][0], groups[0][1]):
+            same_law(law, _CountDistribution(*points[index], 10**6))
+
+    def test_a_failing_point_raises_its_own_error_before_any_build(self, count_builds):
+        points = [(5.0, [(1.0, 6)], 0.0), (5.0, [(math.nan, 6)], 0.0), (-1.0, [], 0.0)]
+        with pytest.raises(ParameterError, match="ring mean"):
+            list(_count_block(points))
+        assert count_builds == []

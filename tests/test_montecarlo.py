@@ -353,7 +353,7 @@ class TestTallyTree:
             raise AssertionError("called")
 
         expected = run(default_summary, samples, seed=3, mode="semi-analytic")
-        monkeypatch.setattr(montecarlo, "_log_convolve", forbidden)
+        monkeypatch.setattr(montecarlo, "_add_rings", forbidden)
         monkeypatch.setattr(montecarlo.np, "unique", forbidden)
         monkeypatch.setattr(montecarlo.np, "argsort", forbidden)
         assert_same_result(run(default_summary, samples, seed=3, mode="semi-analytic"), expected)
@@ -378,15 +378,16 @@ class TestTallyTree:
         support = _chernoff_support(lam_max, montecarlo.UNDERFLOW_NATS)
         narrow = run(summary, 1000, theta_max=support, seed=3, mode="semi-analytic")
         lengths = []
-        log_mixture = montecarlo._log_mixture
+        log_mixtures = montecarlo._log_mixtures
 
         def recording(lams, log_weights, counts):
             lengths.append(counts.size)
-            return log_mixture(lams, log_weights, counts)
+            return log_mixtures(lams, log_weights, counts)
 
-        monkeypatch.setattr(montecarlo, "_log_mixture", recording)
+        monkeypatch.setattr(montecarlo, "_log_mixtures", recording)
         wide = run(summary, 1000, theta_max=10**6, seed=3, mode="semi-analytic")
-        assert len(lengths) == 2 and max(lengths) <= support
+        # one mixture call builds both bit classes' pmfs
+        assert len(lengths) == 1 and max(lengths) <= support
         for name in ("ber", "p_hat", "q_hat"):
             curve, head = getattr(wide, name), getattr(narrow, name)
             assert curve.size == 10**6 + 1

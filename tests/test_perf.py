@@ -11,7 +11,7 @@ from scipy import special
 
 from mc_arelab.channel import summarize
 from mc_arelab.config import SystemConfig
-from mc_arelab.detection import _add_rings, _log_convolve, collapse_iui
+from mc_arelab.detection import _add_rings, _log_convolve, _merge_rings, _spans, collapse_iui
 from mc_arelab.errors import ConfigError, ParameterError, SearchError
 from mc_arelab.perf import (
     SWEEP_AXES,
@@ -94,8 +94,10 @@ class TestErrorProbs:
         # to theta_max counts moves them by at most the dropped mass, e^-40
         summary = summarize(config.params(), config.geometry(), config.layout())
         counts = np.arange(theta_max)
-        off = _add_rings(_log_poisson_pmf(np.float64(summary.mu_n), counts), summary.cbar)
-        on = _log_convolve(off, _log_poisson_pmf(np.float64(summary.mu_s), counts))
+        spans = _spans([theta_max])
+        off = _add_rings(_log_poisson_pmf(np.array([summary.mu_n]), counts), [_merge_rings(summary.cbar)], counts, spans)
+        on = _log_convolve(off, _log_poisson_pmf(np.array([summary.mu_s]), counts), spans)
+        off, on = off[0], on[0]
         below_off, below_on = (np.concatenate(([0.0], np.cumsum(np.exp(pmf)))) for pmf in (off, on))
         p, q = error_curves(theta_max, summary.mu_s, summary.cbar, summary.mu_n)
         np.testing.assert_allclose(p, np.clip(1.0 - below_off, 0.0, 1.0), rtol=0.0, atol=1e-15)
