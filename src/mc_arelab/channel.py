@@ -520,7 +520,7 @@ def peak_time(
     formed directly as axial times 1 - e^-sigma; the scan's axial factor
     comes from a cache keyed by the transport, the axial span and the
     horizon. This is the one-link case of the batched search that
-    perf.sweep runs a block of links at a time (_peak_block).
+    perf.sweep runs on each block of links (_peak_block).
     """
     _check_search(search_horizon, tol)
     links = [(params, geom)]
@@ -598,8 +598,10 @@ def _summary_block(links, t_ms, transport, k_max: int, gamma_form: str) -> list[
 def _summaries(links, k_max: int, gamma_form: str, search_horizon: float, t_ms=None) -> list[ChannelSummary]:
     """summarize of each (params, geom, layout) link, _BLOCK links per pass.
 
-    The links share D, v and the receiver's axial span, as the points of a
-    sweep do; S_RX, n_mol, the noise and the layout are each link's own.
+    The links of a block share D, v and the receiver's axial span, as the
+    points of a sweep do; S_RX, n_mol, the noise and the layout are each
+    link's own. ``links`` is read one block at a time, so an iterator that
+    builds them holds one block's layouts at a time, not a whole axis.
     A block's peak times come from one batched search (_peak_block), and
     its rings and Simpson nodes from one response evaluation, with sigma
     and the tail nodes taken per element: every value equals the one-link
@@ -608,14 +610,13 @@ def _summaries(links, k_max: int, gamma_form: str, search_horizon: float, t_ms=N
     """
     if t_ms is None:
         _check_search(search_horizon, _PEAK_TOL)
-    transport = _transport(links)
-    summaries = []
-    for start in range(0, len(links), _BLOCK):
-        block = links[start : start + _BLOCK]
+    links, summaries = iter(links), []
+    while block := list(itertools.islice(links, _BLOCK)):
+        transport = _transport(block)
         if t_ms is None:
             times = _peak_block(block, transport, search_horizon, _PEAK_TOL)
         else:
-            times = t_ms[start : start + _BLOCK]
+            times = t_ms[len(summaries) : len(summaries) + _BLOCK]
         summaries += _summary_block(block, times, transport, k_max, gamma_form)
     return summaries
 
@@ -636,6 +637,6 @@ def summarize(
     the composite Simpson rule on _TAIL_INTERVALS intervals out to 8
     diffusion lengths plus 2 S_RX past that ring. The rings and the
     Simpson nodes share one response evaluation. This is the one-link case
-    of _summaries, which perf.sweep runs a block of links at a time.
+    of _summaries, which perf.sweep runs over a whole sweep axis.
     """
     return _summaries([(params, geom, layout)], k_max, gamma_form, search_horizon, None if t_m is None else [t_m])[0]

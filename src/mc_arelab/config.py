@@ -204,9 +204,8 @@ def worker_count() -> int:
     return n
 
 
-def map_workers(fn, items) -> Iterator:
-    """Yield fn(item) for each item, in input order, on up to worker_count() threads."""
-    workers = worker_count()
+def map_workers(fn, items, workers: int) -> Iterator:
+    """Yield fn(item) for each item, in input order, on up to ``workers`` threads (see worker_count)."""
     if workers == 1:
         yield from map(fn, items)
         return

@@ -12,12 +12,13 @@ the threshold set (the counts where that decision flips) and, in perf,
 the error curves. collapse_iui, one atom per multiplicity tuple across
 rings, is the paper's interference spectrum; no decision reads it.
 
-The count laws of a block of configurations (_count_block, a sweep's
-block in perf) are built by one set of array calls on (points, counts)
-arrays, padded past each point's own count range. Every mixture and
+The count laws of many configurations (a sweep's whole axis in perf)
+are sized first and then built in groups of bounded size (_count_block),
+each by one set of array calls on (points, counts) arrays, padded past
+each point's own count range (_build_block). Every mixture and
 convolution sums its terms along a non-innermost axis, which NumPy adds
 one row at a time in a fixed order, and padding adds exact zeros: each
-point's log pmfs are the same bits in any block and at any build length.
+point's log pmfs are the same bits in any group and at any build length.
 """
 
 from __future__ import annotations
@@ -171,11 +172,12 @@ def _columns(n: int, width: int):
         start = stop
 
 
-def _log_mixtures(lams: np.ndarray, log_weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _log_mixtures(lams: np.ndarray, log_weights: np.ndarray, counts: np.ndarray, log_norm: np.ndarray) -> np.ndarray:
     """ln sum_a w_(a,p) Poisson(lam_(a,p); r) at each count r of each point p, as a (points, counts) array.
 
     ``lams`` and ``log_weights`` hold one row per atom and one column per
-    point; log weights may broadcast across points. The atoms run along
+    point; log weights may broadcast across points. ``log_norm`` holds
+    ln r! of each count, formed once by the caller. The atoms run along
     axis 0 of each temporary, which NumPy sums one row at a time, in atom
     order, while the other axes hold at least two elements (it sums a lone
     column pairwise); so the columns are taken in chunks of at most
@@ -187,7 +189,6 @@ def _log_mixtures(lams: np.ndarray, log_weights: np.ndarray, counts: np.ndarray)
     terms a chunk, folded in by logaddexp.
     """
     atoms, points = lams.shape
-    log_norm = _log_factorials(counts)
     out = np.empty((points, counts.size))
     group = atoms if atoms <= _ATOM_GROUP else max(1, _CHUNK // (points * min(counts.size, _MIXTURE_COLUMNS)))
     width = max(2, min(_MIXTURE_COLUMNS, _CHUNK // (group * points)))
@@ -296,22 +297,22 @@ def _ring_weights(count: int, atoms: int) -> np.ndarray:
     return weights
 
 
-def _add_rings(log_pmfs: np.ndarray, rings: list, counts: np.ndarray, spans: _Spans) -> np.ndarray:
+def _add_rings(log_pmfs: np.ndarray, rings: list, counts: np.ndarray, log_norm: np.ndarray, spans: _Spans) -> np.ndarray:
     """Each row of ``log_pmfs`` convolved with one Binomial(count, 1/2)-mixed Poisson(k cbar) log pmf per merged ring of that row.
 
     ``rings`` holds one list of (cbar, count) per row, ``counts`` the
-    counts 0..n-1 of the columns and ``spans`` those of the rows' own n
-    (_spans). The i-th rings of all rows share one mixture and one
-    convolution; a row with fewer rings takes the exact point mass at 0
-    in place of each missing one, which leaves its entries as they are
-    (a + 0, e^0 = 1, ln 1 = 0).
+    counts 0..n-1 of the columns, ``log_norm`` their ln r! and ``spans``
+    the spans of the rows' own n (_spans). The i-th rings of all rows
+    share one mixture and one convolution; a row with fewer rings takes
+    the exact point mass at 0 in place of each missing one, which leaves
+    its entries as they are (a + 0, e^0 = 1, ln 1 = 0).
     """
     for slot in range(max(map(len, rings), default=0)):
         ring = [row[slot] if slot < len(row) else (0.0, 0) for row in rings]
         atoms = max(count for _, count in ring) + 1
         log_weights = np.array([_ring_weights(count, atoms) for _, count in ring]).T
         lams = np.arange(atoms)[:, None] * np.array([cbar for cbar, _ in ring])
-        log_pmfs = _log_convolve(log_pmfs, _log_mixtures(lams, log_weights, counts), spans)
+        log_pmfs = _log_convolve(log_pmfs, _log_mixtures(lams, log_weights, counts, log_norm), spans)
     return log_pmfs
 
 
@@ -369,13 +370,13 @@ def _crossing(mu_s: float, lam: float) -> float:
 
 
 class _CountDistribution:
-    """The received-count law of one configuration, one row of a block build (_count_block).
+    """The received-count law of one configuration, one row of a group build (_build_block).
 
     ``off`` and ``on``, ln P(r | bit 0) and ln P(r | bit 1) for r = 0..n-1,
     convolve the log pmfs of Poisson(mu_n) noise, of each merged ring's
     Binomial(count, 1/2)-mixed Poisson and, in ``on``, of Poisson(mu_s).
     ``_CountDistribution(mu_s, ring_basis, mu_n, theta_max)`` builds a
-    block of one.
+    group of one.
 
     ``bound`` is ceil(phi*), with phi* the crossing at the all-active mean
     lam_max = mu_n + cbar_sum. At count r, the Poisson(x + mu_s) pmf over
@@ -393,8 +394,8 @@ class _CountDistribution:
     R. perf reads ``curves``, which hold their last value past the build.
     Every mixture and convolution sums its terms along the atom or factor
     index in a fixed increasing order, and the terms a longer build or a
-    longer block row adds are exact zeros: each entry's bits depend on
-    neither n nor the other points of its block (for rings of fewer than
+    longer group row adds are exact zeros: each entry's bits depend on
+    neither n nor the other points of its group (for rings of fewer than
     _ATOM_GROUP interferers, whose mixtures are never split).
     """
 
@@ -431,15 +432,15 @@ class _CountDistribution:
 
 
 def _count_block(points, theta_max: int = 0):
-    """The count laws of a block of (mu_s, ring_basis, mu_n) points, a group of laws at a time.
+    """The sized, unbuilt count laws of (mu_s, ring_basis, mu_n) points, a group of laws at a time.
 
-    Every point is checked and sized in input order before any array is
-    built, so the first failing point raises its own error. The laws are
-    then built longest first, in groups of at most _GROUP_ENTRIES entries
-    (or of one law). Yields (indices, laws, log_pmfs) per group: the input
-    positions of its laws, the laws, and their (2, laws, n) array of
-    ln P(r | 0) and ln P(r | 1), -inf past each law's own n. No law is
-    held past its group, so one group's arrays are alive at a time.
+    Every point is checked and sized in input order before the first group
+    is yielded, so the first failing point raises its own error. The laws
+    come longest first, in groups of at most _GROUP_ENTRIES entries (or of
+    one law), for _build_block to build. Yields (indices, laws) per group:
+    the input positions of its laws and the laws. A group is dropped when
+    the next one is asked for, so a caller that builds and reads one group
+    at a time holds one group's arrays at a time.
     """
     laws = [_CountDistribution.__new__(_CountDistribution)._sized(*point, theta_max) for point in points]
     pending = sorted(enumerate(laws), key=lambda pair: -pair[1].size)
@@ -447,21 +448,27 @@ def _count_block(points, theta_max: int = 0):
     while pending:
         rows = max(1, min(len(pending), _GROUP_ENTRIES // pending[0][1].size))
         (indices, group), pending = zip(*pending[:rows]), pending[rows:]
-        yield indices, group, _build_block(group)
+        yield indices, group
 
 
 def _build_block(laws) -> np.ndarray:
     """Build the log pmfs, decisions and flips of sized laws, longest first, with one set of array calls.
 
-    Returns their (2, laws, n) log pmfs (see _count_block); each law's
-    ``off`` and ``on`` are views of its row (``row``) cut to its own n.
+    Returns their (2, laws, n) array of ln P(r | 0) and ln P(r | 1),
+    -inf past each law's own n; each law's ``off`` and ``on`` are views of
+    its row (``row``) cut to its own n. One ln r! row serves every pmf and
+    mixture of the build.
     """
     sizes = [law.size for law in laws]
     counts = np.arange(sizes[0])
+    log_norm = _log_factorials(counts)
     spans = _spans(sizes)
     # the noise pmf has no name here, so _add_rings frees each convolution input as it goes
-    off = _add_rings(_log_poisson_pmf(np.array([law.mu_n for law in laws], dtype=float), counts), [law.rings for law in laws], counts, spans)
-    on = _log_convolve(off, _log_poisson_pmf(np.array([law.mu_s for law in laws], dtype=float), counts), spans)
+    off = _add_rings(
+        _log_poisson_pmf(np.array([law.mu_n for law in laws], dtype=float), counts, log_norm=log_norm),
+        [law.rings for law in laws], counts, log_norm, spans,
+    )
+    on = _log_convolve(off, _log_poisson_pmf(np.array([law.mu_s for law in laws], dtype=float), counts, log_norm=log_norm), spans)
     log_pmfs = np.empty((2,) + off.shape)
     log_pmfs[0], log_pmfs[1] = off, on
     reach = max(law.bound for law in laws) + 2

@@ -38,7 +38,7 @@ from .channel import ChannelSummary
 from .config import MC_MODES
 from .detection import _add_rings, _half_binomial_log_pmf, _log_mixtures, _merge_rings, _spans, _threshold_curves
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
-from .specfun import _chernoff_support, _log_poisson_pmf
+from .specfun import _chernoff_support, _log_factorials, _log_poisson_pmf
 
 __all__ = ["McResult", "run"]
 
@@ -263,11 +263,12 @@ def _run_semi_analytic(rings, mu_s, mu_n, theta_max, samples, seed):
     log_weights = np.log(tallies / samples)
     lam_max = mu_n + mu_s + math.fsum(cbar * count for cbar, count in rings)
     counts = np.arange(min(theta_max, _chernoff_support(lam_max, UNDERFLOW_NATS)))
+    log_norm = _log_factorials(counts)
     lams = np.column_stack((values + mu_n, mu_s + values + mu_n))
-    log_pmfs = _log_mixtures(lams, log_weights[:, None], counts)
+    log_pmfs = _log_mixtures(lams, log_weights[:, None], counts, log_norm)
     if covered < len(rings):
         rest = _merge_rings(rings[covered:])
-        log_pmfs = _add_rings(log_pmfs, [rest, rest], counts, _spans([counts.size, counts.size]))
+        log_pmfs = _add_rings(log_pmfs, [rest, rest], counts, log_norm, _spans([counts.size, counts.size]))
     off, on = np.exp(log_pmfs)
     p_hat, q_hat = _threshold_curves(theta_max, off, on)
     return 0.5 * (p_hat + q_hat), p_hat, q_hat

@@ -7,9 +7,10 @@ mutual information, and area rate efficiency, and drives parameter
 sweeps over those numbers. The error probabilities of the threshold
 rule are cumulative sums of the exact count distribution, built once
 per configuration from the ring basis, without enumerating interference
-atoms. A sweep takes a block of points at a time through one batched
-channel pass and one block build of their count laws
-(detection._count_block); evaluate is the block of one.
+atoms. A sweep takes its whole axis through one batched channel pass and
+one pass over its count laws, built in sized groups
+(detection._count_block) that threads share out; evaluate is the sweep
+of one point.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _BLOCK, ReceiverGeometry, _summaries
-from .config import SystemConfig, map_workers
-from .detection import _count_block, _CountDistribution
+from .channel import ReceiverGeometry, _summaries
+from .config import SystemConfig, map_workers, worker_count
+from .detection import _build_block, _count_block, _CountDistribution
 from .errors import ParameterError, check_elements, is_finite_real, is_integer
 
 __all__ = [
@@ -135,31 +136,37 @@ def _link(config: SystemConfig) -> tuple:
     return params, ReceiverGeometry.centered(params), config.layout()
 
 
-def _channel(config: SystemConfig, links: list) -> list:
+def _channel(config: SystemConfig, links) -> list:
     """The channel summary of each link, from one batched channel pass (channel._summaries).
 
-    The links are points of ``config`` along a sweep axis, which changes
-    neither the series settings nor the horizon.
+    The links, a list or an iterator, are points of ``config`` along a
+    sweep axis, which changes neither the series settings nor the horizon.
     """
     return _summaries(links, k_max=config.k_max, gamma_form=config.gamma_form, search_horizon=config.horizon)
 
 
-def _reports(configs: list, summaries: list) -> list[PerfReport]:
+def _reports(configs: list, summaries: list, workers: int = 1) -> list[PerfReport]:
     """The performance report of each configuration, from its channel summary.
 
-    The count laws come from one block build (detection._count_block), and
-    both error probabilities of every point at its threshold from one exp
-    and one running sum over each group's log pmfs.
+    The count laws come in sized groups (detection._count_block), each
+    built by one set of array calls, and both error probabilities of every
+    point at its threshold from one exp and one running sum over its
+    group's log pmfs. The groups are built on up to ``workers`` threads.
     """
-    reports = [None] * len(configs)
-    points = [(summary.mu_s, summary.cbar, summary.mu_n) for summary in summaries]
-    for indices, laws, log_pmfs in _count_block(points):
+
+    def group_reports(group) -> list:
+        indices, laws = group
+        log_pmfs = _build_block(laws)
         below = np.zeros(log_pmfs.shape[:2] + (log_pmfs.shape[2] + 1,))
         np.cumsum(np.exp(log_pmfs), axis=2, out=below[:, :, 1:])
-        for index, law in zip(indices, laws):
-            reports[index] = _report(configs[index], summaries[index], law, below[:, law.row])
-        # released before the next group is built
-        del laws, log_pmfs, below
+        # nothing built here is returned, so a serial sweep holds one group's arrays at a time
+        return [(index, _report(configs[index], summaries[index], law, below[:, law.row])) for index, law in zip(indices, laws)]
+
+    reports = [None] * len(configs)
+    points = [(summary.mu_s, summary.cbar, summary.mu_n) for summary in summaries]
+    for pairs in map_workers(group_reports, _count_block(points), workers):
+        for index, report in pairs:
+            reports[index] = report
     return reports
 
 
@@ -199,7 +206,7 @@ def evaluate(config: SystemConfig) -> PerfReport:
     """Analytic performance of one configuration at the peak-CIR decision time.
 
     The one-point case of sweep: the channel summary comes from a batched
-    channel pass of one link, and the report from a count-law block of one.
+    channel pass of one link, and the report from a count-law group of one.
     """
     return _reports([config], _channel(config, [_link(config)]))[0]
 
@@ -218,79 +225,37 @@ def _apply_axis(config: SystemConfig, axis: str, value) -> SystemConfig:
     raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _blocks(config: SystemConfig, axis: str, values: list):
-    """(values, configurations, channel summaries, failure) of each block of _BLOCK axis values, in order.
-
-    The summaries of a block come from one batched channel pass. A point
-    that fails ends the blocks: its block holds the points before it, and
-    ``failure`` the exception it raised in place of its configuration or
-    summary (else None). A block whose pass fails is redone one point at
-    a time, to find the first failing point and its own error.
-    """
-    for start in range(0, len(values), _BLOCK):
-        block, configs, links, failure = values[start : start + _BLOCK], [], [], None
-        for value in block:
-            try:
-                point = _apply_axis(config, axis, value)
-                links.append(_link(point))
-            except Exception as exc:
-                failure = exc
-                break
-            configs.append(point)
-        summaries = []
-        if configs:
-            try:
-                summaries = _channel(config, links)
-            except Exception:
-                for link in links:
-                    try:
-                        summaries += _channel(config, [link])
-                    except Exception as exc:
-                        failure = exc
-                        break
-        yield block, configs[: len(summaries)], summaries, failure
-        if failure is not None:
-            return
-
-
 def sweep(config: SystemConfig, axis: str, values) -> list[PerfReport]:
     """Evaluate the configuration once per axis value, in input order.
 
-    Each report equals evaluate() at its point: a block of _BLOCK points
-    shares one batched channel pass (_blocks) and one count-law build
-    (_reports), whose rows do not depend on the other points of the block.
-    A failure at any point aborts the whole sweep and names the first
-    value, in input order, whose evaluation fails, with that point's own
-    error. MC_ARELAB_THREADS > 1 builds the blocks' count laws and reports
-    concurrently, one block per task; the result order and content do not
-    depend on the thread count.
+    Each report equals evaluate() at its point: the whole axis shares one
+    batched channel pass (_channel) and one pass over its count laws
+    (_reports, in sized groups), whose rows do not depend on the other
+    points. A failure at any point aborts the whole sweep and names the
+    first value, in input order, whose evaluation fails, with that point's
+    own error; it is found by evaluating the points one at a time.
+    MC_ARELAB_THREADS, read once before any pass, sets how many threads
+    share out the count-law groups, one group per task; the result order
+    and content do not depend on it.
     """
     if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ParameterError("sweep requires at least one axis value")
-
-    def failed(value, exc: Exception) -> ParameterError:
-        return ParameterError(f"sweep failed at {axis} = {value}: {exc}")
-
-    def run_block(block):
-        block_values, configs, summaries, failure = block
-        try:
-            reports = _reports(configs, summaries)
-        except Exception:
-            # redone one point at a time, to name the first failing point with its own error
-            for value, point, summary in zip(block_values, configs, summaries):
-                try:
-                    _reports([point], [summary])
-                except Exception as exc:
-                    raise failed(value, exc) from exc
-            raise
-        if failure is not None:
-            raise failed(block_values[len(reports)], failure) from failure
-        return reports
-
-    return [report for reports in map_workers(run_block, _blocks(config, axis, values)) for report in reports]
+    workers = worker_count()
+    try:
+        configs = [_apply_axis(config, axis, value) for value in values]
+        # the channel pass builds the links a block at a time: each holds a grid layout of about
+        # 5 KB, and a whole axis of them would raise the sweep's peak memory
+        return _reports(configs, _channel(config, map(_link, configs)), workers)
+    except Exception:
+        for value in values:
+            try:
+                evaluate(_apply_axis(config, axis, value))
+            except Exception as exc:
+                raise ParameterError(f"sweep failed at {axis} = {value}: {exc}") from exc
+        raise
 
 
 def optimize_radius(config: SystemConfig, w_max: int = 25, step_frac: float = 0.02):

@@ -2,12 +2,12 @@
 
 import pytest
 
-from mc_arelab import detection
+from mc_arelab import detection, perf
 
 
 @pytest.fixture
 def count_builds(monkeypatch):
-    """The length of every point's build of the count pmfs (a block row), in build order."""
+    """The length of every point's build of the count pmfs (a group row), in build order."""
     lengths = []
     build = detection._build_block
 
@@ -15,5 +15,6 @@ def count_builds(monkeypatch):
         lengths.extend(law.size for law in laws)
         return build(laws)
 
-    monkeypatch.setattr(detection, "_build_block", recording)
+    for module in (detection, perf):
+        monkeypatch.setattr(module, "_build_block", recording)
     return lengths

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mc_arelab import detection
 from mc_arelab.channel import summarize
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import (
@@ -488,9 +489,9 @@ class TestAgainstAtomOracles:
         def refuse(*args, **kwargs):
             raise AssertionError("collapse_iui called")
 
-        def integer_counts(lams, log_weights, counts):
+        def integer_counts(lams, log_weights, counts, log_norm):
             assert np.issubdtype(counts.dtype, np.integer), counts.dtype
-            return log_mixtures(lams, log_weights, counts)
+            return log_mixtures(lams, log_weights, counts, log_norm)
 
         monkeypatch.setattr("mc_arelab.detection.collapse_iui", refuse)
         monkeypatch.setattr("mc_arelab.detection._log_mixtures", integer_counts)
@@ -664,7 +665,8 @@ class TestBlockBuild:
         # mixed noise (mu_n = 0 or not), ring counts, multiplicities and
         # cbar = 0 rings: padding a row to the block adds exact zeros only
         seen = []
-        for indices, laws, log_pmfs in _count_block(points, theta_max):
+        for indices, laws in _count_block(points, theta_max):
+            log_pmfs = detection._build_block(laws)
             assert log_pmfs.shape[:2] == (2, len(laws))
             for index, law in zip(indices, laws):
                 seen.append(index)
@@ -686,6 +688,8 @@ class TestBlockBuild:
         # take many spans of shifts with fewer rows live in the later ones
         points = [(mu_s, [(0.5, 6), (0.2, 12)], mu_n) for mu_s, mu_n in ((20.0, 250.0), (3.0, 100.0), (9.0, 160.0), (1.0, 60.0))]
         groups = list(_count_block(points, 10**6))
+        for _, laws in groups:
+            detection._build_block(laws)
         assert len(groups) == 1 and sorted(count_builds) == sorted(law.size for law in groups[0][1])
         assert min(count_builds) > 100
         for index, law in zip(groups[0][0], groups[0][1]):

@@ -380,9 +380,9 @@ class TestTallyTree:
         lengths = []
         log_mixtures = montecarlo._log_mixtures
 
-        def recording(lams, log_weights, counts):
+        def recording(lams, log_weights, counts, log_norm):
             lengths.append(counts.size)
-            return log_mixtures(lams, log_weights, counts)
+            return log_mixtures(lams, log_weights, counts, log_norm)
 
         monkeypatch.setattr(montecarlo, "_log_mixtures", recording)
         wide = run(summary, 1000, theta_max=10**6, seed=3, mode="semi-analytic")

@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from mc_arelab import channel, detection, perf
 from mc_arelab.channel import summarize
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import _add_rings, _log_convolve, _merge_rings, _spans, collapse_iui
@@ -26,7 +27,7 @@ from mc_arelab.perf import (
     sweep,
 )
 from mc_arelab.perf import _apply_axis
-from mc_arelab.specfun import _log_poisson_pmf
+from mc_arelab.specfun import _log_factorials, _log_poisson_pmf
 
 from oracles import neglected_tail
 
@@ -95,7 +96,7 @@ class TestErrorProbs:
         summary = summarize(config.params(), config.geometry(), config.layout())
         counts = np.arange(theta_max)
         spans = _spans([theta_max])
-        off = _add_rings(_log_poisson_pmf(np.array([summary.mu_n]), counts), [_merge_rings(summary.cbar)], counts, spans)
+        off = _add_rings(_log_poisson_pmf(np.array([summary.mu_n]), counts), [_merge_rings(summary.cbar)], counts, _log_factorials(counts), spans)
         on = _log_convolve(off, _log_poisson_pmf(np.array([summary.mu_s]), counts), spans)
         off, on = off[0], on[0]
         below_off, below_on = (np.concatenate(([0.0], np.cumsum(np.exp(pmf)))) for pmf in (off, on))
@@ -375,10 +376,16 @@ class TestSweep:
         assert isinstance(info.value.__cause__, SearchError)
 
     def test_the_first_failing_point_is_named_whichever_stage_fails(self):
-        # c = -1 fails its configuration, c = 1.6 the peak search; the first in input order is named
-        for values, named in (([0.2, 1.6, -1.0], "1.6"), ([0.2, -1.0, 1.6], "-1.0")):
-            with pytest.raises(ParameterError, match=rf"sweep failed at cell_pitch = {named}: "):
-                sweep(SystemConfig(horizon=2.2), "cell_pitch", values)
+        # c = -1 fails its configuration, c = 1.6 the peak search; the first in input order is named.
+        # At c_noise = 1e22 both radii pass the channel stage, and s_rx = 0.1 fails its count law's size.
+        cases = (
+            (SystemConfig(horizon=2.2), "cell_pitch", [0.2, 1.6, -1.0], "1.6: response still rising"),
+            (SystemConfig(horizon=2.2), "cell_pitch", [0.2, -1.0, 1.6], "-1.0: c: must be positive"),
+            (SystemConfig(c_noise=1e22, n_interferers=6), "s_rx", [1e-9, 0.1], "0.1: .* past what an array can index"),
+        )
+        for config, axis, values, named in cases:
+            with pytest.raises(ParameterError, match=rf"sweep failed at {axis} = {named}"):
+                sweep(config, axis, values)
 
     @given(
         axis=st.sampled_from(SWEEP_AXES),
@@ -402,6 +409,8 @@ class TestSweep:
                     patch.delenv("MC_ARELAB_THREADS", raising=False)
                 else:
                     patch.setenv("MC_ARELAB_THREADS", threads)
+                    # small count-law groups, so the points spread over several tasks
+                    patch.setattr(detection, "_GROUP_ENTRIES", 32)
                 want = []
                 try:
                     for value in values:
@@ -419,6 +428,8 @@ class TestSweep:
         cs = [0.2, 0.3, 0.4]
         serial = sweep(SystemConfig(), "cell_pitch", cs)
         monkeypatch.setenv("MC_ARELAB_THREADS", "4")
+        # small count-law groups (one per point here), so the threads share them
+        monkeypatch.setattr(detection, "_GROUP_ENTRIES", 32)
         parallel = sweep(SystemConfig(), "cell_pitch", cs)
         assert serial == parallel
 
@@ -426,6 +437,25 @@ class TestSweep:
         monkeypatch.setenv("MC_ARELAB_THREADS", "many")
         with pytest.raises(ConfigError, match="MC_ARELAB_THREADS"):
             sweep(SystemConfig(), "cell_pitch", [0.2])
+
+    def test_links_are_built_one_channel_block_at_a_time(self, monkeypatch):
+        # each link holds a grid layout, so no more than a block of them is alive at once
+        events = []
+        link, peak_block = perf._link, channel._peak_block
+
+        def counted_link(point):
+            events.append("link")
+            return link(point)
+
+        def counted_peak_block(links, *args):
+            events.append(len(links))
+            return peak_block(links, *args)
+
+        monkeypatch.setattr(perf, "_link", counted_link)
+        monkeypatch.setattr(channel, "_peak_block", counted_peak_block)
+        sweep(SystemConfig(), "cell_pitch", [0.2 + 0.01 * i for i in range(2 * channel._BLOCK + 3)])
+        blocks = [channel._BLOCK, channel._BLOCK, 3]
+        assert events == [item for size in blocks for item in ["link"] * size + [size]]
 
 
 class TestOptimizeRadius:
