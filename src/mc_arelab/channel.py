@@ -34,8 +34,23 @@ __all__ = [
 
 GAMMA_FORMS = ("lower", "regularized")
 
-# Relative bound on the radial-series mass dropped past the chosen order.
+# The radial series stops where its next term is at most SERIES_RTOL / 2 of
+# the sum. SERIES_RTOL < 2^-53, so that term is under half an ulp of the
+# running sum (at least 2^-54 of it), and no later, smaller term can move
+# the double either.
 SERIES_RTOL = 1e-16
+_LOG_RTOL = math.log(SERIES_RTOL)
+_LOG_HALF_RTOL = math.log(SERIES_RTOL / 2.0)
+# each weight tail and the Poisson head a complement drops
+_LOG_TAIL = math.log(SERIES_RTOL / 8.0)
+# Orders per temporary of the radial series: the widest top summed in
+# blocks, and the segment of a wider window. A block's three temporaries
+# stay within _CHUNK together, and each below the 128 KB at which the C
+# allocator maps memory directly and then keeps a larger heap resident.
+_SEGMENT = _CHUNK // 4
+# Orders past 2^53 are not exact floats: h must lie below it, less the at
+# most 54 orders that a top adds to h.
+_MAX_ORDER = 2.0**53 - 64.0
 # exp(-_FAR^2) is below half the smallest double.
 _FAR = math.sqrt(746.0)
 # Points of the peak_time scan, and points evaluated inside each edge
@@ -162,46 +177,88 @@ def _scaled_rows(
     """
     rows = np.multiply((log_x / power)[:, None], orders)
     rows -= log_norm
-    rows *= power
+    if power != 1.0:
+        rows *= power
     rows -= log_at_mode[:, None]
     return np.exp(rows, out=rows)
 
 
-def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.ndarray:
-    """sum_k w_k P(k+1, sigma), w_k = e^-rho rho^k / k!^extra, on 1-D arrays with rho > 0.
+def _tops(rho: np.ndarray, sigma: np.ndarray, extra: float) -> np.ndarray:
+    """The certified top order of each element's radial series, on 1-D arrays with rho > 0.
 
-    P(k+1, sigma) = P[N > k] for N ~ Poisson(sigma), so exchanging the order
-    of summation gives sum_(j >= 1) p_j W_(j-1), with p_j = P[N = j] and
-    W_i = w_0 + ... + w_i: a sum of positive terms, with no tail to form.
-    Term j + 1 is at most q_j = sigma (1 + rho / j^extra) / (j + 1) times
-    term j (W_j / W_(j-1) = 1 + w_j / W_(j-1) <= 1 + w_j / w_(j-1)), and q_j
-    falls with j. Each element sums the orders j = 1..top, top = h + m. From
-    h on, q_j <= 1/2: h is the largest of k_min + 1, a floor f = max(1,
-    2 sigma, (2 rho sigma)^(1/(extra+1))) and the root of j^2 - (2 sigma - 1)
-    j - 2 rho sigma / f^(extra-1), since j^extra >= j f^(extra-1) for j >= f.
-    The m more orders shrink a term by q_h^m <= SERIES_RTOL. So the last
-    term is at most SERIES_RTOL times the sum, and all past it add at most
-    that term.
-
-    The sum runs in scaled linear space, the p_j over p at their mode
-    max(1, floor(sigma)) and the w_k over w at their mode floor(rho^(1/extra)),
-    so no entry exceeds 1 (nor W_k its order + 1). Where that mode lies past
-    the top, the sum is at most top times the scaled w at the top, so
-    scaled terms underflow only in sums below about 1e-290. Every scale and
-    every top is the element's own, so an array call equals the scalar calls
-    bit for bit. The p_j row depends on sigma alone, so each run of
-    neighbours with equal sigma shares one row: a block ends where a run
-    starts, unless a single run fills it.
+    Term j + 1 of the series is at most q_j = sigma (1 + rho / j^extra) /
+    (j + 1) times term j, and q_j falls with j. From h on, q_j <= 1/2: h is
+    the larger of a floor f = max(1, 2 sigma, (2 rho sigma)^(1/(extra+1)))
+    and the root of j^2 - (2 sigma - 1) j - 2 rho sigma / f^(extra-1), since
+    j^extra >= j f^(extra-1) for j >= f. From h on, q_j <= a_h / (j + 1)
+    with a_h = sigma (1 + rho / h^extra), so term h + m is at most a_h^m h!
+    / (h + m)! times term h. The top is h + m for the least m >= 1 that
+    brings this product to SERIES_RTOL: m ln a_h - ln((h + m)! / h!) <= ln
+    SERIES_RTOL. The last term summed is then at most SERIES_RTOL of the
+    sum, and the next at most half that.
     """
     rs = rho * sigma
     floor = np.maximum(np.maximum(1.0, 2.0 * sigma), (2.0 * rs) ** (1.0 / (extra + 1.0)))
     slope = 2.0 * sigma - 1.0
     h = np.maximum(floor, np.ceil(0.5 * (slope + np.sqrt(slope * slope + 8.0 * rs / floor ** (extra - 1.0)))))
-    h = np.maximum(h, k_min + 1.0)
+    if not h.max(initial=0.0) < _MAX_ORDER:
+        at = int(h.argmax())
+        raise ParameterError(
+            f"the radial series at sigma = {sigma[at]:.6g}, rho = {rho[at]:.6g} runs past order 2^53, "
+            "where orders are no longer exact floats"
+        )
     with np.errstate(divide="ignore"):
-        fall = np.ceil(math.log(SERIES_RTOL) / np.log(sigma * (1.0 + rho / h**extra) / (h + 1.0)))
-    top = (h + np.maximum(fall, 1.0)).astype(np.int64)
-    del rs, floor, slope, h, fall
+        log_a = np.log(sigma * (1.0 + rho / h**extra))
+    h = h.astype(np.int64)
+    base = _log_factorials(h)
+    # q_h <= 1/2 bounds the product by 2^-m, so the least m is at most 54:
+    # six steps of binary lifting find it, `short` orders being too few
+    short = np.zeros_like(h)
+    for step in (32, 16, 8, 4, 2, 1):
+        more = short + step
+        too_few = more * log_a - (_log_factorials(h + more) - base) > _LOG_RTOL
+        np.copyto(short, more, where=too_few)
+    return h + short + 1
+
+
+def _radial(rho: np.ndarray, sigma: np.ndarray, extra: float) -> np.ndarray:
+    """sum_k w_k P(k+1, sigma), w_k = e^-rho rho^k / k!^extra, on 1-D arrays with rho > 0.
+
+    P(k+1, sigma) = P[N > k] for N ~ Poisson(sigma), so exchanging the order
+    of summation gives sum_(j >= 1) p_j W_(j-1), with p_j = P[N = j] and
+    W_i = w_0 + ... + w_i: a sum of positive terms, with no tail to form.
+    Each element stops at its certified top (_tops): the term after it is
+    at most SERIES_RTOL / 2 of the sum, below half an ulp of the running
+    sum, and every later term is smaller still, so no order past the top
+    can move the double. Elements whose top is at most _SEGMENT orders sum
+    j = 1..top in blocks (_radial_blocks); wider ones sum only the window
+    of orders that can move their double, a segment at a time
+    (_radial_window). Every scale, top and window is the element's own, so
+    an array call equals the scalar calls bit for bit.
+    """
+    top = _tops(rho, sigma, extra)
+    narrow = top <= _SEGMENT
+    if narrow.all():
+        return _radial_blocks(rho, sigma, top, extra)
+    out = np.empty_like(rho)
+    out[narrow] = _radial_blocks(rho[narrow], sigma[narrow], top[narrow], extra)
+    for i in np.flatnonzero(~narrow).tolist():
+        out[i] = _radial_window(float(rho[i]), float(sigma[i]), int(top[i]), extra)
+    return out
+
+
+def _radial_blocks(rho: np.ndarray, sigma: np.ndarray, top: np.ndarray, extra: float) -> np.ndarray:
+    """The radial sums of elements with tops of at most _SEGMENT orders, each over its orders 1..top.
+
+    The sum runs in scaled linear space, the p_j over p at their mode
+    max(1, floor(sigma)) and the w_k over w at their mode floor(rho^(1/extra)),
+    so no entry exceeds 1 (nor W_k its order + 1). Where that mode lies past
+    the top, the sum is at most top times the scaled w at the top, so
+    scaled terms underflow only in sums below about 1e-290. The p_j row
+    depends on sigma alone, so each run of neighbours with equal sigma
+    shares one row: a block ends where a run starts, unless a single run
+    fills it.
+    """
     log_fact = _log_factorials(np.arange(int(top.max(initial=0)) + 1))
     # ln of p and w at their modes (0 at sigma = 0, whose p_j are all 0)
     with np.errstate(divide="ignore"):
@@ -214,10 +271,7 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
     del p_mode, w_mode
     new = _run_starts(sigma)
     out = np.empty_like(rho)
-    # a quarter of _CHUNK entries per temporary: the block's three stay
-    # within _CHUNK together, and each below the 128 KB at which the C
-    # allocator maps memory directly and then keeps a larger heap resident
-    rows = _CHUNK // 4 // int(top.max(initial=1)) or 1
+    rows = _SEGMENT // int(top.max(initial=1)) or 1
     start = 0
     while start < rho.size:
         stop = start + rows
@@ -241,6 +295,109 @@ def _radial(rho: np.ndarray, sigma: np.ndarray, k_min: int, extra: float) -> np.
         start = stop
     out *= np.exp(p_at - sigma + (w_at - rho))
     return out
+
+
+def _least(meets, low: int) -> int:
+    """The least integer n >= low at which ``meets(n)`` holds, for a predicate that stays true once true."""
+    if meets(low):
+        return low
+    fails, step = low, 1
+    while not meets(fails + step):
+        fails += step
+        step *= 2
+    holds = fails + step
+    while holds - fails > 1:
+        mid = (fails + holds) // 2
+        if meets(mid):
+            holds = mid
+        else:
+            fails = mid
+    return holds
+
+
+def _radial_window(rho: float, sigma: float, top: int, extra: float) -> float:
+    """The radial sum of one element whose top lies past _SEGMENT orders, over its certified window.
+
+    Scales are those of _radial_blocks. The weights w_k of the window lie
+    in [k_lo, K]: the largest k_lo and the least K >= floor(rho^(1/extra))
+    at which each weight tail beyond is at most SERIES_RTOL / 8 of the
+    largest weight, bounded geometrically by the ratio of neighbouring
+    weights, k^extra / rho. Where the weights end far below sigma, with
+    P[N <= K] <= SERIES_RTOL / 8 by the Chernoff bound e^-sigma (e sigma /
+    K)^K, the sum is the complement W_inf - sum_k w_k P[N <= k], and the
+    second part is negligible: it is the sum of the window's weights.
+
+    Elsewhere the forward sum runs over j = lo..top with the running sum of
+    the weights from w_(lo-1) on, which drops sum_(j<lo) p_j W_(j-1) +
+    W_(lo-2) P[N >= lo], at most W_(lo-2). lo is the largest order at which
+    that bound, at most w_(lo-2) / (1 - (lo - 2)^extra / rho), stays under
+    SERIES_RTOL / 2 of a lower bound on the sum: its term at (rho
+    sigma)^(1/(extra+1)), with W taken as its last weight. The window is
+    summed a segment of _SEGMENT orders at a time, each segment continuing
+    the running sums of the last. After a segment that ends at order J,
+    every later ratio is at most a / (j + 1) with a = sigma (1 + w_max /
+    W_(J-1)), w_max the largest weight from w_J on, since the weights fall
+    past their mode and W grows: where a < J + 1, the top falls to the
+    least order whose next term this bound puts under SERIES_RTOL / 2 of
+    the sum so far.
+    """
+    log_rho, log_sigma = math.log(rho), math.log(sigma)
+    w_mode = math.floor(rho ** (1.0 / extra))
+    w_at = w_mode * log_rho - extra * math.lgamma(w_mode + 1.0)
+    p_mode = max(1, math.floor(sigma))
+    p_at = p_mode * log_sigma - math.lgamma(p_mode + 1.0)
+
+    def log_w(k: int) -> float:
+        """ln w_k over w at its mode."""
+        return k * log_rho - extra * math.lgamma(k + 1.0) - w_at
+
+    def above(k: int) -> bool:
+        """The weights past w_k sum to at most SERIES_RTOL / 8 of the largest (k >= w_mode)."""
+        return log_w(k + 1) - math.log1p(-rho / (k + 2.0) ** extra) <= _LOG_TAIL
+
+    def below(k: int, log_bound: float) -> bool:
+        """The weights before w_k sum to at most e^log_bound of the largest (k <= w_mode)."""
+        return k <= 0 or log_w(k - 1) - math.log1p(-((k - 1.0) ** extra) / rho) <= log_bound
+
+    weight_rows = functools.partial(_scaled_rows, np.array([log_rho]), np.array([w_at]))
+    last = _least(above, w_mode)
+    if last < sigma and last * (1.0 + log_sigma - math.log(max(last, 1))) - sigma <= _LOG_TAIL:
+        first = w_mode - _least(lambda d: below(w_mode - d, _LOG_TAIL), 0)
+        total = 0.0
+        for start in range(first, last + 1, _SEGMENT):
+            k = np.arange(start, min(last, start + _SEGMENT - 1) + 1)
+            total += float(np.add.reduce(weight_rows(k.astype(float), _log_factorials(k), extra)[0]))
+        return total * math.exp(w_at - rho)
+
+    central = max(1, round((sigma * rho) ** (1.0 / (extra + 1.0))))
+    log_floor = central * log_sigma - math.lgamma(central + 1.0) - p_at + log_w(central - 1) + _LOG_HALF_RTOL
+    # lo - 1 is the first weight summed
+    lo = min(top, w_mode + 1 - _least(lambda d: below(w_mode - d, log_floor), 0))
+    weights = terms = 0.0
+    start = lo
+    while start <= top:
+        stop = min(top, start + _SEGMENT - 1)
+        log_fact = _log_factorials(np.arange(start - 1, stop + 1))
+        orders = np.arange(start - 1.0, stop + 1.0)
+        pmf = _scaled_rows(np.array([log_sigma]), np.array([p_at]), orders[1:], log_fact[1:], 1.0)[0]
+        row = weight_rows(orders[:-1], log_fact[:-1], extra)[0]
+        row[0] += weights
+        np.cumsum(row, out=row)
+        weights = float(row[-1])
+        last_term = float(pmf[-1]) * weights
+        row *= pmf
+        row[0] += terms
+        np.cumsum(row, out=row)
+        terms = float(row[-1])
+        start = stop + 1
+        peak = 1.0 if stop < w_mode else math.exp(log_w(stop))
+        a = sigma * (1.0 + peak / weights) if weights > 0.0 else math.inf
+        if start <= top and a < start:
+            log_a, log_f = math.log(a), math.lgamma(start)
+            need = math.log(terms) - math.log(last_term) + _LOG_HALF_RTOL if last_term > 0.0 else math.inf
+            m = _least(lambda m: m * log_a - (math.lgamma(start + m) - log_f) <= need, 1)
+            top = min(top, stop + m - 1)
+    return terms * math.exp(p_at - sigma + (w_at - rho))
 
 
 def _axial(t: np.ndarray, D: float, v: float, z_s: float, z_e: float) -> np.ndarray:
@@ -279,7 +436,11 @@ def _check_times(t_arr: np.ndarray, t) -> None:
 
 
 def _series_power(k_max: int, gamma_form: str) -> float:
-    """The power of k! that divides the radial weights of ``gamma_form``, once both arguments are checked."""
+    """The power of k! that divides the radial weights of ``gamma_form``, once both arguments are checked.
+
+    ``k_max`` sets no value: it is checked only so that older
+    configurations that name it keep their meaning as valid input.
+    """
     if not is_integer(k_max) or k_max < 0:
         raise ParameterError(f"k_max must be a nonnegative integer, got {k_max!r}")
     if gamma_form not in GAMMA_FORMS:
@@ -307,7 +468,7 @@ def _spaced(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
 
 
 def _response(
-    t: np.ndarray, r: np.ndarray, s_rx: np.ndarray, D: float, v: float, z_s: float, z_e: float, k_max: int, extra: float
+    t: np.ndarray, r: np.ndarray, s_rx: np.ndarray, D: float, v: float, z_s: float, z_e: float, extra: float
 ) -> np.ndarray:
     """The response at each element of the equal-shape arrays ``t``, ``r`` and ``s_rx``, as a new array.
 
@@ -336,7 +497,7 @@ def _response(
         rho = r_l * r_l / four_dt
         radial = -np.expm1(-sigma)
         off = rho > 0.0
-        radial[off] = _radial(rho[off], sigma[off], k_max, extra)
+        radial[off] = _radial(rho[off], sigma[off], extra)
         flat[start + live] = axial[run[live]] * radial
     np.clip(value, 0.0, 1.0, out=value)
     return value
@@ -374,11 +535,14 @@ def cir(
     P(k+1, sigma), rho = r_i^2/4Dt, sigma = S_RX^2/4Dt. _radial sums it in
     the exchanged order, sum_(j >= 1) P[N = j] W_(j-1) for N ~
     Poisson(sigma) and W the running sum of the weights, in scaled linear
-    space with one Poisson(sigma) row per run of equal sigma, out to an
-    order certified per element from term_(j+1) / term_j <= sigma (1 + rho
-    / j) / (j + 1) (rho / j^2 in the regularized form): the last term summed
-    is at most SERIES_RTOL of the sum, and everything dropped at most that
-    term. ``k_max`` is a minimum order (the sum runs to j >= k_max + 1).
+    space with one Poisson(sigma) row per run of equal sigma. Each series
+    stops at its certified window: the product of the ratio bounds
+    term_(j+1) / term_j <= sigma (1 + rho / j) / (j + 1) (rho / j^2 in the
+    regularized form) puts the first order past it under SERIES_RTOL / 2 of
+    the sum, below half an ulp, so no order past it can move the double;
+    series past _SEGMENT orders also skip the leading orders that cannot
+    move it. ``k_max`` is accepted and checked, for older configurations,
+    but sets no value.
     Points whose value is provably 0 (a zero axial factor, or r_i more than
     27.3 sqrt(4Dt) beyond S_RX) skip the series. At rho = 0 (the paired
     link) the series is its first term, taken in closed form as 1 - e^-sigma.
@@ -396,7 +560,7 @@ def cir(
     if not (np.isfinite(r_arr) & (r_arr >= 0)).all():
         raise ParameterError(f"r_i must be nonnegative and finite, got {r_i}")
     extra = _series_power(k_max, gamma_form)
-    value = _response(t_arr, r_arr, s_arr, params.D, params.v, geom.z_s, geom.z_e, k_max, extra)
+    value = _response(t_arr, r_arr, s_arr, params.D, params.v, geom.z_s, geom.z_e, extra)
     return float(value) if value.ndim == 0 else value
 
 
@@ -569,7 +733,7 @@ def _summary_block(links, t_ms, transport, k_max: int, gamma_form: str) -> list[
 
     per_link = [(t_m, params.s_rx, params.n_mol) for (params, *_), t_m in zip(links, t_ms)]
     t, s_rx, n_mol = np.repeat(np.array(per_link, dtype=float), sizes, axis=0).T
-    scaled = n_mol * _response(t, r, s_rx, *transport, k_max, extra)
+    scaled = n_mol * _response(t, r, s_rx, *transport, extra)
     if ends:
         tails = [
             (start + len(distances), layout)
@@ -636,7 +800,9 @@ def summarize(
     beyond the outermost ring, integrated against the response at t_m by
     the composite Simpson rule on _TAIL_INTERVALS intervals out to 8
     diffusion lengths plus 2 S_RX past that ring. The rings and the
-    Simpson nodes share one response evaluation. This is the one-link case
-    of _summaries, which perf.sweep runs over a whole sweep axis.
+    Simpson nodes share one response evaluation, whose every series stops at
+    its certified window (see cir): ``k_max`` is checked but sets no value.
+    This is the one-link case of _summaries, which perf.sweep runs over a
+    whole sweep axis.
     """
     return _summaries([(params, geom, layout)], k_max, gamma_form, search_horizon, None if t_m is None else [t_m])[0]

@@ -39,7 +39,7 @@ CONFIG_FLAGS = (
     ("--nmol", "n_mol", "molecules released per 1-bit"),
     ("--noise", "c_noise", "background molecule concentration in 1/m^3"),
     ("--interferers", "n_interferers", "interferer count (default: 36 hex, 24 square)"),
-    ("--kmax", "k_max", "minimum radial series order"),
+    ("--kmax", "k_max", "kept for older configurations; sets no value: each series stops at its certified window"),
     ("--gamma-form", "gamma_form", "radial weight form: lower or regularized"),
     ("--threshold-mode", "threshold_mode", "detector: optimal or suboptimal"),
     ("--horizon", "horizon", "peak search horizon in s"),
@@ -161,12 +161,14 @@ def cmd_cir(cfg: SystemConfig, args) -> tuple:
     params, geom = cfg.params(), cfg.geometry()
     times = _record_times(cfg, cfg.horizon, "horizon")
     distances = np.array([layout.sites[i].radial_distance for i in indices])
-    # one cir column per distinct distance: the sites of a ring share it, and
-    # each element of cir is computed on its own, so the bytes do not change
+    # one cir column object per distinct distance: the sites of a ring share
+    # it, so it is computed and formatted once, and each element of cir is
+    # computed on its own, so the bytes do not change
     distinct, column = np.unique(distances, return_inverse=True)
     values = cir(times[:, None], distinct, params, geom, k_max=cfg.k_max, gamma_form=cfg.gamma_form)
+    traces = list(values.T)
     columns = ["t_s"] + [f"cir_tx{i}" for i in indices]
-    return tuple(columns), [(None, Table((times, *(values[:, j] for j in column))))]
+    return tuple(columns), [(None, Table((times, *(traces[j] for j in column))))]
 
 
 def cmd_detect(cfg: SystemConfig, args) -> tuple:
@@ -320,15 +322,30 @@ def _resolve_config(args) -> SystemConfig:
 
 
 def _write_table(stream, table: Table) -> None:
-    """Write a table as CSV rows, one formatting call per block of _BLOCK rows."""
-    columns = [np.asarray(column) for column in table.columns]
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    for start in range(0, len(columns[0]), _BLOCK):
-        # Python scalars, interleaved row by row
-        parts = [column[start : start + _BLOCK].tolist() for column in columns]
-        cells = [None] * (len(columns) * len(parts[0]))
-        for j, part in enumerate(parts):
-            cells[j :: len(columns)] = part
+    """Write a table as CSV rows, one formatting call per block of _BLOCK rows.
+
+    A column object that the table holds more than once, such as the cir
+    trace that the sites of one ring share, is formatted once per block:
+    its cells become strs, which %s copies as they are, in each of its
+    positions. Every other cell goes to %s as a Python scalar.
+    """
+    # each distinct column object, as an array, with its number of positions
+    distinct = {}
+    for column in table.columns:
+        distinct.setdefault(id(column), [np.asarray(column), 0])[1] += 1
+    slot = {key: i for i, key in enumerate(distinct)}
+    sources = [slot[id(column)] for column in table.columns]
+    width = len(sources)
+    line = ",".join(["%s"] * width) + "\n"
+    for start in range(0, len(table.columns[0]), _BLOCK):
+        parts = []
+        for column, uses in distinct.values():
+            part = column[start : start + _BLOCK].tolist()
+            parts.append(list(map(str, part)) if uses > 1 else part)
+        # interleaved row by row
+        cells = [None] * (width * len(parts[0]))
+        for j, source in enumerate(sources):
+            cells[j::width] = parts[source]
         stream.write(line * len(parts[0]) % tuple(cells))
 
 

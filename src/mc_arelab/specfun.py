@@ -62,10 +62,13 @@ def _check_point(x: float) -> float:
 
 
 def _log_factorials(j: np.ndarray) -> np.ndarray:
-    """ln j! of each element of a 1-D integer array j >= 0."""
+    """ln j! of each element of a 1-D integer array j >= 0: the table's value, or math.lgamma past it."""
     if j.size and j.max() >= len(_LOG_FACTORIALS):
+        out = _LOG_FACTORIALS[np.minimum(j, len(_LOG_FACTORIALS) - 1)]
+        past = np.flatnonzero(j >= len(_LOG_FACTORIALS))
         # one float at a time: a list of them all would outweigh the result
-        return np.fromiter(map(math.lgamma, memoryview(j + 1.0)), float, count=j.size)
+        out[past] = np.fromiter(map(math.lgamma, memoryview(j[past] + 1.0)), float, count=past.size)
+        return out
     return _LOG_FACTORIALS[j]
 
 

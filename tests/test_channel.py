@@ -1,10 +1,14 @@
 import inspect
 import math
+import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mc_arelab import channel
 from mc_arelab.channel import (
@@ -103,7 +107,7 @@ class TestCir:
     def test_truncation_insensitive_at_first_ring(self):
         a = cir(1.845, 0.2, DEFAULTS, GEOM, k_max=20)
         b = cir(1.845, 0.2, DEFAULTS, GEOM, k_max=40)
-        assert abs(a - b) <= 1e-12
+        assert a == b
 
     def test_truncation_convergence_at_eval_points(self):
         t_m = peak_time(DEFAULTS, GEOM)
@@ -111,7 +115,7 @@ class TestCir:
             r_i = 0.2 * ring
             a = cir(t_m, r_i, DEFAULTS, GEOM, k_max=20)
             b = cir(t_m, r_i, DEFAULTS, GEOM, k_max=60)
-            assert abs(a - b) / b < 1e-10
+            assert a == b
 
     def test_bounded_probability(self):
         for t in (0.1, 0.5, 2.0, 10.0):
@@ -271,11 +275,122 @@ class TestCirSeries:
         assert peak < 4e6
 
     def test_k_max_is_only_a_minimum(self):
-        # k_max is a minimum: more orders than the certified ones change nothing beyond rounding
+        # k_max sets no value: every series stops at its own certified top
         t_m = peak_time(DEFAULTS, GEOM)
         a = cir(t_m, 0.4, DEFAULTS, GEOM, k_max=0)
         b = cir(t_m, 0.4, DEFAULTS, GEOM, k_max=200)
-        assert abs(a - b) <= 1e-15 * b
+        assert a == b
+
+
+def _planted_tops(change):
+    """channel._tops with each top moved by ``change(top)``, for mock.patch."""
+    tops = channel._tops
+    return lambda rho, sigma, extra: np.maximum(change(tops(rho, sigma, extra)), 1)
+
+
+class TestCertifiedTop:
+    @given(
+        log_d=st.floats(-5.0, math.log10(0.3)),
+        v=st.floats(0.0, 0.5),
+        s_rx=st.floats(0.01, 0.5),
+        t=st.floats(0.05, 15.0),
+        # r_i as S_RX plus a number of diffusion lengths (near the receiver
+        # edge), or as a multiple of S_RX
+        near=st.booleans(),
+        shift=st.floats(-3.0, 3.0),
+        scale=st.floats(0.0, 6.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_k_max_and_longer_series_change_no_bit(self, log_d, v, s_rx, t, near, shift, scale):
+        params = replace(DEFAULTS, D=10.0**log_d, v=v, s_rx=s_rx)
+        geom = ReceiverGeometry.centered(params)
+        root = math.sqrt(4.0 * params.D * t)
+        r_i = max(0.0, s_rx + shift * root) if near else scale * s_rx
+        for gamma_form in ("lower", "regularized"):
+            values = {cir(t, r_i, params, geom, k_max=k_max, gamma_form=gamma_form) for k_max in (0, 20, 200)}
+            assert len(values) == 1
+            # 64 orders past every certified top: none of them moves the double
+            with mock.patch.object(channel, "_tops", _planted_tops(lambda top: top + 64)):
+                assert cir(t, r_i, params, geom, gamma_form=gamma_form) == values.pop()
+
+    def test_a_top_below_the_certified_one_moves_values(self):
+        # the power of the check above: the same series stopped 8 orders
+        # early, at the default link's rings over a trace
+        t = np.geomspace(0.2, 15.0, 60)[:, None]
+        r = np.array([0.2, 0.2 * math.sqrt(3.0), 0.4, 0.6])
+        for gamma_form in ("lower", "regularized"):
+            exact = cir(t, r, DEFAULTS, GEOM, gamma_form=gamma_form)
+            with mock.patch.object(channel, "_tops", _planted_tops(lambda top: top - 8)):
+                short = cir(t, r, DEFAULTS, GEOM, gamma_form=gamma_form)
+            assert np.count_nonzero(short != exact) > 10
+
+    @pytest.mark.parametrize("gamma_form", ["lower", "regularized"])
+    @pytest.mark.parametrize("diff", [1e-8, 1e-9])
+    def test_an_offset_at_the_receiver_edge_sums_a_window(self, diff, gamma_form):
+        # r_i 5 diffusion lengths (D = 1e-9) past S_RX near pure advection:
+        # sigma = 1e5 or 1e6, where summing every order from 1 to the closed-
+        # form top took 36-490 ms and 6-88 MB. The window takes a few ms and
+        # under 0.5 MB on a 2-core machine.
+        params = replace(DEFAULTS, D=diff)
+        geom = ReceiverGeometry.centered(params)
+        start = time.perf_counter()
+        value = cir(2.5, 0.1005, params, geom, gamma_form=gamma_form)
+        assert time.perf_counter() - start < 0.1
+        tracemalloc.start()
+        try:
+            assert cir(2.5, 0.1005, params, geom, gamma_form=gamma_form) == value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        if gamma_form == "lower":
+            # 0.0126 at D = 1e-8 and 7.7e-13 at 1e-9; sigma ln sigma is about
+            # 1.4e7 at 1e-9, so its rounding (item 15 of the roadmap) sets the bound
+            ref = cir_ncx2(2.5, 0.1005, params, geom)
+            assert abs(value - ref) <= 1e-8 * ref, (value, ref)
+        else:
+            # the weights end near order 1,000, far below sigma: the sum is
+            # their total, which underflows, as does the exact series
+            assert value == cir_regularized_fsum(2.5, 0.1005, params, geom, orders=2000) == 0.0
+
+    @staticmethod
+    def _window_with(*edits):
+        """channel._radial_window with each (old, new) edit made, summing 512 orders per segment."""
+        source = inspect.getsource(channel._radial_window)
+        for old, new in edits:
+            assert old in source
+            source = source.replace(old, new)
+        namespace = dict(vars(channel), _SEGMENT=512)
+        exec(source, namespace)
+        return namespace["_radial_window"]
+
+    def test_a_window_top_from_its_running_sums_changes_no_bit(self):
+        # wide series at the receiver's edge (rho near sigma) in the lower
+        # form, in segments of 512 orders, so that the window's own running
+        # sums lower its top inside the mass: summing on to the closed-form
+        # top changes no bit, nor does the full segment length, while
+        # stopping where the next term may still be 1e-8 of the sum does
+        short = self._window_with()
+        full = self._window_with(("top = min(top, stop + m - 1)", "pass"))
+        early = self._window_with(("+ _LOG_HALF_RTOL if", "+ math.log(1e-8) if"))
+        rng = np.random.default_rng(34)
+        moved = 0
+        for _ in range(12):
+            sigma = float(10 ** rng.uniform(3.7, 4.5))
+            rho = (math.sqrt(sigma) + float(rng.uniform(-5.0, 15.0))) ** 2
+            top = int(channel._tops(np.array([rho]), np.array([sigma]), 1.0)[0])
+            assert top > channel._SEGMENT
+            value = channel._radial_window(rho, sigma, top, 1.0)
+            assert value == short(rho, sigma, top, 1.0) == full(rho, sigma, top, 1.0) > 0.0
+            moved += early(rho, sigma, top, 1.0) != value
+        assert moved > 0
+
+    def test_a_series_past_order_2_53_is_a_named_error(self):
+        # r_i = S_RX at D = 1e-20: sigma = rho = 4e17, whose top would pass
+        # the orders a float counts exactly
+        params = replace(DEFAULTS, D=1e-20, s_rx=0.2)
+        with pytest.raises(ParameterError, match="2\\^53"):
+            cir(2.5, 0.2, params, ReceiverGeometry.centered(params))
 
 
 def _series_errors(cases):
@@ -340,27 +455,27 @@ class TestCirAccuracy:
         assert min(far) < 1e-250 and max(far) > 0.0
 
     @pytest.mark.parametrize(
-        "edits",
+        "function,edits",
         [
             # stop once q_j <= 2 instead of 1/2
-            [("2.0 * sigma", "0.5 * sigma"), ("(2.0 * rs)", "(0.5 * rs)"), ("8.0 * rs", "2.0 * rs")],
+            ("_tops", [("2.0 * sigma", "0.5 * sigma"), ("(2.0 * rs)", "(0.5 * rs)"), ("8.0 * rs", "2.0 * rs")]),
             # pair p_j with W_j instead of W_(j-1)
-            [("orders[1:], log_fact[1 : width + 1]", "orders[:-1], log_fact[:width]")],
-            # 40 orders too few past h: the last term summed is then not small
-            [("np.maximum(fall, 1.0)", "np.maximum(fall - 40.0, 1.0)")],
+            ("_radial_blocks", [("orders[1:], log_fact[1 : width + 1]", "orders[:-1], log_fact[:width]")]),
+            # 10 orders short of the certified top: the last term summed is then not small
+            ("_tops", [("return h + short + 1", "return np.maximum(h + short - 9, 1)")]),
         ],
         ids=["q-below-2", "w-shifted", "short-fall"],
     )
-    def test_a_planted_defect_fails_the_bound(self, monkeypatch, edits):
+    def test_a_planted_defect_fails_the_bound(self, monkeypatch, function, edits):
         # Dropping the very last term cannot fail it: that term is at most
         # SERIES_RTOL of the sum by construction.
-        source = inspect.getsource(channel._radial)
+        source = inspect.getsource(getattr(channel, function))
         for old, new in edits:
             assert old in source
             source = source.replace(old, new)
         namespace = dict(vars(channel))
         exec(source, namespace)
-        monkeypatch.setattr("mc_arelab.channel._radial", namespace["_radial"])
+        monkeypatch.setattr(f"mc_arelab.channel.{function}", namespace[function])
         assert _series_errors(self.CASES) != []
 
 

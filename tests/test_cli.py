@@ -13,7 +13,7 @@ import pytest
 import mc_arelab
 from mc_arelab import perf
 from mc_arelab.channel import cir, summarize
-from mc_arelab.cli import Table, _write_table, main
+from mc_arelab.cli import Table, _write_table, build_parser, cmd_cir, main
 from mc_arelab.config import SystemConfig
 from mc_arelab.detection import characterize
 
@@ -173,6 +173,15 @@ class TestCir:
             _, alone, _ = run_cli(capsys, "cir", "--tx-index", str(site))
             assert [line.split(",")[1] for line in data_lines(alone)[1:]] == [row[1 + k] for row in rows]
 
+    def test_sites_of_one_ring_share_one_column_object(self):
+        # sites 1 and 5 lie on the first ring: one trace object, formatted once per block
+        argv = ["cir", "--horizon", "0.5", "--tx-index", "1", "--tx-index", "5", "--tx-index", "14"]
+        args = build_parser().parse_args(argv)
+        columns, [(_, table)] = cmd_cir(SystemConfig(), args)
+        assert columns == ("t_s", "cir_tx1", "cir_tx5", "cir_tx14")
+        assert table.columns[1] is table.columns[2]
+        assert table.columns[3] is not table.columns[1]
+
     def test_tx_index_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "cir", "--tx-index", "99")
         assert code == 2
@@ -222,6 +231,17 @@ class TestTable:
         expected = io.StringIO()
         csv.writer(expected, lineterminator="\n").writerows(zip(self.VALUES, self.VALUES[::-1]))
         assert stream.getvalue() == expected.getvalue()
+
+    def test_a_repeated_column_writes_the_bytes_of_copies(self):
+        # 600 rows, three blocks: one column object in three positions, as the
+        # sites of one ring share a cir trace, against three separate copies
+        shared = np.resize(self.VALUES, 600)
+        other = -np.roll(shared, 2)
+        stream, copies = io.StringIO(), io.StringIO()
+        _write_table(stream, Table((shared, other, shared, shared)))
+        _write_table(copies, Table((shared.copy(), other, shared.copy(), shared.copy())))
+        assert stream.getvalue() == copies.getvalue()
+        assert stream.getvalue().splitlines()[1] == "-0.0,-0.009000000000000001,-0.0,-0.0"
 
     def test_int_and_str_columns_match_csv_writer(self):
         # 600 rows of int arrays and tuples, floats, and str cells, as the sweep tables mix them
